@@ -73,13 +73,22 @@ void set_warm_start_enabled(bool enabled);
 /// replaced by w. ftran/btran then solve against B_new without touching
 /// the LU factors.
 ///
-/// Storage is workspace-grade: the eta chain lives in one flat pool
-/// (k·m doubles, cleared-not-freed at refactorize) and every solve's
-/// intermediates live in member scratch vectors that keep their capacity,
-/// so a factorization reused across solves of the same shape performs no
-/// heap allocation after its first cycle. The scratch makes even const
-/// solves non-reentrant: an instance belongs to one thread / one solver
-/// workspace and must not be shared.
+/// Sparsity: refactorize() eliminates densely (partial pivoting, so pivot
+/// choice and fill are those of plain Gaussian elimination), then records
+/// the nonzeros of L and U by row and by column, and those of B for the
+/// refinement residuals; update() stores only the nonzeros of each eta.
+/// ftran/btran, the eta chain and the residuals visit nonzeros only, in
+/// the index order of the equivalent dense loops — every sum adds the same
+/// nonzero terms in the same order, so results match a dense solve up to
+/// the sign of an exact zero.
+///
+/// Storage is workspace-grade: the factors and the eta chain live in
+/// member vectors that are cleared-not-freed at refactorize, and every
+/// solve's intermediates live in member scratch vectors that keep their
+/// capacity, so a factorization reused across solves of the same shape
+/// performs no heap allocation after its first cycle. The scratch makes
+/// even const solves non-reentrant: an instance belongs to one thread /
+/// one solver workspace and must not be shared.
 class BasisFactorization {
  public:
   /// Factorizes `b` (square). Discards any eta chain. Returns false when
@@ -110,7 +119,7 @@ class BasisFactorization {
                     double* residual_out = nullptr) const;
 
   /// Appends the eta for a pivot in position `p` with direction `w`
-  /// (= B^{-1} a_entering), copying it into the flat eta pool. Returns
+  /// (= B^{-1} a_entering), copying its nonzeros into the eta chain. Returns
   /// false — and leaves the factorization unchanged — when |w[p]| is too
   /// small to pivot on; the caller should refactorize from the updated
   /// basis matrix instead.
@@ -118,7 +127,7 @@ class BasisFactorization {
 
   [[nodiscard]] bool valid() const { return valid_; }
   [[nodiscard]] std::size_t size() const { return perm_.size(); }
-  [[nodiscard]] std::size_t eta_count() const { return eta_rows_.size(); }
+  [[nodiscard]] std::size_t eta_count() const { return eta_pivots_.size(); }
 
   /// Worst-case growth indicator for the current factorization: the max of
   /// the LU element growth observed at the last refactorize
@@ -149,7 +158,36 @@ class BasisFactorization {
   static constexpr double kGrowthRefactorLimit = 1e6;
 
  private:
-  /// r := rhs − B_new·x (B_new = stored B · eta chain); returns ‖r‖_∞.
+  struct Entry {
+    int idx;
+    double val;
+  };
+  /// Nonzeros in groups (the rows or columns of a matrix, or the etas of
+  /// the chain): group g is entries[start[g] .. start[g+1]), ascending idx.
+  /// clear() keeps capacity.
+  struct SparseGroups {
+    std::vector<int> start;  // empty until the first clear()
+    std::vector<Entry> entries;
+
+    /// Empties the groups, reserving room for up to `groups` groups of
+    /// `max_entries` entries in all, so refills never reallocate.
+    void clear(std::size_t groups, std::size_t max_entries) {
+      start.reserve(groups + 1);
+      entries.reserve(max_entries);
+      start.assign(1, 0);
+      entries.clear();
+    }
+    void push(int i, double v) { entries.push_back({i, v}); }
+    void close_group() { start.push_back(static_cast<int>(entries.size())); }
+    [[nodiscard]] std::span<const Entry> group(std::size_t g) const {
+      return {entries.data() + start[g], entries.data() + start[g + 1]};
+    }
+  };
+  /// out := `in` regrouped by index (rows ↔ columns of a square matrix);
+  /// each output group lists its entries in ascending group order of `in`.
+  void transpose(const SparseGroups& in, SparseGroups& out);
+
+  /// r := rhs − B_new·x (B_new = B · eta chain); returns ‖r‖_∞.
   double residual_ftran(std::span<const double> x,
                         std::span<const double> rhs,
                         std::vector<double>& r) const;
@@ -158,13 +196,18 @@ class BasisFactorization {
                         std::span<const double> rhs,
                         std::vector<double>& r) const;
 
-  Matrix lu_;              // L strictly below the diagonal (unit), U on/above
-  Matrix b_;               // copy of B at the last refactorize (residuals)
+  Matrix lu_;  // elimination workspace: L strictly below (unit), U on/above
   std::vector<int> perm_;  // row permutation: (P*B)[i] = B[perm_[i]]
-  /// Eta chain, contiguous: eta k is rows eta_rows_[k] and direction
-  /// eta_pool_[k*m .. (k+1)*m). Cleared (capacity kept) on refactorize.
-  std::vector<double> eta_pool_;
-  std::vector<int> eta_rows_;
+  SparseGroups l_rows_, l_cols_;  // L below the diagonal
+  /// U on and above the diagonal: the diagonal is the first entry of each
+  /// row group and the last of each column group.
+  SparseGroups u_rows_, u_cols_;
+  SparseGroups b_rows_, b_cols_;  // B at the last refactorize (residuals)
+  /// Eta chain: eta k replaces basis position eta_pivots_[k].idx, whose
+  /// w_p is eta_pivots_[k].val; its direction w, w_p included, is group
+  /// k of etas_.
+  SparseGroups etas_;
+  std::vector<Entry> eta_pivots_;
   bool valid_ = false;
   double pivot_growth_ = 1.0;
   // Per-solve scratch, capacity-reused across calls. Mutable because
@@ -174,6 +217,7 @@ class BasisFactorization {
   mutable std::vector<double> resid_v_;  // residual_* intermediate product
   mutable std::vector<double> refine_rhs_, refine_r_, refine_d_,
       refine_cand_, refine_r2_;
+  std::vector<int> transpose_fill_;  // transpose() cursor per output group
 };
 
 }  // namespace gridsec::lp

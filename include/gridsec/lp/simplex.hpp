@@ -1,7 +1,8 @@
 // Two-phase primal simplex for LPs with bounded variables.
 //
-// Scope: the dense LPs produced by gridsec's 12-hub energy graphs (tens of
-// rows and columns). The basis matrix is LU-factorized once and kept
+// Scope: the small sparse LPs produced by gridsec's 12-hub energy graphs
+// (tens of rows and columns, a few nonzeros per column; A is stored by
+// column). The basis matrix is LU-factorized once and kept
 // current across pivots with product-form eta updates (BasisFactorization;
 // periodic refactorization on an update-count or pivot-accuracy trigger),
 // Bland's rule kicks in after a pivot budget to guarantee termination, and

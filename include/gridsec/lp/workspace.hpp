@@ -1,15 +1,16 @@
 // Reusable solver workspace: all per-solve simplex state in one place.
 //
-// A SolverWorkspace owns the solver's entire mutable state — tableau
-// columns, bounds, costs, the current point, basis indices, pricing
-// vectors, warm-start repair scratch — carved from a single util::Arena
-// buffer, plus the BasisFactorization whose LU/eta storage is itself
-// contiguous and capacity-reused. The lifecycle is solve → reset → solve:
-// each solve re-binds the workspace to the problem's shape (one arena
-// rewind + pointer carving, no heap traffic once the arena has grown to
-// the high-water mark), so a caller that solves the same-shaped LP in a
-// loop — impact matrices, Monte Carlo trials, B&B nodes, game rounds —
-// performs zero steady-state allocations inside the solver.
+// A SolverWorkspace owns the solver's entire mutable state — the
+// column-sparse tableau, bounds, costs, the current point, basis indices,
+// pricing vectors, warm-start repair scratch — carved from a single
+// util::Arena buffer, plus the BasisFactorization whose factor and eta
+// storage lives in its own capacity-reused vectors. The lifecycle is
+// solve → reset → solve: each solve re-binds the workspace to the
+// problem's shape (one arena rewind + pointer carving, no heap traffic
+// once the arena has grown to the high-water mark), so a caller that
+// solves the same-shaped LP in a loop — impact matrices, Monte Carlo
+// trials, B&B nodes, game rounds — performs zero steady-state
+// allocations inside the solver.
 //
 // Ownership rules:
 //   - One workspace, one thread. Nothing here is synchronized.

@@ -67,7 +67,9 @@ class Arena {
 
   struct Stats {
     std::size_t capacity = 0;    // bytes currently reserved
-    std::size_t used = 0;        // bytes handed out since the last reset
+    /// Bytes one contiguous block needs to replay this cycle's
+    /// allocations (payload plus alignment padding), since the last reset.
+    std::size_t used = 0;
     std::size_t high_water = 0;  // max `used` across all cycles
     std::size_t blocks = 0;      // blocks in the current chain
     std::size_t resets = 0;      // reset() calls
@@ -80,7 +82,7 @@ class Arena {
   static bool poison_enabled();
 
  private:
-  struct Block {
+  struct alignas(std::max_align_t) Block {
     Block* prev = nullptr;
     std::size_t size = 0;  // usable bytes after the header
     // Payload follows the header.
@@ -96,7 +98,7 @@ class Arena {
 
   Block* head_ = nullptr;       // current (most recent) block
   std::size_t cursor_ = 0;      // bytes used within head_
-  std::size_t used_total_ = 0;  // bytes used across the whole chain
+  std::size_t used_total_ = 0;  // Stats::used of the current cycle
   Stats stats_;
 };
 

@@ -82,6 +82,27 @@ StatusOr<Basis> parse_basis(std::string_view text) {
   return basis;
 }
 
+void BasisFactorization::transpose(const SparseGroups& in,
+                                   SparseGroups& out) {
+  const std::size_t m = in.start.size() - 1;
+  out.start.assign(m + 1, 0);
+  out.entries.reserve(in.entries.capacity());
+  out.entries.resize(in.entries.size());
+  for (const Entry& e : in.entries) {
+    ++out.start[static_cast<std::size_t>(e.idx) + 1];
+  }
+  for (std::size_t c = 0; c < m; ++c) out.start[c + 1] += out.start[c];
+  transpose_fill_.assign(out.start.begin(), out.start.end() - 1);
+  // Groups are scattered in order, so each output group ascends.
+  for (std::size_t g = 0; g < m; ++g) {
+    for (const Entry& e : in.group(g)) {
+      int& fill = transpose_fill_[static_cast<std::size_t>(e.idx)];
+      out.entries[static_cast<std::size_t>(fill++)] = {static_cast<int>(g),
+                                                       e.val};
+    }
+  }
+}
+
 bool BasisFactorization::refactorize(const Matrix& b) {
   GRIDSEC_TRACE_SPAN("lp.simplex.refactorize");
   GRIDSEC_ASSERT(b.rows() == b.cols());
@@ -89,16 +110,22 @@ bool BasisFactorization::refactorize(const Matrix& b) {
   lu_ = b;  // copy-assign reuses lu_'s heap block when shapes repeat
   perm_.resize(m);
   for (std::size_t i = 0; i < m; ++i) perm_[i] = static_cast<int>(i);
-  eta_pool_.clear();  // capacity kept for the next chain
-  eta_rows_.clear();
+  etas_.clear(kRefactorInterval, kRefactorInterval * m);  // capacity kept
+  eta_pivots_.clear();
+  eta_pivots_.reserve(kRefactorInterval);
   valid_ = false;
   pivot_growth_ = 1.0;
 
+  // B's nonzeros by row (for the residuals), and max|B|.
   double max_b = 0.0;
+  b_rows_.clear(m, m * m);
   for (std::size_t i = 0; i < m; ++i) {
+    const std::span<const double> row = b.row(i);
     for (std::size_t j = 0; j < m; ++j) {
-      max_b = std::max(max_b, std::fabs(b(i, j)));
+      max_b = std::max(max_b, std::fabs(row[j]));
+      if (row[j] != 0.0) b_rows_.push(static_cast<int>(j), row[j]);
     }
+    b_rows_.close_group();
   }
 
   for (std::size_t k = 0; k < m; ++k) {
@@ -117,7 +144,6 @@ bool BasisFactorization::refactorize(const Matrix& b) {
       // mid-pivot cannot leave ftran/btran (or a later warm-start repair)
       // looking at inconsistent state.
       lu_ = Matrix();
-      b_ = Matrix();
       perm_.clear();
       return false;
     }
@@ -125,31 +151,50 @@ bool BasisFactorization::refactorize(const Matrix& b) {
       lu_.swap_rows(pivot, k);
       std::swap(perm_[pivot], perm_[k]);
     }
-    const double diag = lu_(k, k);
+    const std::span<const double> pivot_row = lu_.row(k);
+    const double diag = pivot_row[k];
     for (std::size_t r = k + 1; r < m; ++r) {
-      const double factor = lu_(r, k) / diag;
-      lu_(r, k) = factor;  // L entry
+      const std::span<double> row = lu_.row(r);
+      if (row[k] == 0.0) continue;  // L entry stays 0: nothing to eliminate
+      const double factor = row[k] / diag;
+      row[k] = factor;  // L entry
       if (factor == 0.0) continue;
       for (std::size_t c = k + 1; c < m; ++c) {
-        lu_(r, c) -= factor * lu_(k, c);
+        row[c] -= factor * pivot_row[c];
       }
     }
   }
-  // Element-growth factor max|U| / max|B| — the classic LU stability
-  // indicator; seeds pivot_growth(), which eta updates then only raise.
+  // The nonzeros of L and U by row, and the element-growth factor
+  // max|U| / max|B| — the classic LU stability indicator; it seeds
+  // pivot_growth(), which eta updates then only raise.
   double max_u = 0.0;
+  l_rows_.clear(m, m * (m - 1) / 2);
+  u_rows_.clear(m, m * (m + 1) / 2);
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = i; j < m; ++j) {
-      max_u = std::max(max_u, std::fabs(lu_(i, j)));
+    const std::span<const double> row = lu_.row(i);
+    for (std::size_t j = 0; j < i; ++j) {
+      if (row[j] != 0.0) l_rows_.push(static_cast<int>(j), row[j]);
     }
+    for (std::size_t j = i; j < m; ++j) {
+      max_u = std::max(max_u, std::fabs(row[j]));
+      if (row[j] != 0.0) u_rows_.push(static_cast<int>(j), row[j]);
+    }
+    l_rows_.close_group();
+    u_rows_.close_group();
   }
   if (max_b > 0.0) {
     pivot_growth_ = std::max(1.0, max_u / max_b);
   }
-  b_ = b;
+  transpose(l_rows_, l_cols_);
+  transpose(u_rows_, u_cols_);
+  transpose(b_rows_, b_cols_);
   valid_ = true;
   return true;
 }
+
+// The solves below visit stored nonzeros in ascending index order — the
+// order of the dense loops they replace — so each sum adds the same
+// nonzero terms in the same sequence.
 
 void BasisFactorization::ftran(std::span<double> x) const {
   GRIDSEC_ASSERT(valid_ && x.size() == perm_.size());
@@ -160,25 +205,31 @@ void BasisFactorization::ftran(std::span<double> x) const {
   for (std::size_t i = 0; i < m; ++i) {
     z[i] = x[static_cast<std::size_t>(perm_[i])];
   }
-  // Forward: L (unit lower) — z := L^{-1} z.
+  // Forward: L (unit lower) — z := L^{-1} z, row by row.
   for (std::size_t i = 1; i < m; ++i) {
     double acc = z[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * z[j];
+    for (const Entry& e : l_rows_.group(i)) {
+      acc -= e.val * z[static_cast<std::size_t>(e.idx)];
+    }
     z[i] = acc;
   }
-  // Backward: U — z := U^{-1} z.
+  // Backward: U — z := U^{-1} z, row by row.
   for (std::size_t i = m; i-- > 0;) {
+    const std::span<const Entry> row = u_rows_.group(i);  // diagonal first
     double acc = z[i];
-    for (std::size_t j = i + 1; j < m; ++j) acc -= lu_(i, j) * z[j];
-    z[i] = acc / lu_(i, i);
+    for (const Entry& e : row.subspan(1)) {
+      acc -= e.val * z[static_cast<std::size_t>(e.idx)];
+    }
+    z[i] = acc / row.front().val;
   }
   // Eta chain in application order: B_new = B * E_1 * ... * E_k, so
   // B_new^{-1} v = E_k^{-1} ... E_1^{-1} (B^{-1} v).
-  for (std::size_t k = 0; k < eta_rows_.size(); ++k) {
-    const double* w = eta_pool_.data() + k * m;
-    const auto p = static_cast<std::size_t>(eta_rows_[k]);
-    const double t = z[p] / w[p];
-    for (std::size_t i = 0; i < m; ++i) z[i] -= w[i] * t;
+  for (std::size_t k = 0; k < eta_pivots_.size(); ++k) {
+    const auto p = static_cast<std::size_t>(eta_pivots_[k].idx);
+    const double t = z[p] / eta_pivots_[k].val;
+    for (const Entry& e : etas_.group(k)) {
+      z[static_cast<std::size_t>(e.idx)] -= e.val * t;
+    }
     z[p] = t;
   }
   for (std::size_t i = 0; i < m; ++i) x[i] = z[i];
@@ -189,29 +240,34 @@ void BasisFactorization::btran(std::span<double> y) const {
   const std::size_t m = perm_.size();
   // B_new^{-T} v = B^{-T} E_1^{-T} ... E_k^{-T} v: etas in reverse order
   // first, then the LU transpose solve.
-  for (std::size_t k = eta_rows_.size(); k-- > 0;) {
+  for (std::size_t k = eta_pivots_.size(); k-- > 0;) {
     // Solve E^T u = v in place: row p of E^T is w^T, other rows identity.
-    const double* w = eta_pool_.data() + k * m;
-    const auto p = static_cast<std::size_t>(eta_rows_[k]);
+    const int p = eta_pivots_[k].idx;
     double dot_rest = 0.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (i != p) dot_rest += w[i] * y[i];
+    for (const Entry& e : etas_.group(k)) {
+      if (e.idx != p) dot_rest += e.val * y[static_cast<std::size_t>(e.idx)];
     }
-    y[p] = (y[p] - dot_rest) / w[p];
+    const auto ps = static_cast<std::size_t>(p);
+    y[ps] = (y[ps] - dot_rest) / eta_pivots_[k].val;
   }
   // B^T q = v with B = P^T L U: U^T L^T P q = v.
-  // Forward: U^T (lower triangular with U's diagonal).
+  // Forward: U^T (lower triangular with U's diagonal), U column by column.
   std::vector<double>& z = z_;
-  z.assign(m, 0.0);
+  z.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
+    const std::span<const Entry> col = u_cols_.group(i);  // diagonal last
     double acc = y[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(j, i) * z[j];
-    z[i] = acc / lu_(i, i);
+    for (const Entry& e : col.first(col.size() - 1)) {
+      acc -= e.val * z[static_cast<std::size_t>(e.idx)];
+    }
+    z[i] = acc / col.back().val;
   }
-  // Backward: L^T (unit upper triangular).
+  // Backward: L^T (unit upper triangular), L column by column.
   for (std::size_t i = m; i-- > 0;) {
     double acc = z[i];
-    for (std::size_t j = i + 1; j < m; ++j) acc -= lu_(j, i) * z[j];
+    for (const Entry& e : l_cols_.group(i)) {
+      acc -= e.val * z[static_cast<std::size_t>(e.idx)];
+    }
     z[i] = acc;
   }
   // q = P y_out: y_out[perm[i]] = z[i].
@@ -228,7 +284,8 @@ bool BasisFactorization::update(int p, std::span<const double> w) {
   // to the rest of the direction vector would amplify error through every
   // later ftran/btran (each application divides by w[p]); refuse it and
   // let the caller refactorize instead.
-  const double pivot = std::fabs(w[static_cast<std::size_t>(p)]);
+  const double wp = w[static_cast<std::size_t>(p)];
+  const double pivot = std::fabs(wp);
   if (pivot < kPivotTol) return false;
   double wmax = 0.0;
   for (const double v : w) wmax = std::max(wmax, std::fabs(v));
@@ -236,8 +293,11 @@ bool BasisFactorization::update(int p, std::span<const double> w) {
   // Accepted — but remember how much this eta can amplify rounding
   // (each ftran/btran application divides by w[p]).
   if (wmax > 0.0) pivot_growth_ = std::max(pivot_growth_, wmax / pivot);
-  eta_pool_.insert(eta_pool_.end(), w.begin(), w.end());
-  eta_rows_.push_back(p);
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    if (w[i] != 0.0) etas_.push(static_cast<int>(i), w[i]);
+  }
+  etas_.close_group();
+  eta_pivots_.push_back({p, wp});
   return true;
 }
 
@@ -250,22 +310,23 @@ double BasisFactorization::residual_ftran(std::span<const double> x,
   // E = I + (w − e_p)e_pᵀ: v_i += w_i·v_p for i ≠ p, v_p = w_p·v_p.
   std::vector<double>& v = resid_v_;
   v.assign(x.begin(), x.end());
-  for (std::size_t k = eta_rows_.size(); k-- > 0;) {
-    const double* w = eta_pool_.data() + k * m;
-    const auto p = static_cast<std::size_t>(eta_rows_[k]);
-    const double vp = v[p];
+  for (std::size_t k = eta_pivots_.size(); k-- > 0;) {
+    const int p = eta_pivots_[k].idx;
+    const double vp = v[static_cast<std::size_t>(p)];
     if (vp != 0.0) {
-      for (std::size_t i = 0; i < m; ++i) {
-        if (i != p) v[i] += w[i] * vp;
+      for (const Entry& e : etas_.group(k)) {
+        if (e.idx != p) v[static_cast<std::size_t>(e.idx)] += e.val * vp;
       }
-      v[p] = w[p] * vp;
+      v[static_cast<std::size_t>(p)] = eta_pivots_[k].val * vp;
     }
   }
-  r.assign(m, 0.0);
+  r.resize(m);
   double norm = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
     double acc = rhs[i];
-    for (std::size_t j = 0; j < m; ++j) acc -= b_(i, j) * v[j];
+    for (const Entry& e : b_rows_.group(i)) {
+      acc -= e.val * v[static_cast<std::size_t>(e.idx)];
+    }
     r[i] = acc;
     norm = std::max(norm, std::fabs(acc));
   }
@@ -280,20 +341,22 @@ double BasisFactorization::residual_btran(std::span<const double> y,
   // Bᵀ first, then etas in append order. (Eᵀv)_p = Σ_j w_j v_j, others
   // unchanged.
   std::vector<double>& v = resid_v_;
-  v.assign(m, 0.0);
+  v.resize(m);
   for (std::size_t j = 0; j < m; ++j) {
     double acc = 0.0;
-    for (std::size_t i = 0; i < m; ++i) acc += b_(i, j) * y[i];
+    for (const Entry& e : b_cols_.group(j)) {
+      acc += e.val * y[static_cast<std::size_t>(e.idx)];
+    }
     v[j] = acc;
   }
-  for (std::size_t k = 0; k < eta_rows_.size(); ++k) {
-    const double* w = eta_pool_.data() + k * m;
-    const auto p = static_cast<std::size_t>(eta_rows_[k]);
+  for (std::size_t k = 0; k < eta_pivots_.size(); ++k) {
     double dot = 0.0;
-    for (std::size_t j = 0; j < m; ++j) dot += w[j] * v[j];
-    v[p] = dot;
+    for (const Entry& e : etas_.group(k)) {
+      dot += e.val * v[static_cast<std::size_t>(e.idx)];
+    }
+    v[static_cast<std::size_t>(eta_pivots_[k].idx)] = dot;
   }
-  r.assign(m, 0.0);
+  r.resize(m);
   double norm = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
     const double acc = rhs[i] - v[i];

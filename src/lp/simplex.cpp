@@ -20,7 +20,7 @@ namespace {
 // The working Tableau and all per-solve scratch live in a SolverWorkspace
 // (see workspace.hpp / workspace_internal.hpp): spans carved from one
 // arena, re-bound per solve, zero steady-state heap traffic.
-using detail::copy_tableau;
+using detail::ColumnEntry;
 using detail::Tableau;
 using detail::VarState;
 using detail::WorkspaceImpl;
@@ -33,7 +33,7 @@ struct IterationOutcome {
   long bound_flips = 0;
   long bland_pivots = 0;      // pivots taken under Bland's rule
   bool cycle_fallback = false;  // cycling detected; Bland forced early
-  long refactorizations = 0;  // dense LU rebuilds of the basis matrix
+  long refactorizations = 0;  // LU rebuilds of the basis matrix
   long eta_updates = 0;       // product-form pivot updates applied
   long refine_steps = 0;      // iterative-refinement corrections applied
   /// Refactorizations forced by a stability signal (refused or
@@ -49,9 +49,9 @@ void build_basis_matrix(const Tableau& t, Matrix& out) {
   out.assign(static_cast<std::size_t>(t.m), static_cast<std::size_t>(t.m));
   for (int i = 0; i < t.m; ++i) {
     const int col = t.basis[static_cast<std::size_t>(i)];
-    for (int r = 0; r < t.m; ++r) {
-      out(static_cast<std::size_t>(r), static_cast<std::size_t>(i)) =
-          t.a(static_cast<std::size_t>(r), static_cast<std::size_t>(col));
+    for (const ColumnEntry& e : t.a.column(col)) {
+      out(static_cast<std::size_t>(e.row), static_cast<std::size_t>(i)) =
+          e.val;
     }
   }
 }
@@ -59,11 +59,9 @@ void build_basis_matrix(const Tableau& t, Matrix& out) {
 /// Computes x_B = B^{-1} (b - A_N x_N) into `out` (size m) via the
 /// factorization's refined ftran (residual-checked iterative refinement)
 /// without writing into the tableau. Correction steps accumulate into
-/// *refine_steps; the final relative residual lands in *residual_out
-/// (both optional).
+/// *refine_steps (optional).
 void compute_basic_values(const Tableau& t, const BasisFactorization& factor,
-                          std::span<double> out, long* refine_steps,
-                          double* residual_out) {
+                          std::span<double> out, long* refine_steps) {
   for (int i = 0; i < t.m; ++i) {
     out[static_cast<std::size_t>(i)] = t.b[static_cast<std::size_t>(i)];
   }
@@ -71,12 +69,11 @@ void compute_basic_values(const Tableau& t, const BasisFactorization& factor,
     if (t.state[static_cast<std::size_t>(j)] == VarState::kBasic) continue;
     const double xj = t.x[static_cast<std::size_t>(j)];
     if (xj == 0.0) continue;
-    for (int i = 0; i < t.m; ++i) {
-      out[static_cast<std::size_t>(i)] -=
-          t.a(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) * xj;
+    for (const ColumnEntry& e : t.a.column(j)) {
+      out[static_cast<std::size_t>(e.row)] -= e.val * xj;
     }
   }
-  const int steps = factor.ftran_refined(out, residual_out);
+  const int steps = factor.ftran_refined(out);
   if (refine_steps != nullptr) *refine_steps += steps;
 }
 
@@ -85,13 +82,21 @@ void compute_basic_values(const Tableau& t, const BasisFactorization& factor,
 /// certificate-grade residuals. `factor` must be current for t's basis;
 /// `xb` is m-sized scratch.
 void recompute_basics(Tableau& t, const BasisFactorization& factor,
-                      std::span<double> xb, long* refine_steps = nullptr,
-                      double* residual_out = nullptr) {
-  compute_basic_values(t, factor, xb, refine_steps, residual_out);
+                      std::span<double> xb, long* refine_steps = nullptr) {
+  compute_basic_values(t, factor, xb, refine_steps);
   for (int i = 0; i < t.m; ++i) {
     const auto is = static_cast<std::size_t>(i);
     t.x[static_cast<std::size_t>(t.basis[is])] = xb[is];
   }
+}
+
+/// Reduced cost c_j − yᵀA_j of column j (internal min sense).
+double reduced_cost(const Tableau& t, std::span<const double> y, int j) {
+  double dj = t.cost[static_cast<std::size_t>(j)];
+  for (const ColumnEntry& e : t.a.column(j)) {
+    dj -= y[static_cast<std::size_t>(e.row)] * e.val;
+  }
+  return dj;
 }
 
 /// Solves B^T y = c_B for the simplex multipliers via btran, into `y`.
@@ -148,11 +153,7 @@ IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
       const auto js = static_cast<std::size_t>(j);
       if (t.state[js] == VarState::kBasic) continue;
       if (t.upper[js] - t.lower[js] < eps) continue;  // fixed
-      double dj = t.cost[js];
-      for (int i = 0; i < t.m; ++i) {
-        dj -= y[static_cast<std::size_t>(i)] *
-              t.a(static_cast<std::size_t>(i), js);
-      }
+      const double dj = reduced_cost(t, y, j);
       int dir = 0;
       double violation = 0.0;
       if (t.state[js] == VarState::kAtLower && dj < -dtol) {
@@ -184,9 +185,9 @@ IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
     // Direction of basic variables: w = B^{-1} A_q; moving the entering
     // variable by t changes x_B by -enter_dir * w * t.
     const std::span<double> w = ws.w;
-    for (int i = 0; i < t.m; ++i) {
-      w[static_cast<std::size_t>(i)] =
-          t.a(static_cast<std::size_t>(i), static_cast<std::size_t>(entering));
+    std::fill(w.begin(), w.end(), 0.0);
+    for (const ColumnEntry& e : t.a.column(entering)) {
+      w[static_cast<std::size_t>(e.row)] = e.val;
     }
     factor.ftran(w);
 
@@ -279,9 +280,10 @@ IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
     t.x[lcol] = leaving_bound < 0 ? t.lower[lcol] : t.upper[lcol];
     t.basis[lrow] = entering;
     t.state[eq] = VarState::kBasic;
-    // Keep the factorization current: product-form update, with a dense
-    // rebuild when the eta chain is long, the update pivot is unsafe, or
-    // the accumulated pivot growth says the chain amplifies rounding.
+    // Keep the factorization current: product-form update, with a
+    // refactorization when the eta chain is long, the update pivot is
+    // unsafe, or the accumulated pivot growth says the chain amplifies
+    // rounding.
     const bool chain_full =
         factor.eta_count() + 1 >= BasisFactorization::kRefactorInterval;
     bool need_refactor = chain_full;
@@ -311,8 +313,7 @@ IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
       // factorization is the cheap moment to compare against the exact
       // x_B = B^{-1}(b - A_N x_N). Adopt the recomputed values only when
       // they moved measurably — clean solves keep bit-identical paths.
-      double residual = 0.0;
-      compute_basic_values(t, ws.factor, ws.xb, &out.refine_steps, &residual);
+      compute_basic_values(t, ws.factor, ws.xb, &out.refine_steps);
       const std::span<const double> xb = ws.xb;
       constexpr double kDriftRepairTol = 1e-9;
       double drift = 0.0;
@@ -454,7 +455,7 @@ void install_artificial(Tableau& t, int i, int art_base,
   const int art = art_base + i;
   const auto is = static_cast<std::size_t>(i);
   const auto as = static_cast<std::size_t>(art);
-  t.a(is, as) = 1.0;
+  t.a.single(art) = 1.0;
   t.lower[as] = 0.0;
   t.upper[as] = kInfinity;
   t.x[as] = 0.0;
@@ -476,8 +477,8 @@ void install_artificial(Tableau& t, int i, int art_base,
 ///      the ordinary phase 1 removes the remaining infeasibility.
 /// Every demotion/clamp/fill counts as one repair. Returns false when
 /// the basis is unusable (singular after repair, or the feasibility pass
-/// fails to settle) — the caller then restores the pre-warm snapshot and
-/// solves cold. All scratch (row/column maps, the crash-elimination
+/// fails to settle) — the caller then reinstalls the cold column state
+/// and solves cold. All scratch (row/column maps, the crash-elimination
 /// matrix) comes from the workspace.
 bool apply_warm_start(Tableau& t, WorkspaceImpl& ws,
                       const SimplexOptions& options, int art_base,
@@ -526,7 +527,7 @@ bool apply_warm_start(Tableau& t, WorkspaceImpl& ws,
     if (col < 0) {
       col = art_base + i;
       const auto as = static_cast<std::size_t>(col);
-      t.a(is, as) = 1.0;
+      t.a.single(col) = 1.0;
       t.lower[as] = 0.0;
       t.upper[as] = kInfinity;
       artificial_used[is] = 1;
@@ -551,10 +552,9 @@ bool apply_warm_start(Tableau& t, WorkspaceImpl& ws,
   Matrix& work = ws.crash_work;
   work.assign(static_cast<std::size_t>(m), k);
   for (std::size_t c = 0; c < k; ++c) {
-    const auto col = static_cast<std::size_t>(candidates[c]);
-    for (int r = 0; r < m; ++r) {
-      work(static_cast<std::size_t>(r), c) =
-          t.a(static_cast<std::size_t>(r), col);
+    const int col = candidates[c];
+    for (const ColumnEntry& e : t.a.column(col)) {
+      work(static_cast<std::size_t>(e.row), c) = e.val;
     }
   }
   const std::span<unsigned char> used_row = ws.used_row;
@@ -616,7 +616,7 @@ bool apply_warm_start(Tableau& t, WorkspaceImpl& ws,
         // column negates only that coordinate of x_B — so phase 1 sees a
         // nonnegative infeasibility to minimize.
         if (xv < -tol) {
-          t.a(static_cast<std::size_t>(col - art_base), cs) *= -1.0;
+          t.a.single(col) *= -1.0;
           t.x[cs] = -xv;
           changed = true;
         }
@@ -635,6 +635,104 @@ bool apply_warm_start(Tableau& t, WorkspaceImpl& ws,
     if (!changed) return true;
   }
   return false;  // never settled: numerical trouble, fall back to cold
+}
+
+/// Builds A column-sparse straight from the problem's rows, plus b and
+/// the slack map. Rows are scattered in order, so each column's rows
+/// ascend and a variable a row names twice meets the entry that row
+/// already opened: duplicate terms sum in term order and exact zeros are
+/// dropped, leaving each entry equal to what a dense row-wise
+/// accumulation would hold. Slack and artificial columns get one entry
+/// each (artificials start at 0 until installed).
+void build_columns(const Problem& problem, Tableau& t,
+                   std::span<int> col_fill, std::span<int> slack_of_row) {
+  const int n = t.n_struct;
+  detail::SparseColumns& a = t.a;
+  std::fill(a.start.begin(), a.start.begin() + n + 1, 0);
+  for (const Constraint& con : problem.constraints()) {
+    for (const Term& term : con.terms) {
+      ++a.start[static_cast<std::size_t>(term.var) + 1];
+    }
+  }
+  for (int j = 0; j < n; ++j) {
+    const auto js = static_cast<std::size_t>(j);
+    a.start[js + 1] += a.start[js];
+    col_fill[js] = a.start[js];
+  }
+  for (int i = 0; i < t.m; ++i) {
+    for (const Term& term : problem.constraint(i).terms) {
+      const auto js = static_cast<std::size_t>(term.var);
+      int& fill = col_fill[js];
+      ColumnEntry* last =
+          fill > a.start[js] ? &a.entries[static_cast<std::size_t>(fill - 1)]
+                             : nullptr;
+      if (last != nullptr && last->row == i) {
+        last->val += term.coef;
+      } else {
+        a.entries[static_cast<std::size_t>(fill++)] = {i, term.coef};
+      }
+    }
+  }
+  // Compact left over the slots merges freed, dropping exact zeros.
+  int nnz = 0;
+  const auto push = [&](ColumnEntry e) {
+    a.entries[static_cast<std::size_t>(nnz++)] = e;
+  };
+  for (int j = 0; j < n; ++j) {
+    const auto js = static_cast<std::size_t>(j);
+    const int first = a.start[js];
+    a.start[js] = nnz;
+    for (int k = first; k < col_fill[js]; ++k) {
+      const ColumnEntry e = a.entries[static_cast<std::size_t>(k)];
+      if (e.val != 0.0) push(e);
+    }
+  }
+  int col = n;
+  for (int i = 0; i < t.m; ++i) {
+    const Constraint& con = problem.constraint(i);
+    const auto is = static_cast<std::size_t>(i);
+    t.b[is] = con.rhs;
+    slack_of_row[is] = -1;
+    if (con.sense == Sense::kEqual) continue;
+    slack_of_row[is] = col;
+    a.start[static_cast<std::size_t>(col++)] = nnz;
+    push({i, con.sense == Sense::kLessEqual ? 1.0 : -1.0});
+  }
+  for (int i = 0; i < t.m; ++i) {
+    a.start[static_cast<std::size_t>(col++)] = nnz;
+    push({i, 0.0});
+  }
+  a.start[static_cast<std::size_t>(col)] = nnz;
+}
+
+/// Installs the cold-start column state: structural columns at their
+/// lower bound, slacks in [0, inf) at zero, every artificial unused (fixed
+/// at zero, coefficient 0), zero costs and no basis. Runs after the build
+/// and again to undo a warm start whose repair failed.
+void install_cold_columns(const Problem& problem, Tableau& t,
+                          std::span<unsigned char> artificial_used) {
+  const int art_base = t.n_total - t.m;
+  for (int j = 0; j < t.n_total; ++j) {
+    const auto js = static_cast<std::size_t>(j);
+    double lower = 0.0;
+    double upper = 0.0;
+    if (j < t.n_struct) {
+      lower = problem.variable(j).lower;
+      upper = problem.variable(j).upper;
+    } else if (j < art_base) {
+      upper = kInfinity;
+    } else {
+      t.a.single(j) = 0.0;
+    }
+    t.lower[js] = lower;
+    t.upper[js] = upper;
+    t.x[js] = lower;
+    t.state[js] = VarState::kAtLower;
+    t.cost[js] = 0.0;
+  }
+  std::fill(t.basis.begin(), t.basis.end(), -1);
+  std::fill(artificial_used.begin(), artificial_used.end(),
+            static_cast<unsigned char>(0));
 }
 
 /// Full solve; when `final_tableau` is non-null and the solve is optimal,
@@ -656,51 +754,26 @@ Solution solve_impl_inner(const Problem& problem,
   const int m = problem.num_constraints();
   const bool maximize = problem.objective() == Objective::kMaximize;
 
-  // Count slacks.
+  // Count slacks and the terms that bound A's nonzeros.
   int n_slack = 0;
+  std::size_t n_terms = 0;
   for (const auto& con : problem.constraints()) {
     if (con.sense != Sense::kEqual) ++n_slack;
+    n_terms += con.terms.size();
   }
 
-  // Bind the workspace to this problem's shape: one arena rewind, spans
-  // carved, cold defaults installed (artificials allocated per row, used
-  // lazily).
-  ws.bind(m, n, n + n_slack + m);
+  // Bind the workspace to this problem's shape (one arena rewind, spans
+  // carved; artificials allocated per row, used lazily), then build A and
+  // the cold-start state into it.
+  const int art_base = n + n_slack;
+  ws.bind(m, n, art_base + m,
+          n_terms + static_cast<std::size_t>(n_slack + m));
   Tableau& t = ws.t;
   BasisFactorization& factor = ws.factor;
-
-  // Structural columns.
-  for (int j = 0; j < n; ++j) {
-    const auto& v = problem.variable(j);
-    const auto js = static_cast<std::size_t>(j);
-    t.lower[js] = v.lower;
-    t.upper[js] = v.upper;
-    t.x[js] = v.lower;
-    t.state[js] = VarState::kAtLower;
-  }
-  // Rows + slack columns.
-  int slack_cursor = n;
   const std::span<int> slack_of_row = ws.slack_of_row;
-  for (int i = 0; i < m; ++i) {
-    const auto& con = problem.constraint(i);
-    const auto is = static_cast<std::size_t>(i);
-    for (const Term& term : con.terms) {
-      t.a(is, static_cast<std::size_t>(term.var)) += term.coef;
-    }
-    t.b[is] = con.rhs;
-    if (con.sense != Sense::kEqual) {
-      const int s = slack_cursor++;
-      const auto ss = static_cast<std::size_t>(s);
-      t.a(is, ss) = con.sense == Sense::kLessEqual ? 1.0 : -1.0;
-      t.lower[ss] = 0.0;
-      t.upper[ss] = kInfinity;
-      t.x[ss] = 0.0;
-      slack_of_row[is] = s;
-    }
-  }
-
-  const int art_base = n + n_slack;
   const std::span<unsigned char> artificial_used = ws.artificial_used;
+  build_columns(problem, t, ws.col_fill, slack_of_row);
+  install_cold_columns(problem, t, artificial_used);
 
   // Warm start: adopt the caller's basis when it is dimensionally
   // compatible, crash-repairing whatever does not fit. Any failure falls
@@ -710,7 +783,6 @@ Solution solve_impl_inner(const Problem& problem,
   if (warm_start_enabled() && !options.warm_start.empty()) {
     if (static_cast<int>(options.warm_start.rows.size()) == m &&
         static_cast<int>(options.warm_start.variables.size()) <= n) {
-      copy_tableau(ws.backup, t);
       long repairs = 0;
       long refactorizations = 0;
       if (apply_warm_start(t, ws, options, art_base, repairs,
@@ -720,9 +792,7 @@ Solution solve_impl_inner(const Problem& problem,
         metrics.basis_repairs += repairs;
         metrics.refactorizations += refactorizations;
       } else {
-        copy_tableau(t, ws.backup);
-        std::fill(artificial_used.begin(), artificial_used.end(),
-                  static_cast<unsigned char>(0));
+        install_cold_columns(problem, t, artificial_used);
         metrics.warm_rejected = true;
         metrics.refactorizations += refactorizations;
       }
@@ -735,13 +805,20 @@ Solution solve_impl_inner(const Problem& problem,
   // Cold initial basis: slack when it yields a feasible basic value, else
   // an artificial sized to the residual.
   if (!warm_applied) {
+    // Row residuals b − A_S x_S at the structural start point, summed
+    // column by column: each row still subtracts its terms in ascending
+    // column order.
+    const std::span<double> residuals = ws.xb;
+    std::copy(t.b.begin(), t.b.end(), residuals.begin());
+    for (int j = 0; j < n; ++j) {
+      const double xj = t.x[static_cast<std::size_t>(j)];
+      for (const ColumnEntry& e : t.a.column(j)) {
+        residuals[static_cast<std::size_t>(e.row)] -= e.val * xj;
+      }
+    }
     for (int i = 0; i < m; ++i) {
       const auto is = static_cast<std::size_t>(i);
-      double residual = t.b[is];
-      for (int j = 0; j < n; ++j) {
-        residual -= t.a(is, static_cast<std::size_t>(j)) *
-                    t.x[static_cast<std::size_t>(j)];
-      }
+      const double residual = residuals[is];
       const auto& con = problem.constraint(i);
       const int s = slack_of_row[is];
       const bool slack_feasible =
@@ -756,7 +833,7 @@ Solution solve_impl_inner(const Problem& problem,
       }
       const int art = art_base + i;
       const auto as = static_cast<std::size_t>(art);
-      t.a(is, as) = residual >= 0.0 ? 1.0 : -1.0;
+      t.a.single(art) = residual >= 0.0 ? 1.0 : -1.0;
       t.lower[as] = 0.0;
       t.upper[as] = kInfinity;
       t.x[as] = std::fabs(residual);
@@ -972,13 +1049,12 @@ Solution solve_impl_inner(const Problem& problem,
   double gap_mag = 1.0;    // Σ |c_i·x_i| over the basis: gap check scale
   double gap_floor = 0.0;  // Σ rounding-floor_i·(1+|x_i|): unavoidable
   for (int i = 0; i < m; ++i) {
-    const auto cs =
-        static_cast<std::size_t>(t.basis[static_cast<std::size_t>(i)]);
+    const int col = t.basis[static_cast<std::size_t>(i)];
+    const auto cs = static_cast<std::size_t>(col);
     double byi = 0.0;
     double acc = 0.0;  // Σ_r |y_r·a_ri|: the dot product's rounding scale
-    for (int r = 0; r < m; ++r) {
-      const double term = y[static_cast<std::size_t>(r)] *
-                          t.a(static_cast<std::size_t>(r), cs);
+    for (const ColumnEntry& e : t.a.column(col)) {
+      const double term = y[static_cast<std::size_t>(e.row)] * e.val;
       byi += term;
       acc += std::fabs(term);
     }
@@ -1009,13 +1085,8 @@ Solution solve_impl_inner(const Problem& problem,
   }
   sol.reduced_costs.resize(static_cast<std::size_t>(n));
   for (int j = 0; j < n; ++j) {
-    const auto js = static_cast<std::size_t>(j);
-    double dj = t.cost[js];
-    for (int i = 0; i < m; ++i) {
-      dj -= y[static_cast<std::size_t>(i)] *
-            t.a(static_cast<std::size_t>(i), js);
-    }
-    sol.reduced_costs[js] = maximize ? -dj : dj;
+    const double dj = reduced_cost(t, y, j);
+    sol.reduced_costs[static_cast<std::size_t>(j)] = maximize ? -dj : dj;
   }
 
   // Export the combinatorial basis so sibling solves can warm-start.
@@ -1120,16 +1191,6 @@ namespace {
 
 constexpr double kRangeEps = 1e-11;
 
-/// Reduced cost of column j under multipliers y (internal min sense).
-double reduced_cost(const Tableau& t, const std::vector<double>& y, int j) {
-  const auto js = static_cast<std::size_t>(j);
-  double dj = t.cost[js];
-  for (int i = 0; i < t.m; ++i) {
-    dj -= y[static_cast<std::size_t>(i)] * t.a(static_cast<std::size_t>(i), js);
-  }
-  return dj;
-}
-
 }  // namespace
 
 SensitivityReport analyze_sensitivity(const Problem& problem,
@@ -1195,9 +1256,8 @@ SensitivityReport analyze_sensitivity(const Problem& problem,
         if (t.state[ks] == VarState::kBasic) continue;
         if (t.upper[ks] - t.lower[ks] < kRangeEps) continue;  // fixed col
         double alpha = 0.0;
-        for (int i = 0; i < t.m; ++i) {
-          alpha += z[static_cast<std::size_t>(i)] *
-                   t.a(static_cast<std::size_t>(i), ks);
+        for (const ColumnEntry& e : t.a.column(k)) {
+          alpha += z[static_cast<std::size_t>(e.row)] * e.val;
         }
         if (std::fabs(alpha) < kRangeEps) continue;
         const double dk = reduced_cost(t, y, k);

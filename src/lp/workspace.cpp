@@ -1,7 +1,5 @@
 #include "gridsec/lp/workspace.hpp"
 
-#include <algorithm>
-
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/util/thread_pool.hpp"
 #include "workspace_internal.hpp"
@@ -10,50 +8,35 @@ namespace gridsec::lp {
 
 namespace detail {
 
-void WorkspaceImpl::bind(int m, int n_struct, int n_total) {
+void WorkspaceImpl::bind(int m, int n_struct, int n_total,
+                         std::size_t nnz) {
   arena.reset();
   ++binds;
   const auto ms = static_cast<std::size_t>(m);
   const auto ns = static_cast<std::size_t>(n_total);
 
-  auto carve_tableau = [&](Tableau& tab) {
-    tab.a = MatrixView{arena.allocate_span<double>(ms * ns).data(), ms, ns};
-    tab.b = arena.allocate_span<double>(ms);
-    tab.lower = arena.allocate_span<double>(ns);
-    tab.upper = arena.allocate_span<double>(ns);
-    tab.cost = arena.allocate_span<double>(ns);
-    tab.x = arena.allocate_span<double>(ns);
-    tab.basis = arena.allocate_span<int>(ms);
-    tab.state = arena.allocate_span<VarState>(ns);
-    tab.m = m;
-    tab.n_struct = n_struct;
-    tab.n_total = n_total;
-  };
-  carve_tableau(t);
-  carve_tableau(backup);  // filled only when a warm start snapshots
-
+  // Carved widest alignment first, so no padding separates the spans.
+  t.a.entries = arena.allocate_span<ColumnEntry>(nnz);
+  t.b = arena.allocate_span<double>(ms);
+  t.lower = arena.allocate_span<double>(ns);
+  t.upper = arena.allocate_span<double>(ns);
+  t.cost = arena.allocate_span<double>(ns);
+  t.x = arena.allocate_span<double>(ns);
   y = arena.allocate_span<double>(ms);
   w = arena.allocate_span<double>(ms);
   xb = arena.allocate_span<double>(ms);
+  t.a.start = arena.allocate_span<int>(ns + 1);
+  t.basis = arena.allocate_span<int>(ms);
+  col_fill = arena.allocate_span<int>(static_cast<std::size_t>(n_struct));
   slack_of_row = arena.allocate_span<int>(ms);
   row_basic_col = arena.allocate_span<int>(ms);
   candidates = arena.allocate_span<int>(ns + ms);
+  t.state = arena.allocate_span<VarState>(ns);
   artificial_used = arena.allocate_span<unsigned char>(ms);
   used_row = arena.allocate_span<unsigned char>(ms);
-
-  // Cold-start defaults, identical to the values the solver historically
-  // built its per-solve vectors with.
-  std::fill(t.a.data, t.a.data + ms * ns, 0.0);
-  std::fill(t.b.begin(), t.b.end(), 0.0);
-  std::fill(t.lower.begin(), t.lower.end(), 0.0);
-  std::fill(t.upper.begin(), t.upper.end(), 0.0);
-  std::fill(t.cost.begin(), t.cost.end(), 0.0);
-  std::fill(t.x.begin(), t.x.end(), 0.0);
-  std::fill(t.basis.begin(), t.basis.end(), -1);
-  std::fill(t.state.begin(), t.state.end(), VarState::kAtLower);
-  std::fill(slack_of_row.begin(), slack_of_row.end(), -1);
-  std::fill(artificial_used.begin(), artificial_used.end(),
-            static_cast<unsigned char>(0));
+  t.m = m;
+  t.n_struct = n_struct;
+  t.n_total = n_total;
 }
 
 WorkspaceLease::WorkspaceLease(SolverWorkspace* requested) {

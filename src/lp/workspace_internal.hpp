@@ -12,35 +12,44 @@
 #include "gridsec/lp/basis.hpp"
 #include "gridsec/lp/workspace.hpp"
 #include "gridsec/util/arena.hpp"
-#include "gridsec/util/error.hpp"
 #include "gridsec/util/matrix.hpp"
 
 namespace gridsec::lp::detail {
 
 enum class VarState : unsigned char { kBasic, kAtLower, kAtUpper };
 
-/// Row-major dense view over arena memory; the tableau's A matrix.
-struct MatrixView {
-  double* data = nullptr;
-  std::size_t rows = 0;
-  std::size_t cols = 0;
+/// One stored coefficient of A.
+struct ColumnEntry {
+  int row;
+  double val;
+};
 
-  double& operator()(std::size_t r, std::size_t c) {
-    GRIDSEC_ASSERT(r < rows && c < cols);
-    return data[r * cols + c];
+/// Column-sparse (CSC) view over arena memory: the tableau's A matrix.
+/// Column j's nonzeros are entries[start[j] .. start[j+1]), rows
+/// ascending. Slack and artificial columns hold exactly one signed entry;
+/// an artificial's coefficient is 0 until its row installs it.
+struct SparseColumns {
+  std::span<int> start;            // n_total + 1
+  std::span<ColumnEntry> entries;  // nnz
+
+  [[nodiscard]] std::span<const ColumnEntry> column(int j) const {
+    const auto js = static_cast<std::size_t>(j);
+    return entries.subspan(
+        static_cast<std::size_t>(start[js]),
+        static_cast<std::size_t>(start[js + 1] - start[js]));
   }
-  double operator()(std::size_t r, std::size_t c) const {
-    GRIDSEC_ASSERT(r < rows && c < cols);
-    return data[r * cols + c];
+  /// The coefficient of a single-entry (slack or artificial) column.
+  [[nodiscard]] double& single(int j) {
+    const int first = start[static_cast<std::size_t>(j)];
+    return entries[static_cast<std::size_t>(first)].val;
   }
 };
 
 /// The working standard-form tableau: A x = b with per-column bounds,
 /// columns ordered [structural | slack | artificial]. All storage is
-/// arena-backed; copying a Tableau copies the *view*, not the data (see
-/// copy_tableau for a deep copy into a second carved tableau).
+/// arena-backed; copying a Tableau copies the *view*, not the data.
 struct Tableau {
-  MatrixView a;                 // m x n_total
+  SparseColumns a;              // m x n_total
   std::span<double> b;          // m
   std::span<double> lower;      // n_total
   std::span<double> upper;      // n_total
@@ -53,25 +62,10 @@ struct Tableau {
   int m = 0;
 };
 
-/// Deep copy between two tableaus carved with identical shapes.
-inline void copy_tableau(Tableau& dst, const Tableau& src) {
-  GRIDSEC_ASSERT(dst.m == src.m && dst.n_total == src.n_total);
-  const std::size_t cells = src.a.rows * src.a.cols;
-  std::copy(src.a.data, src.a.data + cells, dst.a.data);
-  std::copy(src.b.begin(), src.b.end(), dst.b.begin());
-  std::copy(src.lower.begin(), src.lower.end(), dst.lower.begin());
-  std::copy(src.upper.begin(), src.upper.end(), dst.upper.begin());
-  std::copy(src.cost.begin(), src.cost.end(), dst.cost.begin());
-  std::copy(src.x.begin(), src.x.end(), dst.x.begin());
-  std::copy(src.basis.begin(), src.basis.end(), dst.basis.begin());
-  std::copy(src.state.begin(), src.state.end(), dst.state.begin());
-  dst.n_struct = src.n_struct;
-}
-
 /// The whole per-solve state block. bind() carves every span below from
-/// the arena and installs the solver's cold-start defaults; the simplex
-/// then mutates in place. `factor`, `bmat`, and `crash_work` sit outside
-/// the arena but reuse their own heap capacity across binds.
+/// the arena; the simplex fills and then mutates them in place. `factor`,
+/// `bmat`, and `crash_work` sit outside the arena but reuse their own
+/// heap capacity across binds.
 struct WorkspaceImpl {
   util::Arena arena;
   BasisFactorization factor;
@@ -79,11 +73,11 @@ struct WorkspaceImpl {
   Matrix crash_work;  // warm-start crash-selection elimination scratch
 
   Tableau t;
-  Tableau backup;  // pre-warm-start snapshot for the cold fallback
 
+  std::span<int> col_fill;  // n_struct: A-builder cursor per column
   std::span<double> y;   // simplex multipliers (pricing)
   std::span<double> w;   // entering-column ftran image (ratio test)
-  std::span<double> xb;  // recomputed basic values (drift repair)
+  std::span<double> xb;  // recomputed basic values; cold-start residuals
   std::span<int> slack_of_row;    // m; -1 = equality row
   std::span<int> row_basic_col;   // warm start: basic column chosen per row
   std::span<int> candidates;      // warm start: crash candidate columns
@@ -93,9 +87,10 @@ struct WorkspaceImpl {
   bool in_use = false;     // guards against nested-solve aliasing
   std::size_t binds = 0;
 
-  /// Rewinds the arena and carves + cold-initializes all of the above for
-  /// an m-row problem with n_struct structural and n_total total columns.
-  void bind(int m, int n_struct, int n_total);
+  /// Rewinds the arena and carves all of the above for an m-row problem
+  /// with n_struct structural and n_total total columns and room for
+  /// `nnz` entries of A.
+  void bind(int m, int n_struct, int n_total, std::size_t nnz);
 };
 
 /// Resolves which workspace a solve uses: the one in SimplexOptions if

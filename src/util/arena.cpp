@@ -22,6 +22,8 @@ namespace gridsec::util {
 namespace {
 
 constexpr std::size_t kMinBlockBytes = 4096;
+/// Every block's payload starts at this alignment (Block is padded to it).
+constexpr std::size_t kBlockAlign = alignof(std::max_align_t);
 constexpr unsigned char kPoisonByte = 0xA5;
 
 /// Poison-mode allocations are rounded to 8-byte granules so the ASan
@@ -96,7 +98,17 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
       const std::size_t offset = aligned - base;
       if (offset + bytes <= head_->size) {
         std::byte* p = head_->data() + offset;
-        used_total_ += (offset - cursor_) + bytes;
+        // Count what this allocation would take at the end of one
+        // contiguous block, not in the chain: reset() sizes the
+        // consolidated block from this, and a block switch can skip the
+        // alignment padding that a contiguous replay still needs. Within
+        // a block's payload, alignment up to kBlockAlign depends only on
+        // the offset; a stricter one can need up to align − 1 bytes.
+        const std::size_t pad =
+            align <= kBlockAlign
+                ? ((used_total_ + align - 1) & ~(align - 1)) - used_total_
+                : align - 1;
+        used_total_ += pad + bytes;
         cursor_ = offset + bytes;
         stats_.used = used_total_;
         if (used_total_ > stats_.high_water) stats_.high_water = used_total_;

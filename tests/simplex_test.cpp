@@ -248,6 +248,82 @@ TEST(Simplex, ZeroRowEqualityFeasible) {
   EXPECT_NEAR(sol.objective, 0.0, kTol);
 }
 
+// A row that names y twice (1.5y + 0.5y) and z twice with cancelling
+// coefficients (3z - 3z, an explicit net-zero coefficient), against the
+// same LP with that row written merged (x + 2y + w). The solver sums
+// duplicate terms when it builds A, so both must solve identically.
+Problem duplicate_terms_lp(bool merged, double r0_rhs) {
+  Problem p(Objective::kMaximize);
+  const int x = p.add_variable("x", 0.0, 5.0, 3.0);
+  const int y = p.add_variable("y", 0.0, kInfinity, 2.0);
+  const int z = p.add_variable("z", 0.0, 4.0, 1.0);
+  const int w = p.add_variable("w", 0.0, 6.0, 1.0);
+  LinearExpr r0;
+  if (merged) {
+    r0.add(x, 1.0).add(y, 2.0).add(w, 1.0);
+  } else {
+    r0.add(x, 1.0).add(y, 1.5).add(z, 3.0);
+    r0.add(y, 0.5).add(z, -3.0).add(w, 1.0);
+  }
+  p.add_constraint("r0", r0, Sense::kLessEqual, r0_rhs);
+  p.add_constraint("r1", LinearExpr().add(x, 1.0).add(y, 1.0).add(z, 1.0),
+                   Sense::kGreaterEqual, 2.0);
+  p.add_constraint("r2", LinearExpr().add(x, 2.0).add(y, 1.0).add(w, -1.0),
+                   Sense::kLessEqual, 8.0);
+  p.add_constraint("r3", LinearExpr().add(y, 1.0).add(w, -1.0), Sense::kEqual,
+                   1.0);
+  return p;
+}
+
+void expect_same_solution(const Solution& a, const Solution& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.objective, b.objective);
+  EXPECT_EQ(a.x, b.x);
+  EXPECT_EQ(a.duals, b.duals);
+  EXPECT_EQ(a.reduced_costs, b.reduced_costs);
+  EXPECT_EQ(a.basis, b.basis);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.warm_started, b.warm_started);
+}
+
+TEST(Simplex, DuplicateAndCancellingTermsSolveAsMergedRow) {
+  const Problem dup = duplicate_terms_lp(/*merged=*/false, 10.0);
+  const Problem merged = duplicate_terms_lp(/*merged=*/true, 10.0);
+
+  const Solution cold = solve_lp(merged);
+  ASSERT_EQ(cold.status, SolveStatus::kOptimal);
+  EXPECT_GT(cold.iterations, 0);
+  expect_same_solution(solve_lp(dup), cold);
+
+  // Warm start from the optimum of a shifted rhs, so the warm path has
+  // to repair and pivot rather than confirm.
+  const Solution shifted = solve_lp(duplicate_terms_lp(true, 3.0));
+  ASSERT_EQ(shifted.status, SolveStatus::kOptimal);
+  ASSERT_NE(shifted.basis, cold.basis);
+  SimplexOptions warm;
+  warm.warm_start = shifted.basis;
+  const Solution warm_merged = solve_lp(merged, warm);
+  ASSERT_EQ(warm_merged.status, SolveStatus::kOptimal);
+  EXPECT_TRUE(warm_merged.warm_started);
+  EXPECT_EQ(warm_merged.objective, cold.objective);
+  expect_same_solution(solve_lp(dup, warm), warm_merged);
+
+  const SensitivityReport want = analyze_sensitivity(merged);
+  const SensitivityReport got = analyze_sensitivity(dup);
+  ASSERT_EQ(want.solution.status, SolveStatus::kOptimal);
+  expect_same_solution(got.solution, want.solution);
+  ASSERT_EQ(got.objective_range.size(), want.objective_range.size());
+  for (std::size_t j = 0; j < want.objective_range.size(); ++j) {
+    EXPECT_EQ(got.objective_range[j].lo, want.objective_range[j].lo);
+    EXPECT_EQ(got.objective_range[j].hi, want.objective_range[j].hi);
+  }
+  ASSERT_EQ(got.rhs_range.size(), want.rhs_range.size());
+  for (std::size_t i = 0; i < want.rhs_range.size(); ++i) {
+    EXPECT_EQ(got.rhs_range[i].lo, want.rhs_range[i].lo);
+    EXPECT_EQ(got.rhs_range[i].hi, want.rhs_range[i].hi);
+  }
+}
+
 // Property sweep: randomized bounded transportation LPs must (a) be declared
 // optimal, (b) satisfy primal feasibility, and (c) satisfy weak duality
 // bounds against a feasible reference point.

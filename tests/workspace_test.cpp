@@ -96,6 +96,47 @@ TEST(ArenaTest, ResetConsolidatesToOneHighWaterBlock) {
   EXPECT_EQ(steady.blocks, 1u);
 }
 
+// A first cycle that spills into a second block skips the alignment
+// padding at the first block's end; the consolidated block must still
+// hold a contiguous replay of the cycle, padding included, so the arena
+// settles into rewinding one block instead of re-growing on every reset.
+TEST(ArenaTest, ResetConvergesWhenPaddingStraddlesBlocks) {
+  using Cycle = void (*)(util::Arena&);
+  const Cycle cycles[] = {
+      // 4093 bytes, then a double: a contiguous replay needs 4104 bytes.
+      [](util::Arena& a) {
+        a.allocate_span<unsigned char>(4093);
+        a.allocate_span<double>(1);
+      },
+      // The same straddle when GRIDSEC_ARENA_POISON rounds sizes to 8.
+      [](util::Arena& a) {
+        a.allocate_span<unsigned char>(4088);
+        a.allocate(8, 16);
+      },
+      // An over-aligned request past the block alignment.
+      [](util::Arena& a) {
+        a.allocate_span<unsigned char>(4000);
+        a.allocate(64, 64);
+      },
+  };
+  for (const Cycle cycle : cycles) {
+    util::Arena arena;
+    arena.reset();
+    cycle(arena);
+    arena.reset();
+    cycle(arena);
+    const std::size_t settled = arena.stats().block_allocations;
+    for (int i = 0; i < 4; ++i) {
+      arena.reset();
+      cycle(arena);
+    }
+    const auto s = arena.stats();
+    EXPECT_EQ(s.block_allocations, settled);
+    EXPECT_EQ(s.blocks, 1u);
+    EXPECT_GE(s.capacity, s.high_water);
+  }
+}
+
 TEST(ArenaTest, ReleaseDropsAllCapacity) {
   util::Arena arena;
   arena.allocate(4096);
