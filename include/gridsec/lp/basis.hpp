@@ -9,7 +9,8 @@
 //      (`to_string`/`parse_basis`), so it can ride on lp::Solution, be
 //      passed back in via SimplexOptions::warm_start, and be recorded in
 //      audit bundles. A stale or incompatible basis is never an error:
-//      the solver crash-repairs it (see docs/solvers.md).
+//      the solver crash-selects an independent basis from it and finishes
+//      with dual simplex pivots, or solves cold (see docs/solvers.md).
 //
 //   2. BasisFactorization — an LU factorization of the m x m basis matrix
 //      B (partial pivoting), kept current across pivots by product-form

@@ -1,4 +1,5 @@
-// Two-phase primal simplex for LPs with bounded variables.
+// Two-phase primal simplex for LPs with bounded variables, with a bounded
+// dual simplex for warm re-solves.
 //
 // Scope: the small sparse LPs produced by gridsec's 12-hub energy graphs
 // (tens of rows and columns, a few nonzeros per column; A is stored by
@@ -7,8 +8,10 @@
 // periodic refactorization on an update-count or pivot-accuracy trigger),
 // Bland's rule kicks in after a pivot budget to guarantee termination, and
 // variables may be nonbasic at either bound (capacities live in the bounds,
-// not in rows). Solves can warm-start from a previous Solution::basis —
-// stale or incompatible bases are crash-repaired, never fatal (see
+// not in rows). Solves can warm-start from a previous Solution::basis:
+// an independent basis is crash-selected from it and dual simplex pivots
+// restore primal feasibility before phase 2; a basis the dual simplex
+// cannot finish from falls back to a cold solve, never fatal (see
 // docs/solvers.md, "Warm starts & basis factorization").
 //
 // Duals: Solution::duals[i] is the shadow price of constraint i — the rate
@@ -47,10 +50,13 @@ struct SimplexOptions {
   /// structurally similar model. Empty (the default) = cold start. The
   /// row count must match the problem's; the variable statuses may cover
   /// a prefix of the columns (extra variables start at their lower
-  /// bound). An infeasible, stale, or rank-deficient basis is
-  /// crash-repaired (counter lp.simplex.basis_repairs) and any remaining
-  /// infeasibility is removed by the ordinary phase-1; the answer is
-  /// always certificate-identical to a cold solve. Ignored when
+  /// bound). A stale or rank-deficient basis is crash-selected into an
+  /// independent one, and any primal infeasibility is removed by dual
+  /// simplex pivots (counter lp.simplex.basis_repairs counts the
+  /// demotions, fills, bound flips and cost shifts this takes); a basis
+  /// the dual simplex cannot finish from is dropped for a cold solve
+  /// (lp.simplex.warm_start_rejects). The answer is always
+  /// certificate-identical to a cold solve. Ignored when
   /// set_warm_start_enabled(false) is in effect.
   Basis warm_start;
   /// Workspace carrying all per-solve solver state (see workspace.hpp).

@@ -89,7 +89,8 @@ struct CaseResult {
 };
 
 /// Builds a CaseResult from raw per-rep timings and before/after counter
-/// snapshots (MetricRegistry::counter_values()).
+/// snapshots (MetricRegistry::counter_values()). Every counter in `after`
+/// gets a delta, zero included.
 CaseResult make_case(std::string name, int warmup,
                      std::span<const double> rep_seconds,
                      const std::map<std::string, std::int64_t>& before,
@@ -156,9 +157,10 @@ struct DiffReport {
 
 /// Compares `current` against `baseline` case-by-case. A case or tracked
 /// metric present in the baseline but missing from `current` counts as a
-/// regression (coverage loss); quantities only in `current` — e.g. newly
-/// added counters that predate the baseline — are kInfo, never a failure.
-/// Time-suffixed and prefix-ignored metrics are kInfo on both sides.
+/// regression (coverage loss), unless the baseline's delta was zero;
+/// quantities only in `current` — e.g. newly added counters that predate
+/// the baseline — are kInfo, never a failure. Time-suffixed and
+/// prefix-ignored metrics are kInfo on both sides.
 DiffReport diff_reports(const RunReport& baseline, const RunReport& current,
                         const DiffOptions& options = {});
 

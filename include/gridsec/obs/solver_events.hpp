@@ -14,15 +14,20 @@
 
 namespace gridsec::obs {
 
-/// One completed primal simplex pivot (including bound flips).
+/// One completed simplex pivot (including bound flips): a primal pivot, or
+/// a dual pivot of a warm start's feasibility phase.
 struct SimplexIterationEvent {
   long iteration = 0;   // 0-based, cumulative across phase 1 and phase 2
-  int phase = 2;        // 1 = feasibility phase, 2 = optimality phase
+  /// 1 = feasibility phase (primal phase 1 cold, dual pivots warm),
+  /// 2 = optimality phase.
+  int phase = 2;
   int entering = -1;    // internal column index entering the basis
   int leaving = -1;     // internal column leaving; -1 for a bound flip
   double step = 0.0;    // primal step length taken by the entering column
   bool bound_flip = false;   // pivot was a bound traversal, no basis change
-  bool degenerate = false;   // step length ~0: a degenerate pivot
+  /// The objective did not move: a primal step (or a dual pivot's dual
+  /// step) of length ~0.
+  bool degenerate = false;
   bool bland = false;        // Bland's anti-cycling rule was active
 };
 

@@ -59,9 +59,9 @@ void build_basis_matrix(const Tableau& t, Matrix& out) {
 /// Computes x_B = B^{-1} (b - A_N x_N) into `out` (size m) via the
 /// factorization's refined ftran (residual-checked iterative refinement)
 /// without writing into the tableau. Correction steps accumulate into
-/// *refine_steps (optional).
+/// refine_steps.
 void compute_basic_values(const Tableau& t, const BasisFactorization& factor,
-                          std::span<double> out, long* refine_steps) {
+                          std::span<double> out, long& refine_steps) {
   for (int i = 0; i < t.m; ++i) {
     out[static_cast<std::size_t>(i)] = t.b[static_cast<std::size_t>(i)];
   }
@@ -73,8 +73,7 @@ void compute_basic_values(const Tableau& t, const BasisFactorization& factor,
       out[static_cast<std::size_t>(e.row)] -= e.val * xj;
     }
   }
-  const int steps = factor.ftran_refined(out);
-  if (refine_steps != nullptr) *refine_steps += steps;
+  refine_steps += factor.ftran_refined(out);
 }
 
 /// Recomputes the values of the basic variables from the nonbasic point
@@ -82,7 +81,7 @@ void compute_basic_values(const Tableau& t, const BasisFactorization& factor,
 /// certificate-grade residuals. `factor` must be current for t's basis;
 /// `xb` is m-sized scratch.
 void recompute_basics(Tableau& t, const BasisFactorization& factor,
-                      std::span<double> xb, long* refine_steps = nullptr) {
+                      std::span<double> xb, long& refine_steps) {
   compute_basic_values(t, factor, xb, refine_steps);
   for (int i = 0; i < t.m; ++i) {
     const auto is = static_cast<std::size_t>(i);
@@ -109,13 +108,69 @@ void compute_multipliers(const Tableau& t, const BasisFactorization& factor,
   factor.btran(y);
 }
 
+/// Keeps ws.factor current after a pivot replaced the basic column in
+/// `row` (t.basis already names the entering column; `w` is its ftran
+/// image against the old basis): a product-form update, with a
+/// refactorization when the eta chain is long, the update pivot is unsafe,
+/// or the accumulated pivot growth says the chain amplifies rounding.
+/// Returns false when the rebuilt basis is singular.
+bool update_factorization(Tableau& t, WorkspaceImpl& ws, int row,
+                          std::span<const double> w, IterationOutcome& out) {
+  BasisFactorization& factor = ws.factor;
+  const bool chain_full =
+      factor.eta_count() + 1 >= BasisFactorization::kRefactorInterval;
+  bool need_refactor = chain_full;
+  bool stability_event = false;
+  if (!need_refactor) {
+    if (!factor.update(row, w)) {
+      need_refactor = true;  // refused: pivot too small to trust
+      stability_event = true;
+    } else if (factor.pivot_growth() >
+               BasisFactorization::kGrowthRefactorLimit) {
+      need_refactor = true;  // accepted but growth-flagged: rebuild early
+      stability_event = true;
+    } else {
+      ++out.eta_updates;
+    }
+  }
+  if (need_refactor) {
+    ++out.refactorizations;
+    out.pivot_growth = std::max(out.pivot_growth, factor.pivot_growth());
+    build_basis_matrix(t, ws.bmat);
+    if (!factor.refactorize(ws.bmat)) return false;
+    // Drift repair: the pivot loops track x incrementally, so a rebuilt
+    // factorization is the cheap moment to compare against the exact
+    // x_B = B^{-1}(b - A_N x_N). Adopt the recomputed values only when
+    // they moved measurably — clean solves keep bit-identical paths.
+    compute_basic_values(t, ws.factor, ws.xb, out.refine_steps);
+    const std::span<const double> xb = ws.xb;
+    constexpr double kDriftRepairTol = 1e-9;
+    double drift = 0.0;
+    for (int i = 0; i < t.m; ++i) {
+      const auto is = static_cast<std::size_t>(i);
+      const auto bcol = static_cast<std::size_t>(t.basis[is]);
+      drift = std::max(drift, std::fabs(xb[is] - t.x[bcol]) /
+                                  (1.0 + std::fabs(xb[is])));
+    }
+    if (drift > kDriftRepairTol) {
+      for (int i = 0; i < t.m; ++i) {
+        const auto is = static_cast<std::size_t>(i);
+        t.x[static_cast<std::size_t>(t.basis[is])] = xb[is];
+      }
+      stability_event = true;
+    }
+    if (stability_event) ++out.residual_refactorizations;
+  }
+  out.pivot_growth = std::max(out.pivot_growth, factor.pivot_growth());
+  return true;
+}
+
 /// Runs primal simplex pivots on `t` (= ws.t) with the current cost vector
 /// until optimal / unbounded / iteration budget exhausted. ws.factor must
 /// be current for t's basis on entry and is kept current across pivots
-/// with eta updates (refactorized on the update-count or accuracy
-/// trigger). Pricing/direction vectors live in the workspace — zero heap
-/// traffic per pivot. `phase` and `iter_base` only label observer events
-/// (cumulative ids).
+/// by update_factorization. Pricing/direction vectors live in the
+/// workspace — zero heap traffic per pivot. `phase` and `iter_base` only
+/// label observer events (cumulative ids).
 IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
                          const SimplexOptions& opt,
                          long max_iters, long bland_after,
@@ -280,59 +335,11 @@ IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
     t.x[lcol] = leaving_bound < 0 ? t.lower[lcol] : t.upper[lcol];
     t.basis[lrow] = entering;
     t.state[eq] = VarState::kBasic;
-    // Keep the factorization current: product-form update, with a
-    // refactorization when the eta chain is long, the update pivot is
-    // unsafe, or the accumulated pivot growth says the chain amplifies
-    // rounding.
-    const bool chain_full =
-        factor.eta_count() + 1 >= BasisFactorization::kRefactorInterval;
-    bool need_refactor = chain_full;
-    bool stability_event = false;
-    if (!need_refactor) {
-      if (!factor.update(leaving_row, w)) {
-        need_refactor = true;  // refused: pivot too small to trust
-        stability_event = true;
-      } else if (factor.pivot_growth() >
-                 BasisFactorization::kGrowthRefactorLimit) {
-        need_refactor = true;  // accepted but growth-flagged: rebuild early
-        stability_event = true;
-      } else {
-        ++out.eta_updates;
-      }
+    if (!update_factorization(t, ws, leaving_row, w, out)) {
+      out.status = SolveStatus::kNumericalError;
+      out.iterations = iter + 1;
+      return out;
     }
-    if (need_refactor) {
-      ++out.refactorizations;
-      out.pivot_growth = std::max(out.pivot_growth, factor.pivot_growth());
-      build_basis_matrix(t, ws.bmat);
-      if (!factor.refactorize(ws.bmat)) {
-        out.status = SolveStatus::kNumericalError;
-        out.iterations = iter + 1;
-        return out;
-      }
-      // Drift repair: the pivot loop tracks x incrementally, so a rebuilt
-      // factorization is the cheap moment to compare against the exact
-      // x_B = B^{-1}(b - A_N x_N). Adopt the recomputed values only when
-      // they moved measurably — clean solves keep bit-identical paths.
-      compute_basic_values(t, ws.factor, ws.xb, &out.refine_steps);
-      const std::span<const double> xb = ws.xb;
-      constexpr double kDriftRepairTol = 1e-9;
-      double drift = 0.0;
-      for (int i = 0; i < t.m; ++i) {
-        const auto is = static_cast<std::size_t>(i);
-        const auto bcol = static_cast<std::size_t>(t.basis[is]);
-        drift = std::max(drift, std::fabs(xb[is] - t.x[bcol]) /
-                                    (1.0 + std::fabs(xb[is])));
-      }
-      if (drift > kDriftRepairTol) {
-        for (int i = 0; i < t.m; ++i) {
-          const auto is = static_cast<std::size_t>(i);
-          t.x[static_cast<std::size_t>(t.basis[is])] = xb[is];
-        }
-        stability_event = true;
-      }
-      if (stability_event) ++out.residual_refactorizations;
-    }
-    out.pivot_growth = std::max(out.pivot_growth, factor.pivot_growth());
     if (observed) {
       obs::SimplexIterationEvent ev;
       ev.iteration = iter_base + iter;
@@ -465,29 +472,22 @@ void install_artificial(Tableau& t, int i, int art_base,
 }
 
 /// Applies SimplexOptions::warm_start to a freshly built tableau (states
-/// and x set to cold defaults, basis unassigned). Three repair stages:
+/// and x set to cold defaults, basis unassigned) in two stages:
 ///   1. adopt the nonbasic statuses (stale at-upper states with an
 ///      infinite bound are demoted);
 ///   2. crash-select a linearly independent subset of the requested
 ///      basic columns by Gaussian elimination, demoting dependent ones
-///      and filling uncovered rows with artificials;
-///   3. restore primal feasibility: compute x_B, clamp any basic that
-///      violates a bound onto that bound and hand its row to an
-///      artificial — leaving exactly the cold-start phase-1 shape, so
-///      the ordinary phase 1 removes the remaining infeasibility.
-/// Every demotion/clamp/fill counts as one repair. Returns false when
-/// the basis is unusable (singular after repair, or the feasibility pass
-/// fails to settle) — the caller then reinstalls the cold column state
-/// and solves cold. All scratch (row/column maps, the crash-elimination
+///      and filling uncovered rows with artificials.
+/// Every demotion/fill counts as one repair. The basic values are left
+/// for dual_simplex, which factors this basis and restores primal
+/// feasibility. All scratch (row/column maps, the crash-elimination
 /// matrix) comes from the workspace.
-bool apply_warm_start(Tableau& t, WorkspaceImpl& ws,
+void apply_warm_start(Tableau& t, WorkspaceImpl& ws,
                       const SimplexOptions& options, int art_base,
-                      long& repairs, long& refactorizations) {
+                      long& repairs) {
   const std::span<const int> slack_of_row = ws.slack_of_row;
   const std::span<unsigned char> artificial_used = ws.artificial_used;
-  BasisFactorization& factor = ws.factor;
   const Basis& warm = options.warm_start;
-  const double tol = options.feasibility_tol;
   const int m = t.m;
   const int n_warm = static_cast<int>(warm.variables.size());
 
@@ -502,7 +502,7 @@ bool apply_warm_start(Tableau& t, WorkspaceImpl& ws,
     }
     switch (s) {
       case VarStatus::kBasic:
-        t.state[js] = VarState::kBasic;  // value assigned in stage 3
+        t.state[js] = VarState::kBasic;  // value assigned by dual_simplex
         break;
       case VarStatus::kAtUpper:
         t.state[js] = VarState::kAtUpper;
@@ -597,44 +597,255 @@ bool apply_warm_start(Tableau& t, WorkspaceImpl& ws,
     install_artificial(t, i, art_base, artificial_used);
     ++repairs;
   }
+}
 
-  // Stage 3: primal repair. Each pass either settles or permanently
-  // demotes at least one basic, so m+2 passes always suffice.
-  for (int pass = 0; pass <= m + 1; ++pass) {
-    ++refactorizations;
-    build_basis_matrix(t, ws.bmat);
-    if (!factor.refactorize(ws.bmat)) return false;
-    recompute_basics(t, factor, ws.xb);
-    bool changed = false;
-    for (int r = 0; r < m; ++r) {
-      const auto rs = static_cast<std::size_t>(r);
-      const int col = t.basis[rs];
-      const auto cs = static_cast<std::size_t>(col);
-      const double xv = t.x[cs];
-      if (col >= art_base) {
-        // A negative artificial: flip its column sign — negating a basis
-        // column negates only that coordinate of x_B — so phase 1 sees a
-        // nonnegative infeasibility to minimize.
-        if (xv < -tol) {
-          t.a.single(col) *= -1.0;
-          t.x[cs] = -xv;
-          changed = true;
-        }
+/// Installs the phase-2 costs: the objective on the structural columns
+/// (negated for maximization; internal = minimize), zero elsewhere.
+void install_phase2_costs(const Problem& problem, Tableau& t) {
+  const bool maximize = problem.objective() == Objective::kMaximize;
+  for (int j = 0; j < t.n_total; ++j) {
+    double c = 0.0;
+    if (j < t.n_struct) {
+      c = problem.variable(j).objective;
+      if (maximize) c = -c;
+    }
+    t.cost[static_cast<std::size_t>(j)] = c;
+  }
+}
+
+/// Fixes every artificial column at [0, 0]; nonbasic ones also take the
+/// value 0. Basic artificials keep their value until a pivot moves them
+/// onto the fixed bound.
+void fix_artificials(Tableau& t) {
+  for (int j = t.n_total - t.m; j < t.n_total; ++j) {
+    const auto js = static_cast<std::size_t>(j);
+    t.lower[js] = 0.0;
+    t.upper[js] = 0.0;
+    if (t.state[js] != VarState::kBasic) t.x[js] = 0.0;
+  }
+}
+
+/// Entry j of the pivot row: ρᵀA_j.
+double pivot_row_entry(const Tableau& t, std::span<const double> rho, int j) {
+  double a = 0.0;
+  for (const ColumnEntry& e : t.a.column(j)) {
+    a += rho[static_cast<std::size_t>(e.row)] * e.val;
+  }
+  return a;
+}
+
+/// Bounded dual simplex from the crash basis apply_warm_start selected,
+/// with the phase-2 costs installed and every artificial fixed at zero.
+/// Factors the basis and prices every column once. From then on t.cost
+/// holds the reduced costs d = c − Aᵀy: the costs of an equivalent LP in
+/// which every basic column prices at zero, kept current from the pivot
+/// row; install_phase2_costs restores the true costs for phase 2. A
+/// column whose reduced cost has the wrong sign moves to its other bound
+/// when that bound is finite, else its cost is shifted to make the reduced
+/// cost zero (each one counted in `repairs`). The basic variable with the
+/// largest bound violation then leaves, until every basic is within
+/// feasibility_tol; the factorization is kept current by
+/// update_factorization, as in iterate. Status on return:
+///   kOptimal          primal feasible: run phase 2;
+///   kInfeasible       a dual ray whose row misses its bound even with
+///                     every helping column at its far bound;
+///   kTimeLimit        the deadline expired;
+///   kNumericalError,  the basis is singular, a dual ray proves nothing,
+///   kIterationLimit   or the pivot cap was hit: solve cold instead.
+/// Each pivot emits one phase-1 observer event, numbered from 0.
+IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws,
+                              const SimplexOptions& opt, long max_iters,
+                              const Deadline& deadline, long& repairs) {
+  IterationOutcome out;
+  BasisFactorization& factor = ws.factor;
+  const double ftol = opt.feasibility_tol;
+  const double dtol = opt.optimality_tol;
+  const double eps = 1e-11;
+  // Smallest pivot-row entry a column may enter on: dividing a reduced
+  // cost by less would make the dual step meaningless.
+  constexpr double kDualPivotTol = 1e-9;
+  const bool observed = static_cast<bool>(opt.observer);
+  const std::span<double> d = t.cost;
+  // Columns the dual pivots price: nonbasic and not fixed.
+  const auto priced = [&t, eps](std::size_t js) {
+    return t.state[js] != VarState::kBasic &&
+           t.upper[js] - t.lower[js] >= eps;
+  };
+
+  ++out.refactorizations;
+  build_basis_matrix(t, ws.bmat);
+  if (!factor.refactorize(ws.bmat)) {
+    out.status = SolveStatus::kNumericalError;
+    return out;
+  }
+  out.pivot_growth = factor.pivot_growth();
+
+  // Dual-feasible start.
+  compute_multipliers(t, factor, ws.y);
+  for (int j = 0; j < t.n_total; ++j) {
+    const auto js = static_cast<std::size_t>(j);
+    if (t.state[js] == VarState::kBasic) {
+      d[js] = 0.0;
+      continue;
+    }
+    d[js] = reduced_cost(t, ws.y, j);
+    if (!priced(js)) continue;
+    if (t.state[js] == VarState::kAtLower) {
+      if (d[js] >= -dtol) continue;
+      ++repairs;
+      if (std::isfinite(t.upper[js])) {
+        t.state[js] = VarState::kAtUpper;
+        t.x[js] = t.upper[js];
+      } else {
+        d[js] = 0.0;  // cost shift
+      }
+    } else if (d[js] > dtol) {
+      ++repairs;
+      t.state[js] = VarState::kAtLower;  // at-upper: the lower is finite
+      t.x[js] = t.lower[js];
+    }
+  }
+  recompute_basics(t, factor, ws.xb, out.refine_steps);
+
+  for (long iter = 0; iter < max_iters; ++iter) {
+    if (deadline.expired()) {
+      out.status = SolveStatus::kTimeLimit;
+      out.iterations = iter;
+      return out;
+    }
+    // Leaving row: the largest bound violation.
+    int r = -1;
+    double worst = ftol;
+    for (int i = 0; i < t.m; ++i) {
+      const auto bcol =
+          static_cast<std::size_t>(t.basis[static_cast<std::size_t>(i)]);
+      const double viol =
+          std::max(t.lower[bcol] - t.x[bcol], t.x[bcol] - t.upper[bcol]);
+      if (viol > worst) {
+        worst = viol;
+        r = i;
+      }
+    }
+    if (r < 0) {
+      out.status = SolveStatus::kOptimal;
+      out.iterations = iter;
+      return out;
+    }
+    const auto rs = static_cast<std::size_t>(r);
+    const auto p = static_cast<std::size_t>(t.basis[rs]);
+    const bool to_upper = t.x[p] > t.upper[p];
+    const double target = to_upper ? t.upper[p] : t.lower[p];
+    // Sign that makes a pivot-row entry positive when a rise of its column
+    // pushes x_p toward the target (x_p falls by ρᵀA_j per unit of x_j).
+    const double toward = to_upper ? 1.0 : -1.0;
+
+    // Pivot row ρ = B⁻ᵀe_r and the dual ratio test.
+    const std::span<double> rho = ws.y;
+    std::fill(rho.begin(), rho.end(), 0.0);
+    rho[rs] = 1.0;
+    factor.btran(rho);
+    int entering = -1;
+    double alpha_q = 0.0;
+    double best_ratio = kInfinity;
+    for (int j = 0; j < t.n_total; ++j) {
+      const auto js = static_cast<std::size_t>(j);
+      if (!priced(js)) continue;
+      const double a = pivot_row_entry(t, rho, j);
+      const bool at_lower = t.state[js] == VarState::kAtLower;
+      if (at_lower ? toward * a <= kDualPivotTol
+                   : toward * a >= -kDualPivotTol) {
         continue;
       }
-      const bool below = xv < t.lower[cs] - tol;
-      const bool above =
-          std::isfinite(t.upper[cs]) && xv > t.upper[cs] + tol;
-      if (!below && !above) continue;
-      t.state[cs] = below ? VarState::kAtLower : VarState::kAtUpper;
-      t.x[cs] = below ? t.lower[cs] : t.upper[cs];
-      install_artificial(t, r, art_base, artificial_used);
-      ++repairs;
-      changed = true;
+      const double ratio =
+          std::max(0.0, at_lower ? d[js] : -d[js]) / std::fabs(a);
+      if (ratio < best_ratio - eps ||
+          (ratio < best_ratio + eps && std::fabs(a) > std::fabs(alpha_q))) {
+        best_ratio = std::min(best_ratio, ratio);
+        alpha_q = a;
+        entering = j;
+      }
     }
-    if (!changed) return true;
+
+    if (entering < 0) {
+      // Dual ray. Row r reads x_p = β_r − Σ_N ρᵀA_j·x_j, so the basic can
+      // get no nearer its bound than every helping column at its far
+      // bound takes it; only a miss beyond that proves infeasibility.
+      // Anything else (an infinite far bound, a miss within tolerance) is
+      // left to the cold solve.
+      compute_basic_values(t, factor, ws.xb, out.refine_steps);
+      const double xp = ws.xb[rs];
+      double miss = to_upper ? xp - t.upper[p] : t.lower[p] - xp;
+      for (int j = 0; j < t.n_total; ++j) {
+        const auto js = static_cast<std::size_t>(j);
+        if (!priced(js)) continue;
+        const double a = toward * pivot_row_entry(t, rho, j);
+        if (t.state[js] == VarState::kAtLower ? a > 0.0 : a < 0.0) {
+          miss -= std::fabs(a) * (t.upper[js] - t.lower[js]);
+        }
+      }
+      out.status = miss > ftol ? SolveStatus::kInfeasible
+                               : SolveStatus::kNumericalError;
+      out.iterations = iter;
+      return out;
+    }
+
+    const auto eq = static_cast<std::size_t>(entering);
+    const std::span<double> w = ws.w;
+    std::fill(w.begin(), w.end(), 0.0);
+    for (const ColumnEntry& e : t.a.column(entering)) {
+      w[static_cast<std::size_t>(e.row)] = e.val;
+    }
+    factor.ftran(w);
+    if (w[rs] * alpha_q <= 0.0) {
+      // The column and row images disagree on the pivot's sign: the
+      // factorization is too inaccurate to continue on.
+      out.status = SolveStatus::kNumericalError;
+      out.iterations = iter;
+      return out;
+    }
+
+    // Primal step: the entering column moves until x_p reaches its bound.
+    const double step = (t.x[p] - target) / w[rs];
+    for (int i = 0; i < t.m; ++i) {
+      const auto is = static_cast<std::size_t>(i);
+      t.x[static_cast<std::size_t>(t.basis[is])] -= w[is] * step;
+    }
+    t.x[eq] += step;
+    // Dual step: d_j −= theta·ρᵀA_j zeroes the entering reduced cost and
+    // leaves x_p nonbasic with reduced cost −theta.
+    const double theta = d[eq] / alpha_q;
+    for (int j = 0; j < t.n_total; ++j) {
+      const auto js = static_cast<std::size_t>(j);
+      if (priced(js)) d[js] -= theta * pivot_row_entry(t, rho, j);
+    }
+    d[eq] = 0.0;
+    d[p] = -theta;
+    t.x[p] = target;
+    t.state[p] = to_upper ? VarState::kAtUpper : VarState::kAtLower;
+    t.basis[rs] = entering;
+    t.state[eq] = VarState::kBasic;
+
+    const bool degenerate = std::fabs(theta) <= eps;
+    if (degenerate) ++out.degenerate_pivots;
+    if (!update_factorization(t, ws, r, w, out)) {
+      out.status = SolveStatus::kNumericalError;
+      out.iterations = iter + 1;
+      return out;
+    }
+    if (observed) {
+      obs::SimplexIterationEvent ev;
+      ev.iteration = iter;
+      ev.phase = 1;
+      ev.entering = entering;
+      ev.leaving = static_cast<int>(p);
+      ev.step = std::fabs(step);
+      ev.degenerate = degenerate;
+      opt.observer(ev);
+    }
   }
-  return false;  // never settled: numerical trouble, fall back to cold
+  out.status = SolveStatus::kIterationLimit;
+  out.iterations = max_iters;
+  return out;
 }
 
 /// Builds A column-sparse straight from the problem's rows, plus b and
@@ -775,26 +986,49 @@ Solution solve_impl_inner(const Problem& problem,
   build_columns(problem, t, ws.col_fill, slack_of_row);
   install_cold_columns(problem, t, artificial_used);
 
+  long max_iters = options.max_iterations;
+  if (max_iters <= 0) max_iters = 2000 + 200L * (m + n);
+  long bland_after = options.bland_after;
+  if (bland_after == 0) bland_after = std::max(200L, 20L * (m + n));
+  if (bland_after < 0) bland_after = 0;  // force Bland from the first pivot
+  // Pivot cap of the dual simplex and of each optimality-confirmation
+  // pass below.
+  const long confirm_budget = 4L * (m + n) + 16;
+  long total_iters = 0;
+
   // Warm start: adopt the caller's basis when it is dimensionally
-  // compatible, crash-repairing whatever does not fit. Any failure falls
-  // back to the cold start below — a warm start can never make a solve
-  // fail that would have succeeded cold.
+  // compatible, crash-select an independent basis from it, and restore
+  // primal feasibility by dual simplex pivots. A basis the dual simplex
+  // cannot finish from falls back to the cold start below — a warm start
+  // can never make a solve fail that would have succeeded cold.
   bool warm_applied = false;
   if (warm_start_enabled() && !options.warm_start.empty()) {
     if (static_cast<int>(options.warm_start.rows.size()) == m &&
         static_cast<int>(options.warm_start.variables.size()) <= n) {
       long repairs = 0;
-      long refactorizations = 0;
-      if (apply_warm_start(t, ws, options, art_base, repairs,
-                           refactorizations)) {
-        warm_applied = true;
-        metrics.warm_started = true;
-        metrics.basis_repairs += repairs;
-        metrics.refactorizations += refactorizations;
-      } else {
+      apply_warm_start(t, ws, options, art_base, repairs);
+      fix_artificials(t);
+      install_phase2_costs(problem, t);
+      const IterationOutcome dual =
+          dual_simplex(t, ws, options, std::min(max_iters, confirm_budget),
+                       deadline, repairs);
+      total_iters += dual.iterations;
+      metrics.absorb(dual);
+      warm_applied = dual.status == SolveStatus::kOptimal ||
+                     dual.status == SolveStatus::kInfeasible ||
+                     dual.status == SolveStatus::kTimeLimit;
+      if (!warm_applied) {
         install_cold_columns(problem, t, artificial_used);
         metrics.warm_rejected = true;
-        metrics.refactorizations += refactorizations;
+      } else {
+        metrics.warm_started = true;
+        metrics.basis_repairs += repairs;
+        if (dual.status != SolveStatus::kOptimal) {
+          sol.warm_started = true;
+          sol.status = dual.status;
+          sol.iterations = total_iters;
+          return sol;
+        }
       }
     } else {
       metrics.warm_rejected = true;
@@ -802,12 +1036,11 @@ Solution solve_impl_inner(const Problem& problem,
   }
   sol.warm_started = warm_applied;
 
-  // Cold initial basis: slack when it yields a feasible basic value, else
-  // an artificial sized to the residual.
   if (!warm_applied) {
-    // Row residuals b − A_S x_S at the structural start point, summed
-    // column by column: each row still subtracts its terms in ascending
-    // column order.
+    // Cold initial basis: slack when it yields a feasible basic value,
+    // else an artificial sized to the residual. Row residuals b − A_S x_S
+    // at the structural start point are summed column by column: each row
+    // still subtracts its terms in ascending column order.
     const std::span<double> residuals = ws.xb;
     std::copy(t.b.begin(), t.b.end(), residuals.begin());
     for (int j = 0; j < n; ++j) {
@@ -816,6 +1049,7 @@ Solution solve_impl_inner(const Problem& problem,
         residuals[static_cast<std::size_t>(e.row)] -= e.val * xj;
       }
     }
+    bool any_artificial = false;
     for (int i = 0; i < m; ++i) {
       const auto is = static_cast<std::size_t>(i);
       const double residual = residuals[is];
@@ -840,6 +1074,7 @@ Solution solve_impl_inner(const Problem& problem,
       t.basis[is] = art;
       t.state[as] = VarState::kBasic;
       artificial_used[is] = 1;
+      any_artificial = true;
     }
     // The slack/artificial start basis is diagonal; factorize it once.
     ++metrics.refactorizations;
@@ -848,85 +1083,50 @@ Solution solve_impl_inner(const Problem& problem,
       sol.status = SolveStatus::kNumericalError;
       return sol;
     }
-  }
 
-  long max_iters = options.max_iterations;
-  if (max_iters <= 0) max_iters = 2000 + 200L * (m + n);
-  long bland_after = options.bland_after;
-  if (bland_after == 0) bland_after = std::max(200L, 20L * (m + n));
-  if (bland_after < 0) bland_after = 0;  // force Bland from the first pivot
-
-  long total_iters = 0;
-  bool any_artificial = false;
-  for (int i = 0; i < m; ++i) {
-    any_artificial = any_artificial || artificial_used[static_cast<std::size_t>(i)];
-  }
-
-  // Phase 1: drive artificials to zero. A warm start whose repair left
-  // only zero-valued artificials is already feasible — skip straight to
-  // phase 2 (cold starts always run phase 1, preserving their behaviour).
-  double warm_art_total = 0.0;
-  if (any_artificial && warm_applied) {
-    for (int i = 0; i < m; ++i) {
-      if (artificial_used[static_cast<std::size_t>(i)]) {
-        warm_art_total += t.x[static_cast<std::size_t>(art_base + i)];
+    // Phase 1: drive the artificials to zero.
+    if (any_artificial) {
+      for (int i = 0; i < m; ++i) {
+        if (artificial_used[static_cast<std::size_t>(i)]) {
+          t.cost[static_cast<std::size_t>(art_base + i)] = 1.0;
+        }
       }
-    }
-  }
-  if (any_artificial &&
-      (!warm_applied || warm_art_total > options.feasibility_tol)) {
-    for (int i = 0; i < m; ++i) {
-      if (artificial_used[static_cast<std::size_t>(i)]) {
-        t.cost[static_cast<std::size_t>(art_base + i)] = 1.0;
+      auto outcome = iterate(t, ws, options, max_iters, bland_after,
+                             deadline, /*phase=*/1, /*iter_base=*/total_iters);
+      total_iters += outcome.iterations;
+      metrics.absorb(outcome);
+      if (outcome.status == SolveStatus::kIterationLimit ||
+          outcome.status == SolveStatus::kTimeLimit ||
+          outcome.status == SolveStatus::kNumericalError) {
+        sol.status = outcome.status;
+        sol.iterations = total_iters;
+        return sol;
       }
-    }
-    auto outcome = iterate(t, ws, options, max_iters, bland_after,
-                           deadline, /*phase=*/1, /*iter_base=*/0);
-    total_iters += outcome.iterations;
-    metrics.absorb(outcome);
-    if (outcome.status == SolveStatus::kIterationLimit ||
-        outcome.status == SolveStatus::kTimeLimit ||
-        outcome.status == SolveStatus::kNumericalError) {
-      sol.status = outcome.status;
-      sol.iterations = total_iters;
-      return sol;
-    }
-    if (outcome.status == SolveStatus::kUnbounded) {
-      // Phase 1 minimizes a sum of nonnegative artificials: an "unbounded"
-      // verdict can only come from numerical breakdown.
-      sol.status = SolveStatus::kNumericalError;
-      sol.iterations = total_iters;
-      return sol;
-    }
-    double phase1_obj = 0.0;
-    for (int i = 0; i < m; ++i) {
-      if (artificial_used[static_cast<std::size_t>(i)]) {
-        phase1_obj += t.x[static_cast<std::size_t>(art_base + i)];
+      if (outcome.status == SolveStatus::kUnbounded) {
+        // Phase 1 minimizes a sum of nonnegative artificials: an
+        // "unbounded" verdict can only come from numerical breakdown.
+        sol.status = SolveStatus::kNumericalError;
+        sol.iterations = total_iters;
+        return sol;
       }
-    }
-    if (phase1_obj > options.feasibility_tol) {
-      sol.status = SolveStatus::kInfeasible;
-      sol.iterations = total_iters;
-      return sol;
-    }
-  }
-  // Freeze artificials at zero for phase 2.
-  if (any_artificial) {
-    for (int i = 0; i < m; ++i) {
-      if (!artificial_used[static_cast<std::size_t>(i)]) continue;
-      const auto as = static_cast<std::size_t>(art_base + i);
-      t.cost[as] = 0.0;
-      t.lower[as] = 0.0;
-      t.upper[as] = 0.0;
-      if (t.state[as] != VarState::kBasic) t.x[as] = 0.0;
+      double phase1_obj = 0.0;
+      for (int i = 0; i < m; ++i) {
+        if (artificial_used[static_cast<std::size_t>(i)]) {
+          phase1_obj += t.x[static_cast<std::size_t>(art_base + i)];
+        }
+      }
+      if (phase1_obj > options.feasibility_tol) {
+        sol.status = SolveStatus::kInfeasible;
+        sol.iterations = total_iters;
+        return sol;
+      }
+      fix_artificials(t);  // frozen at zero for phase 2
     }
   }
 
-  // Phase 2: original costs (negated for maximization; internal = minimize).
-  for (int j = 0; j < n; ++j) {
-    const double c = problem.variable(j).objective;
-    t.cost[static_cast<std::size_t>(j)] = maximize ? -c : c;
-  }
+  // Phase 2: the original costs (replacing the dual simplex's reduced
+  // costs on a warm start) from a primal feasible basis.
+  install_phase2_costs(problem, t);
   auto outcome = iterate(t, ws, options, max_iters, bland_after,
                          deadline, /*phase=*/2, /*iter_base=*/total_iters);
   total_iters += outcome.iterations;
@@ -938,8 +1138,10 @@ Solution solve_impl_inner(const Problem& problem,
   }
 
   // Clean up drift accumulated through the eta chain before extraction:
-  // one fresh factorization, then refined basic values from it. A
-  // re-pricing pass on the fresh factorization then confirms the verdict:
+  // one fresh factorization, then refined basic values from it (a
+  // factorization with no eta applied since its last rebuild already is
+  // one: rebuilding it would reproduce the same factors, so it is reused).
+  // A re-pricing pass on the fresh factorization then confirms the verdict:
   // the pivot loop prices with multipliers pushed through the eta chain,
   // so on a drifted chain "no attractive column" can be an artifact — a
   // marginal reduced cost the refined duals extracted below would
@@ -949,13 +1151,15 @@ Solution solve_impl_inner(const Problem& problem,
   // pricing sweep and zero pivots).
   constexpr int kMaxOptimalityResumes = 3;
   for (int resume = 0;; ++resume) {
-    ++metrics.refactorizations;
-    build_basis_matrix(t, ws.bmat);
-    if (!factor.refactorize(ws.bmat)) {
-      sol.status = SolveStatus::kNumericalError;
-      return sol;
+    if (factor.eta_count() > 0) {
+      ++metrics.refactorizations;
+      build_basis_matrix(t, ws.bmat);
+      if (!factor.refactorize(ws.bmat)) {
+        sol.status = SolveStatus::kNumericalError;
+        return sol;
+      }
     }
-    recompute_basics(t, factor, ws.xb, &metrics.refine_steps);
+    recompute_basics(t, factor, ws.xb, metrics.refine_steps);
     metrics.pivot_growth_max =
         std::max(metrics.pivot_growth_max, factor.pivot_growth());
     if (resume >= kMaxOptimalityResumes || max_iters <= total_iters) break;
@@ -964,7 +1168,7 @@ Solution solve_impl_inner(const Problem& problem,
     // fast into the recovery path, not grind away the caller's whole
     // iteration allowance.
     const long resume_budget =
-        std::min(max_iters - total_iters, 4L * (m + n) + 16);
+        std::min(max_iters - total_iters, confirm_budget);
     outcome = iterate(t, ws, options, resume_budget, bland_after,
                       deadline, /*phase=*/2, /*iter_base=*/total_iters);
     total_iters += outcome.iterations;

@@ -119,9 +119,10 @@ CaseResult make_case(std::string name, int warmup,
   const int reps = std::max(1, c.wall.reps);
   for (const auto& [metric, value] : after) {
     const auto it = before.find(metric);
+    // Unchanged counters are kept at zero: a baseline has to record that a
+    // counter ran dry, or a later run that moves it again has no reference.
     const std::int64_t delta =
         value - (it != before.end() ? it->second : 0);
-    if (delta == 0) continue;
     c.metrics[metric] =
         MetricDelta{delta, static_cast<double>(delta) / reps};
   }
@@ -393,8 +394,15 @@ DiffReport diff_reports(const RunReport& baseline, const RunReport& current,
         continue;
       }
       if (cur_metric == cur_case.metrics.end()) {
-        row.verdict = DiffVerdict::kRegression;
-        row.note = "metric missing from new report";
+        // A baseline that never moved the counter loses no coverage when
+        // the counter is gone; any other vanished metric is lost coverage.
+        if (base_delta.total == 0) {
+          row.verdict = DiffVerdict::kInfo;
+          row.note = "zero-baseline metric missing from new report";
+        } else {
+          row.verdict = DiffVerdict::kRegression;
+          row.note = "metric missing from new report";
+        }
         push(std::move(row));
         continue;
       }

@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
+#include <vector>
 
 #include "gridsec/core/adversary.hpp"
 #include "gridsec/flow/social_welfare.hpp"
@@ -563,11 +564,15 @@ void fuzz_network_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
   }
 }
 
-/// Leg 4: warm-started vs. cold simplex. Two comparisons per instance:
-/// re-solving the identical problem from its own optimal basis must be an
-/// exact (zero-pivot) confirmation of the cold optimum, and solving a
-/// cost-jittered sibling warm from the now-stale basis must agree with the
-/// sibling's cold solve. Warm starts change the path, never the answer.
+/// Leg 4: warm-started vs. cold simplex. Re-solving the identical problem
+/// from its own optimal basis must be an exact (zero-pivot) confirmation
+/// of the cold optimum, and three siblings solved warm from the now-stale
+/// basis must agree with their cold solves: one with jittered costs, one
+/// with a basic column pinned at its lower bound (an outage, the impact
+/// matrix's re-solve), and one with a basic column's lower bound moved far
+/// past its optimal value, which leaves some siblings infeasible. Bound
+/// changes keep the stale basis dual feasible, so the last two are the
+/// dual simplex's. Warm starts change the path, never the answer.
 void fuzz_warm_start_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
   lp::Problem p =
       rng.bernoulli(0.5)
@@ -593,6 +598,22 @@ void fuzz_warm_start_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
   warm_options.warm_start = cold.basis;
   obs::Counter& warm_cold_retries =
       obs::default_registry().counter("lp.simplex.warm_cold_retries");
+  // A solve that wedged on the warm trajectory and took the documented
+  // warm→cold numerical retry legitimately reports the cold path; the
+  // retry counter distinguishes it from warm-start plumbing going dead.
+  const auto check_warm_path = [&](const lp::Solution& warm,
+                                   std::int64_t retries_before,
+                                   const std::string& what) {
+    if (!warm.warm_started && !cold.basis.empty() &&
+        lp::warm_start_enabled() &&
+        warm_cold_retries.value() == retries_before) {
+      ctx.fail(seed, "warm basis supplied but " + what +
+                         " reported cold path (" + to_string(report) + ")");
+      return false;
+    }
+    return true;
+  };
+
   const std::int64_t retries_before = warm_cold_retries.value();
   const lp::Solution warm = lp::SimplexSolver(warm_options).solve(p);
   ctx.tally(warm.status);
@@ -607,45 +628,78 @@ void fuzz_warm_start_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
     ctx.fail(seed, os.str());
     return;
   }
-  // A solve that wedged on the warm trajectory and took the documented
-  // warm→cold numerical retry legitimately reports the cold path; the
-  // retry counter distinguishes it from warm-start plumbing going dead.
-  if (!warm.warm_started && !cold.basis.empty() &&
-      lp::warm_start_enabled() &&
-      warm_cold_retries.value() == retries_before) {
-    ctx.fail(seed, "warm basis supplied but solve reported cold path (" +
-                       to_string(report) + ")");
-  }
+  if (!check_warm_path(warm, retries_before, "solve")) return;
 
-  // Jittered sibling: the stale basis must repair into the same verdict
-  // the cold solve reaches.
-  lp::Problem sibling = p;
-  jitter_costs(sibling, rng, 1e-4);
-  const lp::Solution sib_cold = lp::SimplexSolver(cold_options).solve(sibling);
-  const lp::Solution sib_warm = lp::SimplexSolver(warm_options).solve(sibling);
-  ctx.tally(sib_cold.status);
-  ctx.tally(sib_warm.status);
-  const VerdictClass a = classify(sib_cold.status);
-  const VerdictClass b = classify(sib_warm.status);
-  if (a != VerdictClass::kSoft && b != VerdictClass::kSoft && a != b) {
-    ctx.fail(seed, "warm vs cold verdict disagreement on jittered sibling (" +
-                       to_string(report) + "): cold=" +
-                       std::string(lp::to_string(sib_cold.status)) +
-                       " warm=" +
-                       std::string(lp::to_string(sib_warm.status)));
-    return;
-  }
-  if (a == VerdictClass::kHardOptimal && b == VerdictClass::kHardOptimal) {
-    const double sib_tol =
-        ctx.options.objective_tol * (1.0 + std::fabs(sib_cold.objective));
-    if (std::fabs(sib_cold.objective - sib_warm.objective) > sib_tol) {
-      std::ostringstream os;
-      os << "warm vs cold objective mismatch on jittered sibling ("
-         << to_string(report) << "): cold=" << sib_cold.objective
-         << " warm=" << sib_warm.objective;
-      ctx.fail(seed, os.str());
+  // Each sibling must reach the verdict class and objective of its cold
+  // solve; a feasible one must also have kept the warm path.
+  const auto check_sibling = [&](const lp::Problem& sibling,
+                                 const std::string& what) {
+    const lp::Solution sib_cold =
+        lp::SimplexSolver(cold_options).solve(sibling);
+    const std::int64_t sib_retries_before = warm_cold_retries.value();
+    const lp::Solution sib_warm =
+        lp::SimplexSolver(warm_options).solve(sibling);
+    ctx.tally(sib_cold.status);
+    ctx.tally(sib_warm.status);
+    const VerdictClass a = classify(sib_cold.status);
+    const VerdictClass b = classify(sib_warm.status);
+    if (a != VerdictClass::kSoft && b != VerdictClass::kSoft && a != b) {
+      ctx.fail(seed, "warm vs cold verdict disagreement on " + what + " (" +
+                         to_string(report) + "): cold=" +
+                         std::string(lp::to_string(sib_cold.status)) +
+                         " warm=" +
+                         std::string(lp::to_string(sib_warm.status)));
+      return false;
+    }
+    if (a == VerdictClass::kHardOptimal && b == VerdictClass::kHardOptimal) {
+      const double sib_tol =
+          ctx.options.objective_tol * (1.0 + std::fabs(sib_cold.objective));
+      if (std::fabs(sib_cold.objective - sib_warm.objective) > sib_tol) {
+        std::ostringstream os;
+        os << "warm vs cold objective mismatch on " << what << " ("
+           << to_string(report) << "): cold=" << sib_cold.objective
+           << " warm=" << sib_warm.objective;
+        ctx.fail(seed, os.str());
+        return false;
+      }
+    }
+    if (a == VerdictClass::kHardOptimal) {
+      return check_warm_path(sib_warm, sib_retries_before, what);
+    }
+    return true;
+  };
+
+  lp::Problem jittered = p;
+  jitter_costs(jittered, rng, 1e-4);
+  if (!check_sibling(jittered, "jittered sibling")) return;
+
+  std::vector<int> basic;
+  for (int j = 0; j < p.num_variables(); ++j) {
+    if (cold.basis.variables[static_cast<std::size_t>(j)] ==
+        lp::VarStatus::kBasic) {
+      basic.push_back(j);
     }
   }
+  if (basic.empty()) return;
+  const auto pick_basic = [&] {
+    return basic[static_cast<std::size_t>(
+        pick_index(rng, static_cast<int>(basic.size())))];
+  };
+
+  lp::Problem outage = p;
+  const int out_var = pick_basic();
+  const double out_lower = outage.variable(out_var).lower;
+  outage.set_bounds(out_var, out_lower, out_lower);
+  if (!check_sibling(outage, "outage sibling")) return;
+
+  lp::Problem shifted = p;
+  const int far_var = pick_basic();
+  const double xj = cold.x[static_cast<std::size_t>(far_var)];
+  const double far_lower =
+      xj + (1.0 + std::fabs(xj)) * rng.uniform(0.5, 4.0);
+  shifted.set_bounds(far_var, far_lower,
+                     std::max(far_lower, shifted.variable(far_var).upper));
+  check_sibling(shifted, "far-bound sibling");
 }
 
 /// Stress leg (options.stress_numerics): instances faulted from the

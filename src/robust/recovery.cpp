@@ -81,7 +81,7 @@ bool attempt_rung(RecoveryRung rung, const lp::Problem& problem,
       lp::SimplexOptions o = base;
       // Keep the variable statuses (the economically meaningful part of a
       // stale basis) but hand every row back to its slack — the row block
-      // is where drifted bases go rank-deficient; the crash repair then
+      // is where drifted bases go rank-deficient; the crash selection then
       // rebuilds a consistent basis around the surviving variable info.
       for (auto& s : o.warm_start.rows) s = lp::VarStatus::kBasic;
       *out = plain_solve(problem, o);

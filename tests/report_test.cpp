@@ -70,14 +70,16 @@ TEST(WallStats, FromSamplesComputesOrderStats) {
   EXPECT_NEAR(w.total_seconds, 0.6, 1e-12);
 }
 
-TEST(MakeCase, ComputesPerRepDeltasAndDropsUnchanged) {
+TEST(MakeCase, ComputesPerRepDeltasAndKeepsUnchangedAtZero) {
   const double reps[] = {0.1, 0.1};
   const CaseResult c = make_case(
       "c", 0, reps, {{"a", 10}, {"b", 5}}, {{"a", 16}, {"b", 5}, {"c", 3}});
   ASSERT_EQ(c.metrics.count("a"), 1u);
   EXPECT_EQ(c.metrics.at("a").total, 6);
   EXPECT_DOUBLE_EQ(c.metrics.at("a").per_rep, 3.0);
-  EXPECT_EQ(c.metrics.count("b"), 0u);  // unchanged counters are dropped
+  ASSERT_EQ(c.metrics.count("b"), 1u);  // unchanged counters read zero
+  EXPECT_EQ(c.metrics.at("b").total, 0);
+  EXPECT_DOUBLE_EQ(c.metrics.at("b").per_rep, 0.0);
   ASSERT_EQ(c.metrics.count("c"), 1u);  // counter born during the case
   EXPECT_EQ(c.metrics.at("c").total, 3);
   EXPECT_DOUBLE_EQ(c.metrics.at("c").per_rep, 1.5);
@@ -187,6 +189,44 @@ TEST(DiffReports, MissingCoverageIsARegressionNewCoverageIsInfo) {
   // The reverse direction (baseline lacks what current has) is only info.
   const DiffReport grown = diff_reports(current, baseline);
   EXPECT_TRUE(grown.clean());
+}
+
+TEST(DiffReports, CounterFallingToZeroIsCleanRisingFromZeroRegresses) {
+  RunReport baseline = small_report();
+  baseline.cases[0].metrics["lp.simplex.basis_repairs"] = {614, 614.0 / 3};
+  RunReport current = small_report();
+  current.cases[0].metrics["lp.simplex.basis_repairs"] = {0, 0.0};
+  EXPECT_TRUE(diff_reports(baseline, current).clean());
+
+  // A counter recorded at zero that starts moving again.
+  RunReport risen = current;
+  risen.cases[0].metrics["lp.simplex.basis_repairs"] = {12, 12.0};
+  const DiffReport diff = diff_reports(current, risen);
+  EXPECT_EQ(diff.regressions, 1);
+  bool found = false;
+  for (const DiffRow& row : diff.rows) {
+    if (row.quantity == "lp.simplex.basis_repairs") {
+      EXPECT_EQ(row.verdict, DiffVerdict::kRegression);
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(DiffReports, MissingZeroBaselineMetricIsInfo) {
+  RunReport baseline = small_report();
+  baseline.cases[0].metrics["lp.simplex.warm_start_rejects"] = {0, 0.0};
+  const RunReport current = small_report();  // counter no longer reported
+  const DiffReport diff = diff_reports(baseline, current);
+  EXPECT_TRUE(diff.clean());
+  bool found = false;
+  for (const DiffRow& row : diff.rows) {
+    if (row.quantity == "lp.simplex.warm_start_rejects") {
+      EXPECT_EQ(row.verdict, DiffVerdict::kInfo);
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(DiffReports, IgnoredPrefixesNeverGate) {

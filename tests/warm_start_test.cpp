@@ -1,16 +1,24 @@
-// Warm-start semantics: Basis serialization, crash repair of stale or
-// incompatible bases, warm-started branch-and-bound, and certificate
-// parity between warm and cold solves. Every solve here is additionally
-// re-verified by the certify_all hook riding in this binary.
+// Warm-start semantics: Basis serialization, crash selection from stale or
+// incompatible bases, dual-simplex re-solves of bound-changed siblings,
+// warm-started branch-and-bound, and certificate parity between warm and
+// cold solves. Every solve here is additionally re-verified by the
+// certify_all hook riding in this binary.
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "gridsec/cps/impact.hpp"
+#include "gridsec/cps/ownership.hpp"
+#include "gridsec/cps/perturbation.hpp"
 #include "gridsec/lp/basis.hpp"
 #include "gridsec/lp/milp.hpp"
 #include "gridsec/lp/simplex.hpp"
 #include "gridsec/obs/audit.hpp"
 #include "gridsec/obs/metrics.hpp"
+#include "gridsec/sim/western_us.hpp"
+#include "gridsec/util/rng.hpp"
 
 namespace gridsec::lp {
 namespace {
@@ -50,7 +58,7 @@ TEST(BasisSerialization, RejectsMalformedText) {
 }
 
 // ---------------------------------------------------------------------------
-// Warm LP re-solves and crash repair.
+// Warm LP re-solves from stale and rank-deficient bases.
 
 Problem small_lp() {
   Problem p(Objective::kMaximize);
@@ -165,6 +173,71 @@ TEST(WarmStart, KillSwitchForcesColdSolves) {
   EXPECT_FALSE(sol.warm_started);
   EXPECT_NEAR(sol.objective, cold.objective,
               1e-9 * (1.0 + std::fabs(cold.objective)));
+}
+
+// ---------------------------------------------------------------------------
+// The Figure 4 warm chain (bench/fig4_impact_matrix --trials=5): five
+// sigma = 0.05 views of the western-US model with 6 random owners, each
+// impact matrix warm-seeded from the previous one's base basis. An attack
+// only changes its asset's bounds, so the base basis stays dual feasible
+// and the dual simplex finishes every attacked re-solve from it.
+
+/// Restores the process-wide warm-start switch on scope exit.
+struct WarmSwitch {
+  explicit WarmSwitch(bool enabled) { set_warm_start_enabled(enabled); }
+  ~WarmSwitch() { set_warm_start_enabled(true); }
+  WarmSwitch(const WarmSwitch&) = delete;
+  WarmSwitch& operator=(const WarmSwitch&) = delete;
+};
+
+void impact_chain(bool warm, std::vector<cps::ImpactResult>& out) {
+  const WarmSwitch guard(warm);
+  const sim::WesternUsModel m = sim::build_western_us();
+  Rng owner_rng(2015);
+  const cps::Ownership owners = cps::Ownership::random(
+      static_cast<int>(m.network.num_edges()), 6, owner_rng);
+  cps::NoiseSpec noise;
+  noise.sigma = 0.05;
+  cps::ImpactOptions impact;
+  Rng parent(2015);
+  for (int t = 0; t < 5; ++t) {
+    Rng rng = parent.derive_stream(static_cast<std::uint64_t>(t));
+    const flow::Network view = cps::perturb_knowledge(m.network, noise, rng);
+    auto im = cps::compute_impact_matrix(view, owners, impact);
+    ASSERT_TRUE(im.is_ok()) << im.status().message();
+    if (warm) impact.warm_start = im->base_basis;
+    out.push_back(std::move(*im));
+  }
+}
+
+TEST(WarmStart, ImpactChainNeverFallsBackToColdAndMatchesColdSweep) {
+  const std::int64_t rejects_before = counter("lp.simplex.warm_start_rejects");
+  const std::int64_t warm_before = counter("lp.simplex.warm_starts");
+  std::vector<cps::ImpactResult> warm;
+  impact_chain(true, warm);
+  ASSERT_EQ(warm.size(), 5u);
+  EXPECT_EQ(counter("lp.simplex.warm_start_rejects"), rejects_before);
+  EXPECT_GT(counter("lp.simplex.warm_starts"), warm_before);
+
+  std::vector<cps::ImpactResult> cold;
+  impact_chain(false, cold);
+  ASSERT_EQ(cold.size(), warm.size());
+  for (std::size_t v = 0; v < cold.size(); ++v) {
+    const cps::ImpactMatrix& wm = warm[v].matrix;
+    const cps::ImpactMatrix& cm = cold[v].matrix;
+    const double tol = 1e-6 * (1.0 + std::fabs(cold[v].base_welfare));
+    EXPECT_NEAR(warm[v].base_welfare, cold[v].base_welfare, tol);
+    ASSERT_EQ(wm.num_targets(), cm.num_targets());
+    ASSERT_EQ(wm.num_actors(), cm.num_actors());
+    for (int target = 0; target < cm.num_targets(); ++target) {
+      EXPECT_NEAR(wm.system_impact(target), cm.system_impact(target), tol)
+          << "view " << v << " target " << target;
+      for (int actor = 0; actor < cm.num_actors(); ++actor) {
+        EXPECT_NEAR(wm.at(actor, target), cm.at(actor, target), tol)
+            << "view " << v << " actor " << actor << " target " << target;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

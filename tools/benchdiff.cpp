@@ -22,7 +22,8 @@
 //   --quiet                print only regressions and the verdict line
 //
 // Metrics present only in the candidate report (newly added counters) are
-// always informational — only baseline-side disappearance fails coverage.
+// always informational — only the disappearance of a baseline metric that
+// moved fails coverage.
 //
 // Exit codes: 0 = clean (self-diff is always clean), 1 = regression,
 // 2 = usage or parse error.
