@@ -24,8 +24,6 @@
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/prof.hpp"
 #include "gridsec/obs/report.hpp"
-#include "gridsec/obs/serve.hpp"
-#include "gridsec/obs/telemetry.hpp"
 #include "gridsec/util/table.hpp"
 #include "gridsec/util/thread_pool.hpp"
 
@@ -48,22 +46,12 @@ struct BenchArgs {
   // Harness::run_case (reps 0 / warmup -1 mean "use the case default").
   int reps = 0;
   int warmup = -1;
-  // --metrics-port=N: serve GET /metrics (OpenMetrics) + /healthz +
-  // /progress on 127.0.0.1:N for the duration of the bench (0 = ephemeral
-  // port, printed to stderr; -1 = off). Unavailable under GRIDSEC_NO_SERVE.
-  int metrics_port = -1;
-  // --timeseries=FILE: run the telemetry sampler for the whole bench and
-  // write the gridsec.timeseries artifact to FILE (.csv suffix = CSV).
-  std::string timeseries_file;
-  // --progress: mirror live progress/ETA heartbeats to stderr.
-  bool progress = false;
 };
 
 [[noreturn]] inline void usage_exit(const char* prog, int code) {
   std::fprintf(stderr,
                "usage: %s [--trials=N] [--seed=S] [--threads=T] [--reps=N] "
-               "[--warmup=N] [--csv] [--json[=FILE]] [--profile[=FILE]] "
-               "[--metrics-port=N] [--timeseries=FILE] [--progress]\n",
+               "[--warmup=N] [--csv] [--json[=FILE]] [--profile[=FILE]]\n",
                prog);
   std::exit(code);
 }
@@ -127,14 +115,6 @@ inline BenchArgs parse_args(int argc, char** argv) {
       if (args.profile_file.empty()) malformed();
     } else if (a == "--profile") {
       args.profile_file = default_sidecar_name(argv[0], "PROF");
-    } else if (const char* s = value("--metrics-port=")) {
-      if (!parse_long(s, &v) || v < 0 || v > 65535) malformed();
-      args.metrics_port = static_cast<int>(v);
-    } else if (const char* s = value("--timeseries=")) {
-      args.timeseries_file = s;
-      if (args.timeseries_file.empty()) malformed();
-    } else if (a == "--progress") {
-      args.progress = true;
     } else if (a == "--csv") {
       args.csv_only = true;
     } else if (a == "--help" || a == "-h") {
@@ -172,28 +152,6 @@ class Harness {
     report_.manifest.trials = args.trials;
     if (args.threads != 0) report_.manifest.threads = args.threads;
     if (!args_.profile_file.empty()) obs::Profiler::start();
-    if (args_.metrics_port >= 0) {
-      obs::TelemetryServerOptions sopts;
-      sopts.port = args_.metrics_port;
-      const Status st = server_.start(sopts);
-      if (!st.is_ok()) {
-        std::fprintf(stderr, "cannot start telemetry endpoint: %s\n",
-                     st.to_string().c_str());
-        std::exit(1);
-      }
-      std::fprintf(stderr, "metrics: http://127.0.0.1:%d/metrics\n",
-                   server_.port());
-    }
-    if (!args_.timeseries_file.empty() || args_.progress) {
-      obs::TelemetrySamplerOptions topts;
-      topts.progress_to_stderr = args_.progress;
-      const Status st = sampler_.start(topts);
-      if (!st.is_ok()) {
-        std::fprintf(stderr, "cannot start telemetry sampler: %s\n",
-                     st.to_string().c_str());
-        std::exit(1);
-      }
-    }
   }
 
   /// Runs `fn` default_warmup (unmeasured) + default_reps (measured) times
@@ -236,19 +194,13 @@ class Harness {
 
   /// Writes the BENCH_*.json report when --json was given and the
   /// PROF_*.json + .folded profile when --profile was given. Call once,
-  /// after every case ran.
+  /// after every case ran. A file that cannot be opened exits 1, as in
+  /// gridsec_cli, so a failed write never passes for a fresh artifact.
   void emit_report() {
     emit_profile();
-    emit_timeseries();
-    server_.stop();
     if (args_.json_file.empty()) return;
     report_.manifest.wall_time_seconds = elapsed_seconds(start_);
-    std::ofstream out(args_.json_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot write report to '%s'\n",
-                   args_.json_file.c_str());
-      return;
-    }
+    std::ofstream out = open_or_exit("report", args_.json_file);
     report_.write_json(out, &obs::default_registry());
     std::fprintf(stderr, "report -> %s\n", args_.json_file.c_str());
   }
@@ -271,41 +223,25 @@ class Harness {
         obs::default_registry().counter_values()));
   }
 
-  void emit_timeseries() {
-    if (!sampler_.running()) return;
-    sampler_.stop();  // final sample = registry exit snapshot
-    if (args_.timeseries_file.empty()) return;
-    std::ofstream out(args_.timeseries_file);
+  static std::ofstream open_or_exit(const char* what,
+                                    const std::string& path) {
+    std::ofstream out(path);
     if (!out) {
-      std::fprintf(stderr, "cannot write timeseries to '%s'\n",
-                   args_.timeseries_file.c_str());
-      return;
+      std::fprintf(stderr, "cannot write %s to '%s'\n", what, path.c_str());
+      std::exit(1);
     }
-    const obs::Timeseries ts = sampler_.snapshot();
-    const std::string& f = args_.timeseries_file;
-    if (f.size() >= 4 && f.compare(f.size() - 4, 4, ".csv") == 0) {
-      obs::write_timeseries_csv(out, ts);
-    } else {
-      obs::write_timeseries_json(out, ts);
-    }
-    std::fprintf(stderr, "timeseries: %zu samples -> %s\n",
-                 ts.samples.size(), f.c_str());
+    return out;
   }
 
   void emit_profile() {
     if (args_.profile_file.empty()) return;
     obs::Profiler::stop();
     const obs::Profile profile = obs::Profiler::snapshot();
-    std::ofstream out(args_.profile_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot write profile to '%s'\n",
-                   args_.profile_file.c_str());
-      return;
-    }
+    std::ofstream out = open_or_exit("profile", args_.profile_file);
     obs::write_profile_json(out, profile);
     const std::string folded_file = args_.profile_file + ".folded";
-    std::ofstream folded(folded_file);
-    if (folded) obs::write_profile_folded(folded, profile);
+    std::ofstream folded = open_or_exit("folded stacks", folded_file);
+    obs::write_profile_folded(folded, profile);
     std::fprintf(stderr, "profile -> %s (+ %s)\n",
                  args_.profile_file.c_str(), folded_file.c_str());
   }
@@ -313,8 +249,6 @@ class Harness {
   BenchArgs args_;
   obs::RunReport report_;
   std::chrono::steady_clock::time_point start_;
-  obs::TelemetryServer server_;
-  obs::TelemetrySampler sampler_;
 };
 
 }  // namespace gridsec::bench

@@ -21,15 +21,6 @@
 //                  stacks to FILE.folded (render with gridsec-inspect
 //                  profile FILE; see docs/observability.md)
 //   --metrics      dump the metrics registry as JSON to stdout after the run
-//   --metrics-port=N  serve GET /metrics (OpenMetrics), /healthz and
-//                  /progress on 127.0.0.1:N for the duration of the run
-//                  (N=0 picks an ephemeral port, logged to stderr;
-//                  unavailable in GRIDSEC_NO_SERVE builds)
-//   --progress     mirror live progress/ETA heartbeats to stderr
-//   --timeseries=FILE  run the telemetry sampler (100 ms cadence) and
-//                  write the gridsec.timeseries artifact to FILE at exit
-//                  (.csv extension selects the flat CSV form; render with
-//                  gridsec-inspect top FILE)
 //   --report=FILE  write a gridsec.bench_report run report (provenance
 //                  manifest + wall time + metric deltas) to FILE
 //   --time-limit-ms=N  wall-clock budget per solve (LP pivoting, B&B nodes,
@@ -67,8 +58,6 @@
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/prof.hpp"
 #include "gridsec/obs/report.hpp"
-#include "gridsec/obs/serve.hpp"
-#include "gridsec/obs/telemetry.hpp"
 #include "gridsec/robust/recovery.hpp"
 #include "gridsec/obs/trace.hpp"
 #include "gridsec/util/table.hpp"
@@ -93,9 +82,6 @@ struct CliArgs {
   bool metrics = false;
   double time_limit_ms = 0.0;  // 0 = unlimited
   bool fail_fast = false;
-  int metrics_port = -1;         // -1 = endpoint off; 0 = ephemeral port
-  bool progress = false;
-  std::string timeseries_file;   // empty = sampler off
 };
 
 /// Impact options with the CLI's wall-clock budget threaded down to every
@@ -113,8 +99,7 @@ int usage() {
                "[--actors=N] [--seed=S] [--targets=K] [--collab] "
                "[--cost=C] [--budget=B] [--trace=FILE] [--profile=FILE] "
                "[--report=FILE] "
-               "[--audit=FILE] [--metrics] [--metrics-port=N] "
-               "[--progress] [--timeseries=FILE] [--time-limit-ms=N] "
+               "[--audit=FILE] [--metrics] [--time-limit-ms=N] "
                "[--fail-fast] [--warm-start=on|off] "
                "[--recovery=ladder|off]\n");
   return 2;
@@ -439,12 +424,6 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--audit=")) {
       args.audit_file = v;
       ok = !args.audit_file.empty();
-    } else if (const char* v = value("--metrics-port=")) {
-      ok = parse_int(v, &args.metrics_port) && args.metrics_port >= 0 &&
-           args.metrics_port <= 65535;
-    } else if (const char* v = value("--timeseries=")) {
-      args.timeseries_file = v;
-      ok = !args.timeseries_file.empty();
     } else if (const char* v = value("--time-limit-ms=")) {
       ok = parse_double(v, &args.time_limit_ms) && args.time_limit_ms >= 0.0;
     } else if (const char* v = value("--warm-start=")) {
@@ -461,8 +440,6 @@ int main(int argc, char** argv) {
       args.fail_fast = true;
     } else if (a == "--metrics") {
       args.metrics = true;
-    } else if (a == "--progress") {
-      args.progress = true;
     } else {
       std::fprintf(stderr, "gridsec_cli: unknown option '%s'\n", a.c_str());
       return usage();
@@ -497,34 +474,6 @@ int main(int argc, char** argv) {
   const auto run_start = std::chrono::steady_clock::now();
   if (!args.profile_file.empty()) gridsec::obs::Profiler::start();
 
-  // Live telemetry plane: the endpoint and the sampler both enable the
-  // progress tracker, so --metrics-port, --timeseries and --progress each
-  // light up progress/ETA accounting in the solver loops.
-  gridsec::obs::TelemetryServer server;
-  if (args.metrics_port >= 0) {
-    gridsec::obs::TelemetryServerOptions server_opts;
-    server_opts.port = args.metrics_port;
-    const auto started = server.start(server_opts);
-    if (!started.is_ok()) {
-      std::fprintf(stderr, "cannot start telemetry endpoint: %s\n",
-                   started.to_string().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "metrics: http://127.0.0.1:%d/metrics\n",
-                 server.port());
-  }
-  gridsec::obs::TelemetrySampler sampler;
-  if (!args.timeseries_file.empty() || args.progress) {
-    gridsec::obs::TelemetrySamplerOptions sampler_opts;
-    sampler_opts.progress_to_stderr = args.progress;
-    const auto started = sampler.start(sampler_opts);
-    if (!started.is_ok()) {
-      std::fprintf(stderr, "cannot start telemetry sampler: %s\n",
-                   started.to_string().c_str());
-      return 1;
-    }
-  }
-
   if (!args.audit_file.empty()) {
     gridsec::obs::clear_audit_attribution();
     gridsec::obs::AuditConfig audit_cfg;
@@ -533,27 +482,6 @@ int main(int argc, char** argv) {
   }
   if (!args.trace_file.empty()) gridsec::obs::Tracer::start();
   const int rc = run_command(*parsed, args);
-  if (sampler.running()) {
-    sampler.stop();  // takes the final sample: ring tail == exit registry
-    if (!args.timeseries_file.empty()) {
-      std::ofstream out(args.timeseries_file);
-      if (!out) {
-        std::fprintf(stderr, "cannot write timeseries to '%s'\n",
-                     args.timeseries_file.c_str());
-        return 1;
-      }
-      const gridsec::obs::Timeseries ts = sampler.snapshot();
-      const std::string& f = args.timeseries_file;
-      if (f.size() >= 4 && f.compare(f.size() - 4, 4, ".csv") == 0) {
-        gridsec::obs::write_timeseries_csv(out, ts);
-      } else {
-        gridsec::obs::write_timeseries_json(out, ts);
-      }
-      std::fprintf(stderr, "timeseries: %zu samples -> %s\n",
-                   ts.samples.size(), f.c_str());
-    }
-  }
-  server.stop();
   if (!args.profile_file.empty()) {
     gridsec::obs::Profiler::stop();
     const gridsec::obs::Profile profile = gridsec::obs::Profiler::snapshot();
@@ -566,7 +494,12 @@ int main(int argc, char** argv) {
     gridsec::obs::write_profile_json(out, profile);
     const std::string folded_file = args.profile_file + ".folded";
     std::ofstream folded(folded_file);
-    if (folded) gridsec::obs::write_profile_folded(folded, profile);
+    if (!folded) {
+      std::fprintf(stderr, "cannot write folded stacks to '%s'\n",
+                   folded_file.c_str());
+      return 1;
+    }
+    gridsec::obs::write_profile_folded(folded, profile);
     std::fprintf(stderr, "profile: %s (+ %s)\n", args.profile_file.c_str(),
                  folded_file.c_str());
   }

@@ -27,6 +27,14 @@ namespace gridsec::lp {
 
 class SolverWorkspace;
 
+/// Rounding floor of a recomputed reduced cost c_j − Σ_i y_i·a_ij, as a
+/// fraction of the dot product's magnitude Σ_i |y_i·a_ij| (~450·eps). The
+/// sum rounds at eps per term, so on a column whose duals reach 1e11 even
+/// exact duals leave an O(1e-5) remainder; a residual under this floor is
+/// the check's own arithmetic, not the solver's. The simplex extraction
+/// gate and the solve certificate (obs::certify) both use it.
+inline constexpr double kDualRoundingFloor = 1e-13;
+
 struct SimplexOptions {
   double feasibility_tol = 1e-7;   // bound/constraint violation tolerance
   double optimality_tol = 1e-9;    // reduced-cost threshold

@@ -7,7 +7,7 @@
 // Design goals, in order:
 //   1. Near-zero cost when silent. A suppressed record is one relaxed
 //      atomic load plus a branch (the level gate runs before any argument
-//      is evaluated); `-DGRIDSEC_NO_LOGGING=ON` compiles every call site
+//      is evaluated); `-DGRIDSEC_NO_OBS=ON` compiles every call site
 //      out entirely.
 //   2. Lock-light. The record line is formatted entirely on the calling
 //      thread; the logger mutex is held only to move the finished string
@@ -55,7 +55,7 @@ std::string_view to_string(LogLevel level);
 /// Parses a (case-insensitive) level name; false on unknown input.
 bool parse_log_level(std::string_view text, LogLevel* out);
 
-#ifndef GRIDSEC_NO_LOGGING
+#ifndef GRIDSEC_NO_OBS
 
 /// Process-global logger state. All static; the singleton lives in log.cpp
 /// and is intentionally leaked so worker threads may log during teardown.
@@ -138,7 +138,7 @@ class LogEvent {
   } else                                                                   \
     ::gridsec::obs::LogEvent(::gridsec::obs::LogLevel::lvl, (component))
 
-#else  // GRIDSEC_NO_LOGGING: every call site compiles to nothing.
+#else  // GRIDSEC_NO_OBS: every call site compiles to nothing.
 
 class Logger {
  public:
@@ -170,6 +170,6 @@ class LogEvent {
   } else                            \
     ::gridsec::obs::LogEvent(::gridsec::obs::LogLevel::lvl, (component))
 
-#endif  // GRIDSEC_NO_LOGGING
+#endif  // GRIDSEC_NO_OBS
 
 }  // namespace gridsec::obs

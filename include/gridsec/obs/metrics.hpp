@@ -132,17 +132,6 @@ class ScopedTimer {
   std::uint64_t start_ns_;
 };
 
-/// Point-in-time summary of one histogram or timer: observation count,
-/// sum, and the p50/p90/p99 estimates the instrument already exposes.
-/// Timers report seconds (sum = total observed seconds).
-struct DistSnapshot {
-  std::int64_t count = 0;
-  double sum = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-};
-
 /// Named instrument store. Lookup is mutex + map (slow path); call sites
 /// cache the returned reference. Instruments live as long as the registry.
 class MetricRegistry {
@@ -165,15 +154,6 @@ class MetricRegistry {
   /// Point-in-time snapshot of every counter's value, keyed by name. Used
   /// by the bench harness to compute per-case metric deltas.
   [[nodiscard]] std::map<std::string, std::int64_t> counter_values() const;
-
-  /// Point-in-time snapshot of every gauge's value, keyed by name.
-  [[nodiscard]] std::map<std::string, double> gauge_values() const;
-
-  /// Count/sum/quantile summaries of every histogram (resp. timer), keyed
-  /// by name. Quantiles are the same estimates write_json() exports.
-  [[nodiscard]] std::map<std::string, DistSnapshot> histogram_snapshots()
-      const;
-  [[nodiscard]] std::map<std::string, DistSnapshot> timer_snapshots() const;
 
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...},
   /// "timers":{...}}. Names sorted; stable across runs.

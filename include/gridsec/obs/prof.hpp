@@ -23,12 +23,12 @@
 // sync_alloc_counters(). `count` and `bytes` track *requested* sizes and
 // are deterministic for a given binary; `live`/`peak` use
 // malloc_usable_size and depend on the allocator. Everything in this
-// header compiles to no-ops under GRIDSEC_NO_PROFILING (the parse/format
+// header compiles to no-ops under GRIDSEC_NO_OBS (the parse/format
 // helpers for gridsec.profile artifacts stay available so tools keep
 // working against profiles produced elsewhere).
 //
 // Cost model:
-//   * GRIDSEC_NO_PROFILING: zero — the operator new replacement is not
+//   * GRIDSEC_NO_OBS: zero — the operator new replacement is not
 //     even linked;
 //   * profiler disabled (default at runtime): one extra relaxed atomic
 //     load per TraceSpan, plus the allocation hooks (a handful of relaxed
@@ -116,7 +116,7 @@ struct ProfileRow {
 [[nodiscard]] std::int64_t profile_weight_value(const ProfileNode& node,
                                                 ProfileWeight weight);
 
-#ifndef GRIDSEC_NO_PROFILING
+#ifndef GRIDSEC_NO_OBS
 
 /// Global capture control. All static; the singleton state lives in
 /// prof.cpp and is intentionally leaked (worker threads may record frames
@@ -164,7 +164,7 @@ void frame_pop();
 void flush_thread_allocs() noexcept;
 }  // namespace prof_detail
 
-#else  // GRIDSEC_NO_PROFILING: capture machinery compiles away.
+#else  // GRIDSEC_NO_OBS: capture machinery compiles away.
 
 class Profiler {
  public:
@@ -184,6 +184,6 @@ inline void frame_pop() {}
 inline void flush_thread_allocs() noexcept {}
 }  // namespace prof_detail
 
-#endif  // GRIDSEC_NO_PROFILING
+#endif  // GRIDSEC_NO_OBS
 
 }  // namespace gridsec::obs

@@ -5,7 +5,7 @@
 // Cost model:
 //   * tracing disabled (the default): a span construction is one relaxed
 //     atomic load and a branch — below the noise floor of any solve;
-//   * GRIDSEC_NO_TRACING defined: spans compile to nothing at all;
+//   * GRIDSEC_NO_OBS defined: spans compile to nothing at all;
 //   * tracing enabled: one steady_clock read at open, one read plus a
 //     push onto a thread-local vector (per-buffer mutex, uncontended —
 //     only the exporter ever takes it from another thread) at close.
@@ -26,7 +26,7 @@
 
 namespace gridsec::obs {
 
-#ifndef GRIDSEC_NO_TRACING
+#ifndef GRIDSEC_NO_OBS
 
 /// Global capture control + export. All static; the singleton state lives
 /// in trace.cpp and is intentionally leaked.
@@ -52,8 +52,9 @@ class Tracer {
 ///
 /// Spans are also the profiler's phase markers: when obs::Profiler is
 /// enabled (see obs/prof.hpp), every span open/close additionally pushes/
-/// pops a frame on the profiler's per-thread call stack. The two captures
-/// are independent — either can be on without the other.
+/// pops a frame on the profiler's per-thread call stack. At runtime the two
+/// captures are independent — either can be on without the other; at
+/// compile time GRIDSEC_NO_OBS removes both together.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name);
@@ -73,7 +74,7 @@ class TraceSpan {
   ::gridsec::obs::TraceSpan GRIDSEC_OBS_CONCAT(gridsec_trace_span_, \
                                                __LINE__)(name)
 
-#else  // GRIDSEC_NO_TRACING: everything compiles away.
+#else  // GRIDSEC_NO_OBS: everything compiles away.
 
 class Tracer {
  public:
@@ -94,6 +95,6 @@ class TraceSpan {
   do {                           \
   } while (false)
 
-#endif  // GRIDSEC_NO_TRACING
+#endif  // GRIDSEC_NO_OBS
 
 }  // namespace gridsec::obs

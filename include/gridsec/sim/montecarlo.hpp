@@ -15,7 +15,6 @@
 
 #include "gridsec/lp/basis.hpp"
 #include "gridsec/obs/metrics.hpp"
-#include "gridsec/obs/telemetry.hpp"
 #include "gridsec/obs/trace.hpp"
 #include "gridsec/util/error.hpp"
 #include "gridsec/util/rng.hpp"
@@ -35,15 +34,12 @@ std::vector<T> run_trials(ThreadPool* pool, std::size_t n,
   static obs::Counter& c_trials =
       obs::default_registry().counter("sim.montecarlo.trials");
   c_trials.add(static_cast<std::int64_t>(n));
-  obs::Progress progress("sim.montecarlo.trials",
-                         static_cast<std::int64_t>(n));
   std::vector<T> results(n);
   const Rng parent(seed);
   parallel_for(pool, n, [&](std::size_t i) {
     GRIDSEC_TRACE_SPAN("sim.trial");
     Rng rng = parent.derive_stream(i);
     results[i] = fn(i, rng);
-    progress.advance();
   });
   return results;
 }
@@ -153,16 +149,8 @@ RobustTrialResults<T> run_trials_robust(
   std::atomic<std::size_t> retries{0};
   const int max_attempts = options.max_attempts < 1 ? 1 : options.max_attempts;
   const Rng parent(seed);
-  obs::Progress progress("sim.montecarlo.trials",
-                         static_cast<std::int64_t>(n));
 
   parallel_for(pool, n, [&](std::size_t i) {
-    // Every exit path below — success, failure, skip — is one finished
-    // trial as far as progress/ETA accounting is concerned.
-    struct AdvanceOnExit {
-      obs::Progress& progress;
-      ~AdvanceOnExit() { progress.advance(); }
-    } advance_on_exit{progress};
     if (options.fail_fast && abort.load(std::memory_order_relaxed)) {
       skipped[i] = 1;
       return;

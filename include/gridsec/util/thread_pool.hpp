@@ -121,13 +121,6 @@ class ThreadPool {
   /// counters (cumulative across every pool in the process).
   [[nodiscard]] std::vector<WorkerStats> worker_stats() const;
 
-  /// worker_stats() of every live pool in the process, one outer entry per
-  /// pool in construction order. Pools register themselves on construction
-  /// and deregister before joining their workers, so every snapshot row
-  /// refers to a pool that is fully alive. Feeds the telemetry sampler.
-  [[nodiscard]] static std::vector<std::vector<WorkerStats>>
-  stats_for_all_pools();
-
  private:
   /// One queue entry: either a raw function-pointer task (the allocation-
   /// free parallel_for path; must not throw) or a packaged_task from

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "gridsec/obs/telemetry.hpp"
-
 namespace gridsec::core {
 
 double RepeatedGameResult::total_adversary_gain() const {
@@ -53,9 +51,7 @@ StatusOr<RepeatedGameResult> play_repeated_game(
   std::vector<double> hits(static_cast<std::size_t>(truth.num_edges()), 0.0);
   StrategicAdversary sa(game.adversary);
 
-  obs::Progress progress("core.game.rounds", config.rounds);
   for (int round = 0; round < config.rounds; ++round) {
-    progress.advance();
     RoundOutcome ro;
     // Defender invests on current beliefs.
     ro.defense = game.collaborative

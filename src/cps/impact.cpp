@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "gridsec/obs/metrics.hpp"
-#include "gridsec/obs/telemetry.hpp"
 #include "gridsec/obs/trace.hpp"
 
 namespace gridsec::cps {
@@ -99,9 +98,7 @@ StatusOr<ImpactResult> compute_impact_matrix(const flow::Network& net,
   // target.
   flow::Network scratch = net;
   GRIDSEC_TRACE_SPAN("cps.impact.target_solves");
-  obs::Progress progress("cps.impact.targets", n_targets);
   for (int t = 0; t < n_targets; ++t) {
-    progress.advance();
     if (options.skip_unused_targets && capacity_attack &&
         base.flow[static_cast<std::size_t>(t)] <= 1e-12) {
       continue;  // zero column: capacity removal on an idle edge is inert

@@ -8,7 +8,6 @@
 #include "gridsec/lp/presolve.hpp"
 #include "gridsec/obs/log.hpp"
 #include "gridsec/obs/metrics.hpp"
-#include "gridsec/obs/telemetry.hpp"
 #include "gridsec/obs/trace.hpp"
 #include "gridsec/util/deadline.hpp"
 
@@ -280,9 +279,6 @@ Solution BranchAndBoundSolver::solve_search(const Problem& problem) const {
   std::priority_queue<Node, std::vector<Node>, std::greater<>> open;
   open.push({-kInfinity, {}, std::move(root_warm)});
 
-  // Indeterminate total: the open set grows as nodes branch, so only the
-  // explored count (and its rate) is meaningful for a live view.
-  obs::Progress progress("lp.bnb.nodes", 0);
   while (!open.empty()) {
     if (stats_.nodes_explored >= options_.max_nodes) {
       any_node_hit_limit = true;
@@ -302,7 +298,6 @@ Solution BranchAndBoundSolver::solve_search(const Problem& problem) const {
     }
     ++stats_.nodes_explored;
     c_nodes.add();
-    progress.advance();
     emit(obs::BnBNodeEvent::Kind::kNodeExplored, node.bound,
          static_cast<int>(node.changes.size()));
 

@@ -1242,13 +1242,10 @@ Solution solve_impl_inner(const Problem& problem,
   // refinement stalls instead of converging). Report the breakdown;
   // warm-started solves then retry cold and the recovery ladder handles
   // the rest. The threshold sits just under the certificate's default
-  // dual tolerance (1e-6), plus a rounding floor: computing c_j − yᵀA_j
-  // itself rounds at eps per term of the dot product, so on extreme-range
-  // columns (Σ|y_r·a_rj| ~ 1e11) even an exact y shows an O(1e-5)
-  // residual. A residual under that floor is backward-error-perfect and
-  // must not be mistaken for contamination.
+  // dual tolerance (1e-6), plus the rounding floor kDualRoundingFloor: a
+  // residual under it is backward-error-perfect and must not be mistaken
+  // for contamination.
   constexpr double kDualResidualTol = 5e-7;
-  constexpr double kAccumulationTol = 1e-13;  // ~450·eps: rounding floor
   double gap_err = 0.0;    // Σ |r_i|·(1+|x_i|): duality-gap contamination
   double gap_mag = 1.0;    // Σ |c_i·x_i| over the basis: gap check scale
   double gap_floor = 0.0;  // Σ rounding-floor_i·(1+|x_i|): unavoidable
@@ -1264,13 +1261,13 @@ Solution solve_impl_inner(const Problem& problem,
     }
     const double ri = t.cost[cs] - byi;
     if (std::fabs(ri) > kDualResidualTol * (1.0 + std::fabs(t.cost[cs])) +
-                            kAccumulationTol * acc) {
+                            kDualRoundingFloor * acc) {
       sol.status = SolveStatus::kNumericalError;
       return sol;
     }
     gap_err += std::fabs(ri) * (1.0 + std::fabs(t.x[cs]));
     gap_mag += std::fabs(t.cost[cs] * t.x[cs]);
-    gap_floor += kAccumulationTol * acc * (1.0 + std::fabs(t.x[cs]));
+    gap_floor += kDualRoundingFloor * acc * (1.0 + std::fabs(t.x[cs]));
   }
   // A per-entry-clean residual can still poison the duality gap: a basic
   // variable parked at (or near) a huge bound multiplies its residual

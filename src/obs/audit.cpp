@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 
+#include "gridsec/lp/simplex.hpp"
 #include "gridsec/obs/log.hpp"
 #include "gridsec/obs/metrics.hpp"
 #include "json.hpp"
@@ -294,11 +295,9 @@ void check_dual(const Problem& problem, const Solution& sol, Residuals& r) {
   }
 
   // Reduced costs, recomputed from scratch. `dmag` tracks each column's
-  // accumulation magnitude |c_j| + Σ|y_i·a_ij| alongside: the recompute
-  // itself rounds at eps per term, so on a column whose duals reach 1e11
-  // even exact duals leave an O(1e-5) remainder. Violations under that
-  // floor are this check's own arithmetic, not the solver's.
-  constexpr double kCertRoundTol = 1e-13;  // ~450·eps: rounding floor
+  // accumulation magnitude |c_j| + Σ|y_i·a_ij| alongside, and violations
+  // under lp::kDualRoundingFloor of it are this check's own arithmetic,
+  // not the solver's.
   std::vector<double> d(static_cast<std::size_t>(n));
   std::vector<double> dmag(static_cast<std::size_t>(n));
   for (int j = 0; j < n; ++j) {
@@ -321,7 +320,7 @@ void check_dual(const Problem& problem, const Solution& sol, Residuals& r) {
     const double dj = d[static_cast<std::size_t>(j)];
     const double cscale = 1.0 + std::fabs(v.objective);
     const double dj_floor =
-        kCertRoundTol * dmag[static_cast<std::size_t>(j)];
+        lp::kDualRoundingFloor * dmag[static_cast<std::size_t>(j)];
     const double at_tol = r.feasibility_tol * (1.0 + std::fabs(xj));
     const bool at_lower = xj - v.lower <= at_tol;
     const bool at_upper = std::isfinite(v.upper) && v.upper - xj <= at_tol;

@@ -1,6 +1,40 @@
 #include "gridsec/obs/log.hpp"
 
-#ifndef GRIDSEC_NO_LOGGING
+#include <string>
+
+namespace gridsec::obs {
+
+std::string_view to_string(LogLevel level) {
+  switch (level) {
+    case LogLevel::kTrace: return "trace";
+    case LogLevel::kDebug: return "debug";
+    case LogLevel::kInfo: return "info";
+    case LogLevel::kWarn: return "warn";
+    case LogLevel::kError: return "error";
+    case LogLevel::kOff: return "off";
+  }
+  return "unknown";
+}
+
+bool parse_log_level(std::string_view text, LogLevel* out) {
+  std::string lower(text);
+  for (char& c : lower) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+  for (const LogLevel level :
+       {LogLevel::kTrace, LogLevel::kDebug, LogLevel::kInfo, LogLevel::kWarn,
+        LogLevel::kError, LogLevel::kOff}) {
+    if (lower == to_string(level)) {
+      *out = level;
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace gridsec::obs
+
+#ifndef GRIDSEC_NO_OBS
 
 #include <atomic>
 #include <chrono>
@@ -74,34 +108,6 @@ LoggerState& state() {
 }
 
 }  // namespace
-
-std::string_view to_string(LogLevel level) {
-  switch (level) {
-    case LogLevel::kTrace: return "trace";
-    case LogLevel::kDebug: return "debug";
-    case LogLevel::kInfo: return "info";
-    case LogLevel::kWarn: return "warn";
-    case LogLevel::kError: return "error";
-    case LogLevel::kOff: return "off";
-  }
-  return "unknown";
-}
-
-bool parse_log_level(std::string_view text, LogLevel* out) {
-  std::string lower(text);
-  for (char& c : lower) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  for (const LogLevel level :
-       {LogLevel::kTrace, LogLevel::kDebug, LogLevel::kInfo, LogLevel::kWarn,
-        LogLevel::kError, LogLevel::kOff}) {
-    if (lower == to_string(level)) {
-      *out = level;
-      return true;
-    }
-  }
-  return false;
-}
 
 bool Logger::enabled(LogLevel level) {
   return static_cast<int>(level) >=
@@ -258,38 +264,4 @@ LogEvent& LogEvent::message(std::string_view msg) {
 
 }  // namespace gridsec::obs
 
-#else  // GRIDSEC_NO_LOGGING
-
-namespace gridsec::obs {
-
-std::string_view to_string(LogLevel level) {
-  switch (level) {
-    case LogLevel::kTrace: return "trace";
-    case LogLevel::kDebug: return "debug";
-    case LogLevel::kInfo: return "info";
-    case LogLevel::kWarn: return "warn";
-    case LogLevel::kError: return "error";
-    case LogLevel::kOff: return "off";
-  }
-  return "unknown";
-}
-
-bool parse_log_level(std::string_view text, LogLevel* out) {
-  std::string lower(text);
-  for (char& c : lower) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
-  for (const LogLevel level :
-       {LogLevel::kTrace, LogLevel::kDebug, LogLevel::kInfo, LogLevel::kWarn,
-        LogLevel::kError, LogLevel::kOff}) {
-    if (lower == to_string(level)) {
-      *out = level;
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace gridsec::obs
-
-#endif  // GRIDSEC_NO_LOGGING
+#endif  // GRIDSEC_NO_OBS

@@ -155,36 +155,6 @@ std::map<std::string, std::int64_t> MetricRegistry::counter_values() const {
   return out;
 }
 
-std::map<std::string, double> MetricRegistry::gauge_values() const {
-  std::lock_guard lock(mutex_);
-  std::map<std::string, double> out;
-  for (const auto& [name, g] : gauges_) out[name] = g->value();
-  return out;
-}
-
-std::map<std::string, DistSnapshot> MetricRegistry::histogram_snapshots()
-    const {
-  std::lock_guard lock(mutex_);
-  std::map<std::string, DistSnapshot> out;
-  for (const auto& [name, h] : histograms_) {
-    out[name] = DistSnapshot{h->count(), h->sum(), h->quantile(0.5),
-                             h->quantile(0.9), h->quantile(0.99)};
-  }
-  return out;
-}
-
-std::map<std::string, DistSnapshot> MetricRegistry::timer_snapshots() const {
-  std::lock_guard lock(mutex_);
-  std::map<std::string, DistSnapshot> out;
-  for (const auto& [name, t] : timers_) {
-    const RunningStats s = t->snapshot();
-    out[name] = DistSnapshot{static_cast<std::int64_t>(s.count()), s.sum(),
-                             t->quantile(0.5), t->quantile(0.9),
-                             t->quantile(0.99)};
-  }
-  return out;
-}
-
 void MetricRegistry::reset() {
   std::lock_guard lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();

@@ -15,7 +15,7 @@
 #include "gridsec/obs/metrics.hpp"
 #include "json.hpp"
 
-#ifndef GRIDSEC_NO_PROFILING
+#ifndef GRIDSEC_NO_OBS
 #include <malloc.h>  // malloc_usable_size (glibc)
 #include <time.h>    // clock_gettime(CLOCK_THREAD_CPUTIME_ID)
 #endif
@@ -24,7 +24,7 @@ namespace gridsec::obs {
 
 // ---------------------------------------------------------------------------
 // Artifact formatting/parsing — always compiled, so tools render profiles
-// even in GRIDSEC_NO_PROFILING builds.
+// even in GRIDSEC_NO_OBS builds.
 // ---------------------------------------------------------------------------
 
 const ProfileNode* ProfileNode::find(const std::string& child) const {
@@ -191,7 +191,7 @@ StatusOr<Profile> parse_profile(const std::string& json_text) {
   return p;
 }
 
-#ifndef GRIDSEC_NO_PROFILING
+#ifndef GRIDSEC_NO_OBS
 
 // ---------------------------------------------------------------------------
 // Allocation accounting.
@@ -536,11 +536,11 @@ void sync_alloc_counters() {
   g_live.set(static_cast<double>(t.live_bytes));
 }
 
-#endif  // GRIDSEC_NO_PROFILING
+#endif  // GRIDSEC_NO_OBS
 
 }  // namespace gridsec::obs
 
-#ifndef GRIDSEC_NO_PROFILING
+#ifndef GRIDSEC_NO_OBS
 
 // ---------------------------------------------------------------------------
 // Global operator new/delete replacement. Linked into every binary that
@@ -576,4 +576,4 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
   gridsec::obs::free_tracked(p);
 }
 
-#endif  // GRIDSEC_NO_PROFILING
+#endif  // GRIDSEC_NO_OBS

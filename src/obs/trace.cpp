@@ -11,7 +11,7 @@
 
 namespace gridsec::obs {
 
-#ifndef GRIDSEC_NO_TRACING
+#ifndef GRIDSEC_NO_OBS
 
 namespace {
 
@@ -134,10 +134,10 @@ TraceSpan::~TraceSpan() {
   buffer.events.push_back({name_, open_ns_, close_ns});
 }
 
-#else  // GRIDSEC_NO_TRACING
+#else  // GRIDSEC_NO_OBS
 
 void Tracer::write_chrome_json(std::ostream& os) { os << "[]\n"; }
 
-#endif  // GRIDSEC_NO_TRACING
+#endif  // GRIDSEC_NO_OBS
 
 }  // namespace gridsec::obs

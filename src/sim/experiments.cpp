@@ -21,8 +21,6 @@ std::vector<GainLossPoint> experiment_gain_loss(
     const flow::Network& net, const std::vector<int>& actor_counts,
     const ExperimentOptions& options) {
   std::vector<GainLossPoint> out;
-  obs::Progress progress("sim.experiments.gain_loss.points",
-                         static_cast<std::int64_t>(actor_counts.size()));
   for (std::size_t pi = 0; pi < actor_counts.size(); ++pi) {
     const int n_actors = actor_counts[pi];
     struct Trial {
@@ -56,7 +54,6 @@ std::vector<GainLossPoint> experiment_gain_loss(
     out.push_back({n_actors, gain.mean(), loss.mean(), netv.mean(),
                    gain.std_error(), loss.std_error(),
                    static_cast<int>(trials.failed + trials.skipped)});
-    progress.advance();
   }
   return out;
 }
@@ -69,8 +66,6 @@ std::vector<AdversaryNoisePoint> experiment_adversary_noise(
   sa_cfg.max_targets = config.max_targets;
   const core::StrategicAdversary sa(sa_cfg);
 
-  obs::Progress progress("sim.experiments.adversary_noise.points",
-                         static_cast<std::int64_t>(config.actor_counts.size()));
   for (std::size_t ai = 0; ai < config.actor_counts.size(); ++ai) {
     const int n_actors = config.actor_counts[ai];
     // One trial = one ownership draw; the ground-truth impact matrix is
@@ -126,7 +121,6 @@ std::vector<AdversaryNoisePoint> experiment_adversary_noise(
                      ant.std_error(), obs.std_error(),
                      static_cast<int>(trials.failed + trials.skipped)});
     }
-    progress.advance();
   }
   return out;
 }
@@ -135,10 +129,6 @@ std::vector<DefensePoint> experiment_defense(
     const flow::Network& net, const DefenseExperimentConfig& config,
     const ExperimentOptions& options) {
   std::vector<DefensePoint> out;
-  obs::Progress progress(
-      "sim.experiments.defense.points",
-      static_cast<std::int64_t>(config.actor_counts.size() *
-                                config.defender_sigmas.size()));
   for (std::size_t ai = 0; ai < config.actor_counts.size(); ++ai) {
     const int n_actors = config.actor_counts[ai];
     for (std::size_t si = 0; si < config.defender_sigmas.size(); ++si) {
@@ -193,7 +183,6 @@ std::vector<DefensePoint> experiment_defense(
                      eff.std_error(), gain.mean(), rel.mean(),
                      rel.std_error(),
                      static_cast<int>(trials.failed + trials.skipped)});
-      progress.advance();
     }
   }
   return out;

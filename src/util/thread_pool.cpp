@@ -51,21 +51,6 @@ std::uint64_t mono_ns() {
           .count());
 }
 
-/// Live-pool registry behind stats_for_all_pools(). A pool registers after
-/// its members are initialized (before workers run any task) and
-/// deregisters first thing in its destructor, so a registered pointer is
-/// always safe to call worker_stats() on. Leaked like the metric registry:
-/// pools owned by statics may destruct after ordinary globals.
-struct PoolRegistry {
-  std::mutex mutex;
-  std::vector<const ThreadPool*> pools;
-};
-
-PoolRegistry& pool_registry() {
-  static PoolRegistry* r = new PoolRegistry();
-  return *r;
-}
-
 thread_local WorkerScratch* t_worker_scratch = nullptr;
 
 }  // namespace
@@ -82,38 +67,15 @@ ThreadPool::ThreadPool(std::size_t threads) {
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
-  {
-    auto& reg = pool_registry();
-    std::lock_guard lock(reg.mutex);
-    reg.pools.push_back(this);
-  }
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    auto& reg = pool_registry();
-    std::lock_guard lock(reg.mutex);
-    std::erase(reg.pools, this);
-  }
   {
     std::lock_guard lock(mutex_);
     stop_ = true;
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
-}
-
-std::vector<std::vector<ThreadPool::WorkerStats>>
-ThreadPool::stats_for_all_pools() {
-  auto& reg = pool_registry();
-  std::lock_guard lock(reg.mutex);
-  std::vector<std::vector<WorkerStats>> out;
-  out.reserve(reg.pools.size());
-  // worker_stats() takes the pool's own mutex while we hold the registry
-  // mutex; the reverse order never occurs (pool code does not touch the
-  // registry while holding its mutex), so the ordering cannot deadlock.
-  for (const ThreadPool* pool : reg.pools) out.push_back(pool->worker_stats());
-  return out;
 }
 
 std::future<void> ThreadPool::submit(std::function<void()> task) {

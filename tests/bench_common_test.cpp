@@ -3,6 +3,7 @@
 // parse_args() terminates the process on malformed input (it is a CLI
 // front door), so the rejection paths are exercised as gtest death tests.
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -40,8 +41,7 @@ TEST(BenchArgs, Defaults) {
 TEST(BenchArgs, ParsesEveryFlag) {
   const BenchArgs args =
       parse({"--trials=7", "--seed=42", "--threads=3", "--reps=5",
-             "--warmup=2", "--csv", "--json=out.json", "--metrics-port=0",
-             "--timeseries=ts.json", "--progress"});
+             "--warmup=2", "--csv", "--json=out.json"});
   EXPECT_EQ(args.trials, 7);
   EXPECT_EQ(args.seed, 42u);
   EXPECT_EQ(args.threads, 3u);
@@ -49,16 +49,6 @@ TEST(BenchArgs, ParsesEveryFlag) {
   EXPECT_EQ(args.warmup, 2);
   EXPECT_TRUE(args.csv_only);
   EXPECT_EQ(args.json_file, "out.json");
-  EXPECT_EQ(args.metrics_port, 0);
-  EXPECT_EQ(args.timeseries_file, "ts.json");
-  EXPECT_TRUE(args.progress);
-}
-
-TEST(BenchArgs, TelemetryDefaultsOff) {
-  const BenchArgs args = parse({});
-  EXPECT_EQ(args.metrics_port, -1);
-  EXPECT_TRUE(args.timeseries_file.empty());
-  EXPECT_FALSE(args.progress);
 }
 
 TEST(BenchArgs, BareJsonDerivesFilenameFromProgram) {
@@ -95,17 +85,6 @@ TEST(BenchArgsDeathTest, RejectsNegativeSeedInsteadOfWrapping) {
   EXPECT_EXIT(parse({"--seed=abc"}), testing::ExitedWithCode(2),
               "malformed value");
   EXPECT_EXIT(parse({"--seed="}), testing::ExitedWithCode(2),
-              "malformed value");
-}
-
-TEST(BenchArgsDeathTest, RejectsMalformedTelemetryFlags) {
-  EXPECT_EXIT(parse({"--metrics-port=70000"}), testing::ExitedWithCode(2),
-              "malformed value");
-  EXPECT_EXIT(parse({"--metrics-port=-1"}), testing::ExitedWithCode(2),
-              "malformed value");
-  EXPECT_EXIT(parse({"--metrics-port=abc"}), testing::ExitedWithCode(2),
-              "malformed value");
-  EXPECT_EXIT(parse({"--timeseries="}), testing::ExitedWithCode(2),
               "malformed value");
 }
 
@@ -162,6 +141,39 @@ TEST(Harness, VoidCasesAndManifestPropagation) {
   EXPECT_EQ(harness.report().manifest.trials, 4);
   EXPECT_EQ(harness.report().manifest.threads, 2u);
   EXPECT_EQ(harness.report().manifest.tool, "bench_common_test");
+}
+
+/// Runs one empty case and emits the report and profile the args ask for.
+void emit_with(const BenchArgs& args) {
+  char prog[] = "bench_common_test";
+  char* argv[] = {prog};
+  Harness harness("bench_common_test", args, 1, argv);
+  harness.run_case("noop", [] {});
+  harness.emit_report();
+}
+
+using HarnessDeathTest = ::testing::Test;
+
+TEST(HarnessDeathTest, UnwritableArtifactsExitOne) {
+  BenchArgs report;
+  report.json_file = "/nonexistent-dir/x/BENCH_x.json";
+  EXPECT_EXIT(emit_with(report), testing::ExitedWithCode(1),
+              "cannot write report");
+
+  BenchArgs profile;
+  profile.profile_file = "/nonexistent-dir/x/PROF_x.json";
+  EXPECT_EXIT(emit_with(profile), testing::ExitedWithCode(1),
+              "cannot write profile");
+
+  // The profile itself opens, but a directory squats on its .folded name.
+  BenchArgs folded;
+  folded.profile_file = ::testing::TempDir() + "bench_common_test_prof.json";
+  const std::string squatter = folded.profile_file + ".folded";
+  std::filesystem::create_directories(squatter);
+  EXPECT_EXIT(emit_with(folded), testing::ExitedWithCode(1),
+              "cannot write folded stacks");
+  std::filesystem::remove(squatter);
+  std::filesystem::remove(folded.profile_file);
 }
 
 }  // namespace

@@ -38,13 +38,6 @@ class LogTest : public ::testing::Test {
   obs::LogLevel saved_level_ = obs::LogLevel::kInfo;
 };
 
-obs::json::JsonValue parse_record(const std::string& line) {
-  obs::json::JsonParser parser(line);
-  auto parsed = parser.parse();
-  EXPECT_TRUE(parsed.is_ok()) << parsed.status().message() << "\n" << line;
-  return parsed.is_ok() ? parsed.value() : obs::json::JsonValue{};
-}
-
 TEST(LogLevel, ToStringParseRoundTrip) {
   const obs::LogLevel levels[] = {
       obs::LogLevel::kTrace, obs::LogLevel::kDebug, obs::LogLevel::kInfo,
@@ -68,6 +61,34 @@ TEST(LogLevel, ParseIsCaseInsensitiveAndRejectsUnknown) {
   EXPECT_FALSE(obs::parse_log_level("", &lvl));
 }
 
+TEST_F(LogTest, OffSilencesEverything) {
+  obs::Logger::set_level(obs::LogLevel::kOff);
+  const std::uint64_t before = obs::Logger::records_emitted();
+  GRIDSEC_LOG(kError, "test").message("still silent");
+  EXPECT_EQ(obs::Logger::records_emitted(), before);
+}
+
+#ifdef GRIDSEC_NO_OBS
+
+// With logging compiled out, no threshold lets a record through: the ring
+// stays empty and nothing is ever counted as emitted.
+TEST_F(LogTest, CompiledOutIsAlwaysEmpty) {
+  obs::Logger::set_level(obs::LogLevel::kTrace);
+  EXPECT_FALSE(obs::Logger::enabled(obs::LogLevel::kError));
+  GRIDSEC_LOG(kError, "unit.test").field("i", 1).message("dropped");
+  EXPECT_TRUE(obs::Logger::tail().empty());
+  EXPECT_EQ(obs::Logger::records_emitted(), 0u);
+}
+
+#else  // record-dependent tests below need real logging compiled in
+
+obs::json::JsonValue parse_record(const std::string& line) {
+  obs::json::JsonParser parser(line);
+  auto parsed = parser.parse();
+  EXPECT_TRUE(parsed.is_ok()) << parsed.status().message() << "\n" << line;
+  return parsed.is_ok() ? parsed.value() : obs::json::JsonValue{};
+}
+
 TEST_F(LogTest, ThresholdGatesEmission) {
   obs::Logger::set_level(obs::LogLevel::kWarn);
   EXPECT_FALSE(obs::Logger::enabled(obs::LogLevel::kDebug));
@@ -80,13 +101,6 @@ TEST_F(LogTest, ThresholdGatesEmission) {
   EXPECT_EQ(obs::Logger::records_emitted(), before);
   GRIDSEC_LOG(kWarn, "test").message("passes");
   EXPECT_EQ(obs::Logger::records_emitted(), before + 1);
-}
-
-TEST_F(LogTest, OffSilencesEverything) {
-  obs::Logger::set_level(obs::LogLevel::kOff);
-  const std::uint64_t before = obs::Logger::records_emitted();
-  GRIDSEC_LOG(kError, "test").message("still silent");
-  EXPECT_EQ(obs::Logger::records_emitted(), before);
 }
 
 TEST_F(LogTest, RecordIsOneParseableJsonObject) {
@@ -182,5 +196,7 @@ TEST_F(LogTest, FileSinkWritesJsonl) {
 TEST_F(LogTest, OpenFileSinkFailsOnBadPath) {
   EXPECT_FALSE(obs::Logger::open_file_sink("/nonexistent-dir/x/y.jsonl"));
 }
+
+#endif  // GRIDSEC_NO_OBS
 
 }  // namespace

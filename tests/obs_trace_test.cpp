@@ -22,7 +22,7 @@ namespace {
 // Minimal extraction of one numeric/string field per event object. The
 // exported JSON is machine-written with a fixed key order, so scanning for
 // `"key":` inside each line-delimited object is reliable.
-#ifndef GRIDSEC_NO_TRACING
+#ifndef GRIDSEC_NO_OBS
 struct ParsedEvent {
   std::string name;
   long ts = 0;
@@ -50,7 +50,7 @@ std::vector<ParsedEvent> parse_events(const std::string& json) {
   }
   return out;
 }
-#endif  // GRIDSEC_NO_TRACING
+#endif  // GRIDSEC_NO_OBS
 
 std::string export_json() {
   std::ostringstream os;
@@ -68,7 +68,7 @@ TEST(Tracer, DisabledByDefaultRecordsNothing) {
   EXPECT_EQ(export_json(), "[]\n");
 }
 
-#ifdef GRIDSEC_NO_TRACING
+#ifdef GRIDSEC_NO_OBS
 
 // With tracing compiled out, start() must stay inert and the export empty.
 TEST(Tracer, CompiledOutIsAlwaysEmpty) {
@@ -182,7 +182,7 @@ TEST(Tracer, ResetDiscardsEventsButKeepsCaptureState) {
   EXPECT_EQ(evs[0].name, "t.post");
 }
 
-#endif  // GRIDSEC_NO_TRACING
+#endif  // GRIDSEC_NO_OBS
 
 }  // namespace
 }  // namespace gridsec::obs

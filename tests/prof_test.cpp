@@ -19,7 +19,7 @@
 namespace gridsec::obs {
 namespace {
 
-#ifndef GRIDSEC_NO_PROFILING
+#ifndef GRIDSEC_NO_OBS
 
 /// Allocates exactly one heap block of `bytes` requested bytes and keeps
 /// it alive until the returned pointer dies.
@@ -284,7 +284,7 @@ TEST(Profiler, ConcurrentSpansAndAllocsAreTSanClean) {
   Profiler::reset();
 }
 
-#endif  // GRIDSEC_NO_PROFILING
+#endif  // GRIDSEC_NO_OBS
 
 // Parsing guards are available in every build flavor.
 TEST(ParseProfile, RejectsWrongSchemaAndGarbage) {

@@ -1,23 +1,13 @@
-// gridsec-inspect — render and validate gridsec.audit_bundle artifacts,
-// gridsec.profile self-profiles, and gridsec.timeseries telemetry.
+// gridsec-inspect — render and validate gridsec.audit_bundle artifacts and
+// gridsec.profile self-profiles.
 //
 //   gridsec-inspect [options] BUNDLE.json       human-readable solve narrative
 //   gridsec-inspect --validate BUNDLE.json      recompute the certificate
 //   gridsec-inspect profile [options] PROF.json rank phases by exclusive cost
-//   gridsec-inspect top TIMESERIES.json         render a recorded timeseries
-//   gridsec-inspect top --port=P                live view: poll /metrics
 //
 // Profile mode options:
 //   --top=N             rows to show (default 10)
 //   --weight=W          ranking weight: wall (default), cpu, allocs, bytes
-//
-// Top mode options (live view polls http://127.0.0.1:P/metrics, the
-// embedded endpoint from --metrics-port):
-//   --refresh-ms=N      poll cadence (default 1000)
-//   --iterations=N      stop after N polls (default: until interrupted)
-//   --once              single poll, no screen clearing (= --iterations=1)
-//   --plain             never emit ANSI clear sequences (default when
-//                       stdout is not a TTY)
 //
 // Rendering explains a solve after the fact: what was solved, what the
 // solver answered, which constraints were binding (and their shadow
@@ -36,26 +26,18 @@
 // Exit codes mirror gridsec-benchdiff: 0 = bundle is valid (and, under
 // --validate, the recomputed certificate passes), 1 = bundle parses but
 // the certificate fails, 2 = usage or parse error.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gridsec/obs/audit.hpp"
 #include "gridsec/obs/prof.hpp"
-#include "gridsec/obs/telemetry.hpp"
 #include "gridsec/util/table.hpp"
 
 namespace {
@@ -68,10 +50,7 @@ int usage() {
       "usage: gridsec-inspect [--tail=N] [--quiet] BUNDLE.json\n"
       "       gridsec-inspect --validate BUNDLE.json\n"
       "       gridsec-inspect profile [--top=N] "
-      "[--weight=wall|cpu|allocs|bytes] PROF.json\n"
-      "       gridsec-inspect top [--plain] TIMESERIES.json\n"
-      "       gridsec-inspect top --port=P [--refresh-ms=N] "
-      "[--iterations=N] [--once] [--plain]\n");
+      "[--weight=wall|cpu|allocs|bytes] PROF.json\n");
   return 2;
 }
 
@@ -278,292 +257,11 @@ int cmd_profile(int argc, char** argv) {
   return 0;
 }
 
-// ---------------------------------------------------------------------------
-// `top` mode: render a gridsec.timeseries artifact, or poll a live
-// /metrics endpoint, as a refreshing terminal table.
-
-/// Blocking one-shot HTTP GET against 127.0.0.1:port. Returns the response
-/// body (headers stripped) or an error Status. Lives here — not in the
-/// library — so gridsec-inspect can poll an endpoint even in builds where
-/// the server side is compiled out (GRIDSEC_NO_SERVE).
-StatusOr<std::string> http_get_local(int port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::internal("socket() failed");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return Status::not_found("cannot connect to 127.0.0.1:" +
-                             std::to_string(port));
-  }
-  const std::string request = "GET " + path +
-                              " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
-                              "Connection: close\r\n\r\n";
-  std::size_t sent = 0;
-  while (sent < request.size()) {
-    // MSG_NOSIGNAL: a server that closes early must yield EPIPE, not kill
-    // the process with SIGPIPE.
-    const ssize_t n = ::send(fd, request.data() + sent,
-                             request.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      ::close(fd);
-      return Status::internal("send() failed");
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  std::string response;
-  char buf[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n < 0) {
-      ::close(fd);
-      return Status::internal("recv() failed");
-    }
-    if (n == 0) break;
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  const std::size_t header_end = response.find("\r\n\r\n");
-  if (header_end == std::string::npos) {
-    return Status::invalid_argument("malformed HTTP response");
-  }
-  return response.substr(header_end + 4);
-}
-
-/// Parses OpenMetrics sample lines into {metric-with-labels -> value},
-/// ignoring comment lines and the EOF marker.
-std::map<std::string, double> parse_openmetrics_values(
-    const std::string& text) {
-  std::map<std::string, double> out;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const std::size_t space = line.find_last_of(' ');
-    if (space == std::string::npos || space == 0) continue;
-    char* end = nullptr;
-    const double v = std::strtod(line.c_str() + space + 1, &end);
-    if (end == line.c_str() + space + 1) continue;
-    out.emplace(line.substr(0, space), v);
-  }
-  return out;
-}
-
-std::string format_rate(double per_second) {
-  return format_double(per_second, 1) + "/s";
-}
-
-std::string format_eta(double eta_seconds) {
-  if (eta_seconds < 0.0) return "?";
-  return format_double(eta_seconds, 1) + "s";
-}
-
-void print_progress_rows(const std::vector<obs::ProgressSnapshot>& rows) {
-  if (rows.empty()) return;
-  std::printf("\nprogress:\n");
-  Table t({"scope", "done", "total", "rate", "eta", ""});
-  for (const obs::ProgressSnapshot& p : rows) {
-    t.add_row({p.name, std::to_string(p.done),
-               p.total > 0 ? std::to_string(p.total) : "?",
-               format_rate(p.rate_per_second), format_eta(p.eta_seconds),
-               p.stalled ? "STALLED" : ""});
-  }
-  t.print(std::cout);
-}
-
-/// Renders one recorded timeseries: header, counter rates over the final
-/// inter-sample window, gauges, worker utilization, and progress scopes.
-int top_file(const std::string& file) {
-  std::ifstream in(file);
-  if (!in) {
-    std::fprintf(stderr, "gridsec-inspect: cannot open '%s'\n", file.c_str());
-    return 2;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const StatusOr<obs::Timeseries> loaded = obs::parse_timeseries(buf.str());
-  if (!loaded.is_ok()) {
-    std::fprintf(stderr, "gridsec-inspect: %s: %s\n", file.c_str(),
-                 loaded.status().to_string().c_str());
-    return 2;
-  }
-  const obs::Timeseries& ts = loaded.value();
-  std::printf(
-      "gridsec.timeseries v%d — started %s, cadence %s ms, %zu samples "
-      "(%llu dropped)\n",
-      ts.schema_version, ts.start_time_utc.c_str(),
-      format_double(ts.cadence_ms, 1).c_str(), ts.samples.size(),
-      static_cast<unsigned long long>(ts.dropped));
-  std::printf("build: %s %s %s\n", ts.build.git_sha.c_str(),
-              ts.build.build_type.c_str(), ts.build.compiler.c_str());
-  if (ts.samples.empty()) return 0;
-
-  const obs::TelemetrySample& last = ts.samples.back();
-  const obs::TelemetrySample* prev =
-      ts.samples.size() >= 2 ? &ts.samples[ts.samples.size() - 2] : nullptr;
-  const double dt = prev != nullptr ? last.t_seconds - prev->t_seconds : 0.0;
-  std::printf("window: t=%s s%s\n", format_double(last.t_seconds, 3).c_str(),
-              prev != nullptr
-                  ? (" (rates over the last " + format_double(dt, 3) + " s)")
-                        .c_str()
-                  : "");
-
-  std::printf("\ncounters:\n");
-  Table counters({"counter", "value", "rate"});
-  for (const auto& [name, value] : last.counters) {
-    double rate = 0.0;
-    if (prev != nullptr && dt > 0.0) {
-      const auto it = prev->counters.find(name);
-      const std::int64_t before = it != prev->counters.end() ? it->second : 0;
-      rate = static_cast<double>(value - before) / dt;
-    }
-    counters.add_row({name, std::to_string(value), format_rate(rate)});
-  }
-  counters.print(std::cout);
-
-  if (!last.gauges.empty()) {
-    std::printf("\ngauges:\n");
-    Table gauges({"gauge", "value"});
-    for (const auto& [name, value] : last.gauges) {
-      gauges.add_row({name, format_double(value, 6)});
-    }
-    gauges.print(std::cout);
-  }
-
-  if (!last.workers.empty()) {
-    std::printf("\nworkers:\n");
-    Table workers({"pool", "worker", "busy (ms)", "util", "tasks"});
-    for (const obs::WorkerSample& w : last.workers) {
-      const double busy_ms = static_cast<double>(w.busy_ns) / 1e6;
-      const double total_ns = static_cast<double>(w.busy_ns + w.idle_ns);
-      const double util =
-          total_ns > 0.0 ? 100.0 * static_cast<double>(w.busy_ns) / total_ns
-                         : 0.0;
-      workers.add_row({std::to_string(w.pool), std::to_string(w.worker),
-                       format_double(busy_ms, 1),
-                       format_double(util, 1) + "%",
-                       std::to_string(w.tasks)});
-    }
-    workers.print(std::cout);
-  }
-
-  print_progress_rows(last.progress);
-  return 0;
-}
-
-/// Polls GET /metrics and renders values + rates computed against the
-/// previous poll. Clears the screen between refreshes on a TTY.
-int top_live(int port, double refresh_ms, std::size_t iterations,
-             bool plain) {
-  const bool clear_screen = !plain && ::isatty(STDOUT_FILENO) != 0;
-  std::map<std::string, double> prev;
-  auto prev_time = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; iterations == 0 || i < iterations; ++i) {
-    if (i > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          refresh_ms));
-    }
-    const StatusOr<std::string> body = http_get_local(port, "/metrics");
-    if (!body.is_ok()) {
-      std::fprintf(stderr, "gridsec-inspect: %s\n",
-                   body.status().to_string().c_str());
-      return 2;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    const double dt = std::chrono::duration<double>(now - prev_time).count();
-    const std::map<std::string, double> values =
-        parse_openmetrics_values(body.value());
-    if (clear_screen) std::printf("\x1b[2J\x1b[H");
-    std::printf("gridsec-top — 127.0.0.1:%d/metrics, poll %zu, %zu series\n",
-                port, i + 1, values.size());
-    Table t({"metric", "value", "rate"});
-    constexpr std::size_t kMaxRows = 40;
-    std::size_t shown = 0;
-    for (const auto& [name, value] : values) {
-      if (shown == kMaxRows) break;
-      std::string rate = "";
-      const auto it = prev.find(name);
-      // Rates only make sense for cumulative series; OpenMetrics counters
-      // all carry the _total suffix (possibly before a label set).
-      if (it != prev.end() && dt > 0.0 &&
-          (name.find("_total{") != std::string::npos ||
-           (name.size() >= 6 &&
-            name.compare(name.size() - 6, 6, "_total") == 0))) {
-        rate = format_rate((value - it->second) / dt);
-      }
-      t.add_row({name, format_double(value, 6), rate});
-      ++shown;
-    }
-    t.print(std::cout);
-    if (values.size() > kMaxRows) {
-      std::printf("  ... %zu more series elided\n", values.size() - kMaxRows);
-    }
-    std::fflush(stdout);
-    prev = values;
-    prev_time = now;
-  }
-  return 0;
-}
-
-int cmd_top(int argc, char** argv) {
-  double refresh_ms = 1000.0;
-  std::size_t iterations = 0;
-  bool plain = false;
-  int port = -1;
-  std::vector<std::string> files;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.compare(0, 7, "--port=") == 0) {
-      char* end = nullptr;
-      const long v = std::strtol(a.c_str() + 7, &end, 10);
-      if (end == a.c_str() + 7 || *end != '\0' || v < 0 || v > 65535) {
-        return usage();
-      }
-      port = static_cast<int>(v);
-    } else if (a.compare(0, 13, "--refresh-ms=") == 0) {
-      char* end = nullptr;
-      refresh_ms = std::strtod(a.c_str() + 13, &end);
-      if (end == a.c_str() + 13 || *end != '\0' || refresh_ms <= 0.0) {
-        return usage();
-      }
-    } else if (a.compare(0, 13, "--iterations=") == 0) {
-      if (!parse_size_flag(a.c_str() + 13, &iterations) || iterations == 0) {
-        return usage();
-      }
-    } else if (a == "--once") {
-      iterations = 1;
-    } else if (a == "--plain") {
-      plain = true;
-    } else if (a == "--help" || a == "-h") {
-      usage();
-      return 0;
-    } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "gridsec-inspect: unknown option '%s'\n",
-                   a.c_str());
-      return usage();
-    } else {
-      files.push_back(a);
-    }
-  }
-  if (port >= 0) {
-    if (!files.empty()) return usage();
-    return top_live(port, refresh_ms, iterations, plain);
-  }
-  if (files.size() != 1) return usage();
-  return top_file(files[0]);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "profile") == 0) {
     return cmd_profile(argc, argv);
-  }
-  if (argc >= 2 && std::strcmp(argv[1], "top") == 0) {
-    return cmd_top(argc, argv);
   }
   bool validate_only = false;
   bool quiet = false;
