@@ -82,6 +82,7 @@ struct CliArgs {
   bool metrics = false;
   double time_limit_ms = 0.0;  // 0 = unlimited
   bool fail_fast = false;
+  bool recovery = true;  // --recovery=off leaves the ladder uninstalled
 };
 
 /// Impact options with the CLI's wall-clock budget threaded down to every
@@ -433,7 +434,7 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--recovery=")) {
       const std::string mode = v;
       ok = mode == "ladder" || mode == "off";
-      if (ok) gridsec::robust::set_recovery_enabled(mode == "ladder");
+      args.recovery = mode == "ladder";
     } else if (a == "--collab") {
       args.collab = true;
     } else if (a == "--fail-fast") {
@@ -454,7 +455,7 @@ int main(int argc, char** argv) {
   // Every LP solve below runs under the numerical-recovery ladder:
   // a solve that hits kNumericalError escalates rung by rung instead of
   // failing the command (--recovery=off reverts to plain failures).
-  gridsec::robust::install_recovery();
+  if (args.recovery) gridsec::robust::install_recovery();
 
   auto parsed = gridsec::flow::read_network_file(args.file);
   if (!parsed.is_ok()) {

@@ -183,16 +183,15 @@ struct BranchAndBoundStats {
   long incumbent_updates = 0;
 };
 
-/// One rung attempt from the numerical-recovery ladder
+/// One attempt recorded by the numerical-recovery ladder
 /// (robust::recovery). Carried as a plain string + status so the lp layer
-/// stays ignorant of the robust layer's rung enum; audit bundles persist
-/// the trail verbatim.
+/// stays ignorant of the robust layer; audit bundles persist the trail
+/// verbatim.
 struct RecoveryStepInfo {
-  std::string rung;  // "warm", "repaired_basis", "cold", "bland", ...
+  std::string rung;  // "warm", "cold", "bland" or "equilibrated"
   SolveStatus status = SolveStatus::kNumericalError;
   // True on the (at most one) entry whose answer the ladder adopted: it
-  // passed independent certification (robust::recovery prefers the strict
-  // 1e-9 tier, falling back to default tolerances when no rung clears it).
+  // passed the ladder's scale-invariant certificate at 1e-9 tolerances.
   bool certified = false;
 };
 

@@ -104,10 +104,10 @@ class FaultInjector {
 };
 
 /// Multiplicative jitter on every objective coefficient (or edge cost):
-/// c <- c * (1 + rel_scale * u), u ~ U(-1, 1). The retry policy in
-/// run_trials_robust uses this to break degenerate ties / conditioning
-/// issues on a numerically failed trial without changing the economics
-/// beyond O(rel_scale).
+/// c <- c * (1 + rel_scale * u), u ~ U(-1, 1): moves the optimum's
+/// economics by at most O(rel_scale). The differential fuzz's warm-start
+/// leg builds its jittered sibling with it (rel_scale 1e-4): a re-solve
+/// from the original's now-stale basis that must agree with a cold solve.
 void jitter_costs(lp::Problem& p, Rng& rng, double rel_scale = 1e-7);
 void jitter_costs(flow::Network& net, Rng& rng, double rel_scale = 1e-7);
 

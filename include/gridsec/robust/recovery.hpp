@@ -3,117 +3,75 @@
 // A solve that ends in SolveStatus::kNumericalError on *valid* input is a
 // conditioning problem, not a modelling problem — the instance usually has
 // a certified optimum that a differently-conditioned solve path can reach.
-// This module packages those alternate paths as a declarative escalation
-// ladder:
+// The ladder tries two such paths, in this fixed order:
 //
-//   kWarm          the original warm-started attempt (recorded, not re-run)
-//   kRepairedBasis retry from a repaired basis: keep the variable statuses,
-//                  reset every row status to slack-basic — discards the part
-//                  of a stale basis that most often goes rank-deficient
-//   kCold          plain cold start (recorded when the solver already tried
-//                  its built-in warm→cold retry)
-//   kBland         cold start with Bland's rule from the first pivot —
-//                  slow, cycling-proof, numerically boring
-//   kEquilibrated  Ruiz-equilibrate (power-of-two factors), solve the
-//                  scaled problem cold, unscale exactly
-//   kPerturbed     bounded cost perturbation: jitter objective coefficients
-//                  by a relative 1e-7, solve cold, then REMOVE the
-//                  perturbation by warm-starting the original problem from
-//                  the perturbed optimal basis — the certified answer is
-//                  always for the original costs
+//   bland         cold start with Bland's rule from the first pivot —
+//                 slow, cycling-proof, numerically boring
+//   equilibrated  Ruiz-equilibrate (power-of-two factors), solve the
+//                 scaled problem cold and unscale exactly; when that answer
+//                 does not certify, solve the scaled problem once more with
+//                 Bland's rule. Skipped when equilibration scaled nothing.
 //
-// A rung's answer is accepted only when the solve reports kOptimal AND
-// obs::certify() verifies it against the ORIGINAL problem (relaxation
-// mode: recovery runs beneath MILP nodes too). Every attempt — including
-// the failed ones — is recorded in Solution::recovery_trail, which flows
-// into audit bundles, the JSONL log, and `gridsec-inspect`.
+// A rung's answer is adopted only when certified_optimum() accepts it at
+// 1e-9 tolerances. Every attempt — including the failed ones, and the
+// solver's own warm and cold attempts before the ladder — is recorded in
+// Solution::recovery_trail, which flows into audit bundles, the JSONL log,
+// and `gridsec-inspect`.
 //
 // Two ways in:
-//   * solve_with_recovery() — explicit call, runs the given policy.
+//   * solve_with_recovery() — explicit call.
 //   * install_recovery() — registers the lp::RecoveryHook so EVERY
 //     SimplexSolver::solve in the process (direct LP solves, MILP
 //     branch-and-bound node relaxations, compute_impact_matrix, the
 //     adversary/defender/game loops, Monte-Carlo trials) escalates
 //     automatically when it hits kNumericalError. The hook re-enters the
 //     solver; a thread-local guard makes the inner rung solves immune to
-//     re-triggering.
+//     re-triggering. `gridsec_cli --recovery=off` leaves it uninstalled.
 //
 // The ladder is OFF the clean-solve hot path: it only runs after a
 // kNumericalError verdict, which clean instances never produce.
-// See docs/robustness.md#numerical-recovery.
+// See docs/robustness.md#numerical-recovery-robustrecovery.
 #pragma once
 
-#include <string_view>
-#include <vector>
-
+#include "gridsec/lp/presolve.hpp"
 #include "gridsec/lp/problem.hpp"
 #include "gridsec/lp/simplex.hpp"
 
 namespace gridsec::robust {
 
-/// One escalation step of the recovery ladder, ordered cheap → drastic.
-enum class RecoveryRung {
-  kWarm,           // the original warm-started attempt (bookkeeping only)
-  kRepairedBasis,  // warm basis with all row statuses reset to slack-basic
-  kCold,           // plain cold start
-  kBland,          // cold + Bland's rule from the first pivot
-  kEquilibrated,   // Ruiz-equilibrated re-solve, exactly unscaled
-  kPerturbed,      // jittered costs, then perturbation removed via warm start
-};
+/// The scale-invariant certificate: true when `solution` is optimal and
+/// obs::certify (relaxation mode, feasibility/dual/gap tolerances all
+/// `tol`) accepts it against `problem` AND, when `eq` scaled anything,
+/// eq.rescale(solution) against eq.scaled(). The second check keeps
+/// pathologically scaled rows honest: a row scaled to ~1e-12 can hide an
+/// arbitrarily wrong primal point below certify()'s relative tolerances on
+/// the original data alone. `eq` must be lp::equilibrate(problem).
+[[nodiscard]] bool certified_optimum(const lp::Problem& problem,
+                                     const lp::Equilibrated& eq,
+                                     const lp::Solution& solution,
+                                     double tol);
 
-/// Stable lower_snake name ("warm", "repaired_basis", ...) — this is the
-/// string recorded in recovery trails, metrics and audit bundles.
-std::string_view to_string(RecoveryRung rung);
-
-/// Declarative recovery configuration: which rungs run, in which order.
-struct RecoveryPolicy {
-  /// Master switch; off() returns a policy with enabled = false.
-  bool enabled = true;
-  /// Rungs tried in order until one produces a certified optimum.
-  std::vector<RecoveryRung> rungs;
-  /// Relative cost-jitter magnitude for kPerturbed (see jitter_costs).
-  double perturbation_scale = 1e-7;
-
-  /// The full default ladder: repaired basis → cold → Bland →
-  /// equilibrated → perturbed. (kWarm/kCold entries that the solver
-  /// already attempted are recorded in the trail without re-running.)
-  static RecoveryPolicy ladder();
-  /// Recovery disabled: solve_with_recovery degrades to a plain solve and
-  /// install_recovery(off()) parks the hook in a pass-through state.
-  static RecoveryPolicy off();
-};
-
-/// Solves `problem`, escalating through `policy` when the initial solve
-/// ends in kNumericalError — or claims kOptimal but fails scale-invariant
-/// certification (obs::certify against the original AND the equilibrated
-/// problem; a pathologically scaled row can hide violations below the
-/// relative tolerances on the original data alone, so certification-failed
-/// "optima" are treated as numerical failures and escalate too). A rung's
-/// answer is accepted only under the same scale-invariant certificate.
-/// The returned Solution carries the rung-by-rung
-/// recovery_trail whenever the ladder engaged (even if every rung failed —
-/// the final status is then the original failure). Rungs that need a warm
-/// basis (kWarm, kRepairedBasis) are skipped when options.warm_start is
-/// empty. Invalid input (validate_problem failure) is never "recovered":
-/// the rejection verdict is returned as-is.
+/// Solves `problem` and runs the ladder when the answer is not
+/// trustworthy: a kNumericalError verdict on valid input, a kOptimal claim
+/// that certified_optimum() rejects at 1e-9, or — on severely scaled data
+/// only (factor dynamic range beyond 2^20) — a kInfeasible/kUnbounded
+/// verdict, which extreme scaling can fake. The returned Solution carries
+/// the recovery_trail whenever the ladder engaged (even if every rung
+/// failed — the final answer is then the original one). Invalid input
+/// (validate_problem failure) is never "recovered": the rejection verdict
+/// is returned as-is.
 [[nodiscard]] lp::Solution solve_with_recovery(
-    const lp::Problem& problem, const lp::SimplexOptions& options = {},
-    const RecoveryPolicy& policy = RecoveryPolicy::ladder());
+    const lp::Problem& problem, const lp::SimplexOptions& options = {});
 
-/// Installs the process-global lp::RecoveryHook with `policy`. Every
-/// subsequent solve that ends in kNumericalError (after the solver's own
-/// warm→cold retry) runs the ladder in place. Re-installing replaces the
-/// policy. Thread-safe; the hook itself is re-entrancy-guarded.
-void install_recovery(const RecoveryPolicy& policy = RecoveryPolicy::ladder());
+/// Installs the process-global lp::RecoveryHook. Every subsequent solve
+/// that ends in kNumericalError (after the solver's own warm→cold retry)
+/// runs the ladder in place. Thread-safe; the hook itself is
+/// re-entrancy-guarded.
+void install_recovery();
 /// Uninstalls the hook (solves fail plainly again).
 void uninstall_recovery();
-/// True when the hook is installed (even with an off() policy).
+/// True when the hook is installed.
 [[nodiscard]] bool recovery_installed();
-
-/// Process-global runtime toggle consulted by the installed hook — the
-/// `gridsec_cli --recovery=off` escape hatch. Leaves the hook installed.
-void set_recovery_enabled(bool enabled);
-[[nodiscard]] bool recovery_enabled();
 
 /// RAII: suppresses the installed recovery hook on the CURRENT THREAD for
 /// its lifetime. The differential fuzzer uses this to measure how an

@@ -68,9 +68,10 @@ RunningStats run_scalar_trials(
 
 struct RobustTrialOptions {
   /// Total attempts per trial (1 = no retry). Retries fire only for
-  /// ErrorCode::kNumericalError — the one failure class where a perturbed
-  /// re-solve (e.g. robust::jitter_costs) plausibly succeeds. Each retry
-  /// gets an independent RNG stream derived from the trial's stream.
+  /// ErrorCode::kNumericalError — the one failure class where the same
+  /// trial redrawn from another RNG stream plausibly succeeds. Each retry
+  /// gets an independent RNG stream derived from the trial's stream; the
+  /// harness perturbs nothing else.
   int max_attempts = 1;
   /// Abort the sweep on the first (post-retry) failure. Remaining trials
   /// are skipped, not failed; which trials got skipped depends on thread

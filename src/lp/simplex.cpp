@@ -98,6 +98,25 @@ double reduced_cost(const Tableau& t, std::span<const double> y, int j) {
   return dj;
 }
 
+/// Columns whose bound range is narrower than this are fixed: pricing
+/// never lets them enter the basis.
+constexpr double kFixedWidth = 1e-11;
+
+bool is_fixed(const Tableau& t, std::size_t js) {
+  return t.upper[js] - t.lower[js] < kFixedWidth;
+}
+
+/// Direction in which nonbasic, non-fixed column js would enter at reduced
+/// cost dj: +1 rising from its lower bound when dj < −dtol, −1 falling from
+/// its upper bound when dj > dtol, 0 when neither improves the objective.
+/// The pivot loop's pricing, the dual simplex's dual-feasible start and the
+/// post-solve sweep all decide with this one rule.
+int entering_direction(const Tableau& t, std::size_t js, double dj,
+                       double dtol) {
+  if (t.state[js] == VarState::kAtLower) return dj < -dtol ? +1 : 0;
+  return dj > dtol ? -1 : 0;
+}
+
 /// Solves B^T y = c_B for the simplex multipliers via btran, into `y`.
 void compute_multipliers(const Tableau& t, const BasisFactorization& factor,
                          std::span<double> y) {
@@ -206,20 +225,11 @@ IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
     int enter_dir = 0;  // +1 entering rises from lower, -1 falls from upper
     for (int j = 0; j < t.n_total; ++j) {
       const auto js = static_cast<std::size_t>(j);
-      if (t.state[js] == VarState::kBasic) continue;
-      if (t.upper[js] - t.lower[js] < eps) continue;  // fixed
+      if (t.state[js] == VarState::kBasic || is_fixed(t, js)) continue;
       const double dj = reduced_cost(t, y, j);
-      int dir = 0;
-      double violation = 0.0;
-      if (t.state[js] == VarState::kAtLower && dj < -dtol) {
-        dir = +1;
-        violation = -dj;
-      } else if (t.state[js] == VarState::kAtUpper && dj > dtol) {
-        dir = -1;
-        violation = dj;
-      } else {
-        continue;
-      }
+      const int dir = entering_direction(t, js, dj, dtol);
+      if (dir == 0) continue;
+      const double violation = dir > 0 ? -dj : dj;
       if (bland) {
         entering = j;
         enter_dir = dir;
@@ -667,9 +677,8 @@ IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws,
   const bool observed = static_cast<bool>(opt.observer);
   const std::span<double> d = t.cost;
   // Columns the dual pivots price: nonbasic and not fixed.
-  const auto priced = [&t, eps](std::size_t js) {
-    return t.state[js] != VarState::kBasic &&
-           t.upper[js] - t.lower[js] >= eps;
+  const auto priced = [&t](std::size_t js) {
+    return t.state[js] != VarState::kBasic && !is_fixed(t, js);
   };
 
   ++out.refactorizations;
@@ -690,19 +699,17 @@ IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws,
     }
     d[js] = reduced_cost(t, ws.y, j);
     if (!priced(js)) continue;
-    if (t.state[js] == VarState::kAtLower) {
-      if (d[js] >= -dtol) continue;
-      ++repairs;
-      if (std::isfinite(t.upper[js])) {
-        t.state[js] = VarState::kAtUpper;
-        t.x[js] = t.upper[js];
-      } else {
-        d[js] = 0.0;  // cost shift
-      }
-    } else if (d[js] > dtol) {
-      ++repairs;
+    const int dir = entering_direction(t, js, d[js], dtol);
+    if (dir == 0) continue;
+    ++repairs;
+    if (dir < 0) {
       t.state[js] = VarState::kAtLower;  // at-upper: the lower is finite
       t.x[js] = t.lower[js];
+    } else if (std::isfinite(t.upper[js])) {
+      t.state[js] = VarState::kAtUpper;
+      t.x[js] = t.upper[js];
+    } else {
+      d[js] = 0.0;  // cost shift
     }
   }
   recompute_basics(t, factor, ws.xb, out.refine_steps);
@@ -991,8 +998,7 @@ Solution solve_impl_inner(const Problem& problem,
   long bland_after = options.bland_after;
   if (bland_after == 0) bland_after = std::max(200L, 20L * (m + n));
   if (bland_after < 0) bland_after = 0;  // force Bland from the first pivot
-  // Pivot cap of the dual simplex and of each optimality-confirmation
-  // pass below.
+  // Pivot cap of the dual simplex and of each optimality resume below.
   const long confirm_budget = 4L * (m + n) + 16;
   long total_iters = 0;
 
@@ -1137,76 +1143,129 @@ Solution solve_impl_inner(const Problem& problem,
     return sol;
   }
 
-  // Clean up drift accumulated through the eta chain before extraction:
-  // one fresh factorization, then refined basic values from it (a
-  // factorization with no eta applied since its last rebuild already is
-  // one: rebuilding it would reproduce the same factors, so it is reused).
-  // A re-pricing pass on the fresh factorization then confirms the verdict:
-  // the pivot loop prices with multipliers pushed through the eta chain,
-  // so on a drifted chain "no attractive column" can be an artifact — a
-  // marginal reduced cost the refined duals extracted below would
-  // contradict at certificate grade. Resuming the pivot loop here repairs
-  // such optima instead of shipping them (the resume cap bounds the cost
-  // when an instance keeps re-tripping; the common case adds exactly one
-  // pricing sweep and zero pivots).
+  // One post-solve check, repeated only on a resume. Each round cleans up
+  // eta-chain drift (a fresh factorization unless no eta was applied since
+  // the last rebuild; refined basic values and duals from it), then one
+  // sweep over every column computes d_j = c_j − yᵀA_j and
+  //   * resumes pivoting when a nonbasic column is still attractive: the
+  //     pivot loop priced with multipliers pushed through the eta chain, so
+  //     its "no attractive column" can be an artifact. Resumes get the
+  //     small confirm_budget and at most kMaxOptimalityResumes run, so an
+  //     instance flip-flopping at the tolerance fails fast into recovery;
+  //   * gates each basic column: inside its bounds (a factorization that
+  //     lost accuracy mid-solve can land one far outside), and d_j, exactly
+  //     the residual of Bᵀy = c_B, at certificate grade: just under the
+  //     certificate's 1e-6 dual tolerance plus the rounding floor a
+  //     backward-error-perfect dot product reaches. Where refinement stalls
+  //     on a near-singular basis the duals are fiction;
+  //   * holds the residuals weighted by 1+|x_j| to gap grade: a basic parked
+  //     at a huge bound multiplies even a per-entry-clean residual into the
+  //     dual objective (1e-8 at a 1e7 bound is an O(0.1) gap);
+  //   * writes each structural d_j as the reported reduced cost.
+  // A failed gate reports kNumericalError, never a fake optimum: solve_impl
+  // retries warm-started solves cold, and the recovery ladder does the rest.
   constexpr int kMaxOptimalityResumes = 3;
+  constexpr double kDualResidualTol = 5e-7;
+  const double dtol = options.optimality_tol;
+  const double ftol = options.feasibility_tol;
+  const std::span<double> y = ws.y;
+  sol.reduced_costs.resize(static_cast<std::size_t>(n));
+  const auto fail = [&sol](SolveStatus status) {
+    sol.status = status;
+    sol.reduced_costs.clear();
+  };
+  // Refined multipliers Bᵀy = c_B from the current factorization, into y.
+  const auto refine_duals = [&] {
+    for (int i = 0; i < m; ++i) {
+      y[static_cast<std::size_t>(i)] = t.cost[static_cast<std::size_t>(
+          t.basis[static_cast<std::size_t>(i)])];
+    }
+    metrics.refine_steps += factor.btran_refined(y);
+  };
+  bool breakdown = false;
   for (int resume = 0;; ++resume) {
     if (factor.eta_count() > 0) {
       ++metrics.refactorizations;
       build_basis_matrix(t, ws.bmat);
       if (!factor.refactorize(ws.bmat)) {
-        sol.status = SolveStatus::kNumericalError;
+        fail(SolveStatus::kNumericalError);
         return sol;
       }
     }
     recompute_basics(t, factor, ws.xb, metrics.refine_steps);
     metrics.pivot_growth_max =
         std::max(metrics.pivot_growth_max, factor.pivot_growth());
-    if (resume >= kMaxOptimalityResumes || max_iters <= total_iters) break;
-    // Each confirmation pass gets a small budget: an instance whose
-    // pricing keeps flip-flopping at the tolerance boundary must fail
-    // fast into the recovery path, not grind away the caller's whole
-    // iteration allowance.
-    const long resume_budget =
-        std::min(max_iters - total_iters, confirm_budget);
-    outcome = iterate(t, ws, options, resume_budget, bland_after,
-                      deadline, /*phase=*/2, /*iter_base=*/total_iters);
+    refine_duals();
+
+    bool attractive = false;
+    breakdown = false;
+    double gap_err = 0.0;    // Σ |d_j|·(1+|x_j|): duality-gap contamination
+    double gap_mag = 1.0;    // Σ |c_j·x_j| over the basis: gap check scale
+    double gap_floor = 0.0;  // Σ rounding-floor_j·(1+|x_j|): unavoidable
+    for (int j = 0; j < t.n_total; ++j) {
+      const auto js = static_cast<std::size_t>(j);
+      double dj = t.cost[js];
+      double acc = 0.0;  // Σ_r |y_r·a_rj|: the dot product's rounding scale
+      for (const ColumnEntry& e : t.a.column(j)) {
+        const double term = y[static_cast<std::size_t>(e.row)] * e.val;
+        dj -= term;
+        acc += std::fabs(term);
+      }
+      if (j < n) sol.reduced_costs[js] = maximize ? -dj : dj;
+      if (t.state[js] != VarState::kBasic) {
+        if (!is_fixed(t, js) && entering_direction(t, js, dj, dtol) != 0) {
+          attractive = true;
+        }
+        continue;
+      }
+      const double xv = t.x[js];
+      const double scale = 1.0 + std::fabs(xv);
+      if (xv < t.lower[js] - ftol * scale ||
+          (std::isfinite(t.upper[js]) && xv > t.upper[js] + ftol * scale) ||
+          std::fabs(dj) > kDualResidualTol * (1.0 + std::fabs(t.cost[js])) +
+                              kDualRoundingFloor * acc) {
+        breakdown = true;
+      }
+      gap_err += std::fabs(dj) * scale;
+      gap_mag += std::fabs(t.cost[js] * xv);
+      gap_floor += kDualRoundingFloor * acc * scale;
+    }
+    if (gap_err > kDualResidualTol * gap_mag + gap_floor) breakdown = true;
+    if (!attractive || resume >= kMaxOptimalityResumes ||
+        max_iters <= total_iters) {
+      break;
+    }
+    outcome = iterate(t, ws, options,
+                      std::min(max_iters - total_iters, confirm_budget),
+                      bland_after, deadline, /*phase=*/2,
+                      /*iter_base=*/total_iters);
     total_iters += outcome.iterations;
     metrics.absorb(outcome);
     sol.iterations = total_iters;
-    if (outcome.status == SolveStatus::kTimeLimit) {
-      sol.status = outcome.status;
-      return sol;
-    }
     if (outcome.status != SolveStatus::kOptimal) {
-      // The pivot loop said optimal, the confirmation pass now says
-      // otherwise (budget churn, a spurious unbounded ray): that
-      // contradiction is numerical instability, and reporting it as such
-      // hands the solve to the warm→cold retry and the recovery ladder.
-      sol.status = SolveStatus::kNumericalError;
+      // Past the deadline the verdict is a time limit. Otherwise the pivot
+      // loop said optimal and the resume now says otherwise (budget churn,
+      // a spurious unbounded ray): that contradiction is numerical
+      // instability, and reporting it as such hands the solve to the
+      // warm→cold retry and the recovery ladder.
+      fail(outcome.status == SolveStatus::kTimeLimit
+               ? SolveStatus::kTimeLimit
+               : SolveStatus::kNumericalError);
       return sol;
     }
-    if (outcome.iterations == 0) break;  // fresh-factor pricing agrees
+    if (outcome.iterations == 0) {
+      // The sweep's refined duals found an attractive column that the pivot
+      // loop's plain multipliers do not: the basis stands, as it would have
+      // without the resume. The pivot loop overwrote y with those plain
+      // multipliers, so restore the refined duals that the gates above
+      // checked and the reduced costs were written from.
+      refine_duals();
+      break;
+    }
   }
-
-
-  // Self-check against eta-chain drift: the pivot loop tracks x
-  // incrementally through the factorization, so if the factorization lost
-  // accuracy mid-solve the exact recomputation above can land a basic
-  // variable far outside its bounds. Returning that point as "optimal"
-  // would be wrong; report the numerical breakdown instead (warm-started
-  // solves are then retried cold by solve_impl).
-  for (int i = 0; i < m; ++i) {
-    const auto cs =
-        static_cast<std::size_t>(t.basis[static_cast<std::size_t>(i)]);
-    const double xv = t.x[cs];
-    const double scale = 1.0 + std::fabs(xv);
-    if (xv < t.lower[cs] - options.feasibility_tol * scale ||
-        (std::isfinite(t.upper[cs]) &&
-         xv > t.upper[cs] + options.feasibility_tol * scale)) {
-      sol.status = SolveStatus::kNumericalError;
-      return sol;
-    }
+  if (breakdown) {
+    fail(SolveStatus::kNumericalError);
+    return sol;
   }
 
   sol.status = SolveStatus::kOptimal;
@@ -1224,70 +1283,11 @@ Solution solve_impl_inner(const Problem& problem,
   }
   sol.objective = problem.objective_value(sol.x);
 
-  // Duals from the final basis; convert to the problem's own sense.
-  // Residual-checked iterative refinement keeps the reduced-cost
-  // residuals certificate-grade on ill-conditioned bases.
-  const std::span<double> y = ws.y;
-  for (int i = 0; i < m; ++i) {
-    y[static_cast<std::size_t>(i)] =
-        t.cost[static_cast<std::size_t>(t.basis[static_cast<std::size_t>(i)])];
-  }
-  metrics.refine_steps += factor.btran_refined(y);
-  // Symmetric twin of the basic-value self-check above, for the dual
-  // side: a basic column's reduced cost c_j − yᵀA_j is exactly the
-  // residual of Bᵀy = c_B, so if refinement left any entry above
-  // certificate grade — scaled per column the way the certificate scales
-  // it — the duals and reduced costs derived from y below are fiction
-  // (observed as near-O(1) duality gaps on near-singular bases, where
-  // refinement stalls instead of converging). Report the breakdown;
-  // warm-started solves then retry cold and the recovery ladder handles
-  // the rest. The threshold sits just under the certificate's default
-  // dual tolerance (1e-6), plus the rounding floor kDualRoundingFloor: a
-  // residual under it is backward-error-perfect and must not be mistaken
-  // for contamination.
-  constexpr double kDualResidualTol = 5e-7;
-  double gap_err = 0.0;    // Σ |r_i|·(1+|x_i|): duality-gap contamination
-  double gap_mag = 1.0;    // Σ |c_i·x_i| over the basis: gap check scale
-  double gap_floor = 0.0;  // Σ rounding-floor_i·(1+|x_i|): unavoidable
-  for (int i = 0; i < m; ++i) {
-    const int col = t.basis[static_cast<std::size_t>(i)];
-    const auto cs = static_cast<std::size_t>(col);
-    double byi = 0.0;
-    double acc = 0.0;  // Σ_r |y_r·a_ri|: the dot product's rounding scale
-    for (const ColumnEntry& e : t.a.column(col)) {
-      const double term = y[static_cast<std::size_t>(e.row)] * e.val;
-      byi += term;
-      acc += std::fabs(term);
-    }
-    const double ri = t.cost[cs] - byi;
-    if (std::fabs(ri) > kDualResidualTol * (1.0 + std::fabs(t.cost[cs])) +
-                            kDualRoundingFloor * acc) {
-      sol.status = SolveStatus::kNumericalError;
-      return sol;
-    }
-    gap_err += std::fabs(ri) * (1.0 + std::fabs(t.x[cs]));
-    gap_mag += std::fabs(t.cost[cs] * t.x[cs]);
-    gap_floor += kDualRoundingFloor * acc * (1.0 + std::fabs(t.x[cs]));
-  }
-  // A per-entry-clean residual can still poison the duality gap: a basic
-  // variable parked at (or near) a huge bound multiplies its residual
-  // into the dual objective via complementary slackness, so a 1e-8
-  // residual on a 1e7-bounded column opens an O(0.1) gap no certifier
-  // accepts. Weight each residual by its primal value and hold the sum
-  // to gap grade.
-  if (gap_err > kDualResidualTol * gap_mag + gap_floor) {
-    sol.status = SolveStatus::kNumericalError;
-    return sol;
-  }
+  // Duals from the final basis, in the problem's own sense.
   sol.duals.resize(static_cast<std::size_t>(m));
   for (int i = 0; i < m; ++i) {
     const double yi = y[static_cast<std::size_t>(i)];
     sol.duals[static_cast<std::size_t>(i)] = maximize ? -yi : yi;
-  }
-  sol.reduced_costs.resize(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    const double dj = reduced_cost(t, y, j);
-    sol.reduced_costs[static_cast<std::size_t>(j)] = maximize ? -dj : dj;
   }
 
   // Export the combinatorial basis so sibling solves can warm-start.

@@ -12,7 +12,6 @@
 #include "gridsec/flow/social_welfare.hpp"
 #include "gridsec/lp/presolve.hpp"
 #include "gridsec/lp/simplex.hpp"
-#include "gridsec/obs/audit.hpp"
 #include "gridsec/obs/log.hpp"
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/robust/recovery.hpp"
@@ -731,33 +730,10 @@ void fuzz_stress_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
   if (!lp::validate_problem(p).is_ok()) return;  // stacked scalings can
                                                  // trip the magnitude cap
 
-  // Scale-invariant certificate: verified against the original AND the
-  // equilibrated problem, where a 1e-12-scaled row can no longer hide its
-  // violations below certify()'s relative tolerances.
+  // The ladder's own adoption bar: the scale-invariant certificate at 1e-9.
   const lp::Equilibrated eq = lp::equilibrate(p);
-  const obs::CertifyOptions cert{.relaxation = true};
-  const auto certified_with = [&](const lp::Solution& sol,
-                                  const obs::CertifyOptions& c) {
-    if (!sol.optimal() || !obs::certify(p, sol, c).ok()) return false;
-    return !eq.scaled_any() ||
-           obs::certify(eq.scaled(), eq.rescale(sol), c).ok();
-  };
-  const auto strongly_certified = [&](const lp::Solution& sol) {
-    return certified_with(sol, cert);
-  };
-  // Two answers can disagree by O(1) while both certify with ~1e-16
-  // residuals — e.g. a pair of near-duplicate equality rows whose 1e-12
-  // difference implies an O(1) constraint no tolerance can see. Such an
-  // instance is ill-posed below every certificate's discriminating power:
-  // neither answer is "wrong", so an objective mismatch only counts as a
-  // failure when the suspect answer stops certifying at tight (1e-9)
-  // tolerances.
-  obs::CertifyOptions tight = cert;
-  tight.feasibility_tol = 1e-9;
-  tight.dual_tol = 1e-9;
-  tight.duality_gap_tol = 1e-9;
-  const auto ambiguous_mismatch = [&](const lp::Solution& sol) {
-    return certified_with(sol, tight);
+  const auto tight = [&](const lp::Solution& sol) {
+    return certified_optimum(p, eq, sol, 1e-9);
   };
 
   // Oracle: cold-start Bland's rule on the equilibrated data — slow,
@@ -777,9 +753,7 @@ void fuzz_stress_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
   // only certifies loosely cannot adjudicate the tight bar the ladder is
   // held to. Instances with no tightly certifiable optimum (genuinely
   // infeasible/unbounded, wedged, or conditioned beyond 1e-9) are skipped.
-  if (!certified_with(reference, tight)) {
-    return;
-  }
+  if (!tight(reference)) return;
   ++ctx.stats.recovery_checks;
 
   lp::SimplexOptions so;
@@ -796,23 +770,25 @@ void fuzz_stress_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
   // ~1e-7 dual-sign or equality violation hides beneath); that is the
   // baseline defect the ladder exists to fix, so it tallies as a plain
   // failure rather than a fuzz failure.
-  const bool plain_ok = certified_with(plain, tight);
+  const bool plain_ok = tight(plain);
   if (!plain_ok) ++ctx.stats.recovery_failed_plain;
 
   const lp::Solution laddered = solve_with_recovery(p, so);
   ctx.tally(laddered.status);
-  const bool ladder_strict = certified_with(laddered, tight);
-  const bool ladder_loose = strongly_certified(laddered);
+  const bool ladder_strict = tight(laddered);
   const double tol =
       ctx.options.objective_tol * (1.0 + std::fabs(reference.objective));
-  // Wrong certified optimum: the ladder adopted an answer (at either
-  // tier) whose objective contradicts the oracle AND which the tight
-  // certificate rejects. (When both answers tightly certify despite
-  // disagreeing, the instance is ill-posed below every certificate's
-  // discriminating power — see ambiguous_mismatch above.)
-  if (ladder_loose &&
+  // Wrong certified optimum: solve_with_recovery returned an answer that
+  // certifies at obs::certify's default 1e-6, contradicts the oracle, and
+  // fails the tight certificate. Two answers can disagree by O(1) while both
+  // certify with ~1e-16 residuals — e.g. a pair of near-duplicate equality
+  // rows whose 1e-12 difference implies an O(1) constraint no tolerance
+  // can see. Such an instance is ill-posed below every certificate's
+  // discriminating power: neither answer is "wrong", so a mismatch only
+  // counts when the suspect answer stops certifying tightly.
+  if (certified_optimum(p, eq, laddered, 1e-6) &&
       std::fabs(laddered.objective - reference.objective) > tol &&
-      !ambiguous_mismatch(laddered)) {
+      !ladder_strict) {
     std::ostringstream os;
     os << "stress (" << to_string(report)
        << "): ladder certified a wrong optimum: " << laddered.objective

@@ -324,6 +324,67 @@ TEST(Simplex, DuplicateAndCancellingTermsSolveAsMergedRow) {
   }
 }
 
+// Rows d2 and d1 are drifted copies of c2 and c1, so the optimal basis is
+// near-singular and refinement moves its duals by ~1e15. Under Bland's rule
+// from the first pivot, the post-solve sweep's refined duals then flag a
+// column that the pivot loop's plain multipliers do not, and the resume
+// pivots nothing. The solve must still ship the refined duals that its
+// gates checked and that the reduced costs were computed from.
+TEST(Simplex, ZeroPivotResumeShipsTheCheckedDuals) {
+  auto parsed = parse_lp_format(R"(Minimize
+ obj: 269386.64135952841 x0 + 1.2860611493368993e-09 x1 + 2865895246.5976706 x2 - 1.174021490475024e-13 x3 - 593217.15476275783 x4 - 5.0277105409106152e-13 x5 - 7702.5471955688845 x6
+Subject To
+ c0: 0.4113938047074801 x3 + 0.81910192584759223 x4 >= -36974.904356267471
+ c1: - 2.0094893656203387e-05 x0 + 0.59844455444874312 x1 - 0.32502505631652245 x2 + 1.9837164848446979e-05 x3 - 9.3360697385911593e-05 x5 <= -3.9603819683105179
+ c2: 0.86625044472953716 x0 + 0.76470687298425988 x3 + 0.59340021390676867 x4 - 0.54634812860633186 x5 + 0.53614083052594652 x6 = -38641.763061577803
+ c3: - 1.0068878902727367 x2 - 3.1621650245408205e-06 x6 <= 9.1284524783042684
+ d2: 0.86625044472963486 x0 + 0.76470687298484463 x3 + 0.59340021390704789 x4 - 0.54634812860669724 x5 + 0.53614083052596084 x6 = -38641.763061615202
+ d1: - 2.0094893656199189e-05 x0 + 0.59844455444870726 x1 - 0.3250250563167158 x2 + 1.9837164848433505e-05 x3 - 9.336069738584917e-05 x5 <= -3.9603819683115478
+Bounds
+ 0 <= x0
+ 0 <= x1 <= 62.85176277095011
+ 0 <= x2
+ 0 <= x3 <= 573540.00273006177
+ -47733.673651687779 <= x4 <= 314451.86771464482
+ 0 <= x5 <= 231718.00663156554
+ 0 <= x6 <= 2577271.0408545686
+End
+)");
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
+  const Problem p = std::move(parsed.value());
+  SimplexOptions so;
+  so.bland_after = -1;
+  const Solution sol = solve_lp(p, so);
+  ASSERT_EQ(sol.status, SolveStatus::kOptimal);
+  ASSERT_EQ(sol.duals.size(), static_cast<std::size_t>(p.num_constraints()));
+  ASSERT_EQ(sol.reduced_costs.size(),
+            static_cast<std::size_t>(p.num_variables()));
+  for (int j = 0; j < p.num_variables(); ++j) {
+    const auto js = static_cast<std::size_t>(j);
+    // c_j − Σ_i y_i·a_ij from the shipped duals, subtracted in row order.
+    double dj = p.variable(j).objective;
+    double scale = 0.0;  // Σ_i |y_i·a_ij|
+    for (int i = 0; i < p.num_constraints(); ++i) {
+      for (const Term& term : p.constraint(i).terms) {
+        if (term.var != j) continue;
+        const double yi = sol.duals[static_cast<std::size_t>(i)];
+        dj -= yi * term.coef;
+        scale += std::fabs(yi * term.coef);
+      }
+    }
+    EXPECT_NEAR(sol.reduced_costs[js], dj, 1e-12 * (1.0 + scale))
+        << "x" << j;
+    if (sol.basis.variables[js] == VarStatus::kBasic) {
+      // A basic column's d_j is the residual of Bᵀy = c_B: the extraction
+      // gate held it to certificate grade.
+      EXPECT_LE(std::fabs(dj),
+                5e-7 * (1.0 + std::fabs(p.variable(j).objective)) +
+                    1e-12 * scale)
+          << "x" << j;
+    }
+  }
+}
+
 // Property sweep: randomized bounded transportation LPs must (a) be declared
 // optimal, (b) satisfy primal feasibility, and (c) satisfy weak duality
 // bounds against a feasible reference point.

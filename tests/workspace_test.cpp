@@ -354,7 +354,7 @@ TEST(SolverWorkspaceTest, MilpReuseBitIdenticalAcrossReset) {
 }
 
 TEST(SolverWorkspaceTest, RecoveryLadderReuseBitIdentical) {
-  // An ill-conditioned corpus LP drives the full ladder (all rungs run
+  // An ill-conditioned corpus LP drives the ladder (both rungs run
   // through the same thread workspace, sequentially). Two engagements
   // must produce identical certified answers and identical trails.
   std::vector<std::string> files;
@@ -369,11 +369,8 @@ TEST(SolverWorkspaceTest, RecoveryLadderReuseBitIdentical) {
   auto parsed = lp::read_lp_file(files.front());
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
 
-  const robust::RecoveryPolicy policy = robust::RecoveryPolicy::ladder();
-  const lp::Solution a = robust::solve_with_recovery(parsed.value(), {},
-                                                     policy);
-  const lp::Solution b = robust::solve_with_recovery(parsed.value(), {},
-                                                     policy);
+  const lp::Solution a = robust::solve_with_recovery(parsed.value());
+  const lp::Solution b = robust::solve_with_recovery(parsed.value());
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.objective, b.objective);
   ASSERT_EQ(a.x.size(), b.x.size());
