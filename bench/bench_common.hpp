@@ -1,5 +1,5 @@
 // Shared plumbing for the figure-reproduction and micro benches: flag
-// parsing, dual table/CSV emission, and the harness-v2 run-report sidecar.
+// parsing, dual table/CSV emission, and the harness-v2 run report.
 //
 // Every bench builds a `Harness` and funnels its timed work through
 // `run_case()`: the harness runs warmup + N measured repetitions, records
@@ -7,7 +7,8 @@
 // deltas (lp.simplex.pivots per solve, lp.bnb.nodes, ...), and — when
 // --json[=FILE] is given — writes a schema-versioned BENCH_*.json report
 // with full run provenance (git sha, build flags, seed, threads, args).
-// `gridsec-benchdiff` compares two such reports; see docs/observability.md.
+// `gridsec-benchdiff` compares two such reports; `gridsec-inspect profile`
+// ranks the call tree a --profile run adds; see docs/observability.md.
 #pragma once
 
 #include <chrono>
@@ -35,13 +36,11 @@ struct BenchArgs {
   bool csv_only = false;
   std::size_t threads = 0;  // 0 = hardware concurrency
   // --json[=FILE]: after the bench, write the harness run report (manifest
-  // + per-case stats + metrics registry) to FILE (default
-  // BENCH_<prog>.json). Empty = off.
+  // + per-case stats) to FILE (default BENCH_<prog>.json). Empty = off.
   std::string json_file;
-  // --profile[=FILE]: enable the self-profiler for the whole run and write
-  // the gridsec.profile JSON to FILE (default PROF_<prog>.json) plus
-  // flamegraph-ready folded stacks to FILE with a .folded suffix.
-  std::string profile_file;
+  // --profile: enable the self-profiler for the whole run and add its call
+  // tree to the run report; implies --json when that is absent.
+  bool profile = false;
   // --reps=N / --warmup=N override the per-case defaults passed to
   // Harness::run_case (reps 0 / warmup -1 mean "use the case default").
   int reps = 0;
@@ -51,20 +50,16 @@ struct BenchArgs {
 [[noreturn]] inline void usage_exit(const char* prog, int code) {
   std::fprintf(stderr,
                "usage: %s [--trials=N] [--seed=S] [--threads=T] [--reps=N] "
-               "[--warmup=N] [--csv] [--json[=FILE]] [--profile[=FILE]]\n",
+               "[--warmup=N] [--csv] [--json[=FILE]] [--profile]\n",
                prog);
   std::exit(code);
 }
 
-inline std::string default_sidecar_name(const char* argv0, const char* kind) {
+inline std::string default_json_name(const char* argv0) {
   std::string base = argv0;
   const std::size_t slash = base.find_last_of("/\\");
   if (slash != std::string::npos) base = base.substr(slash + 1);
-  return std::string(kind) + "_" + base + ".json";
-}
-
-inline std::string default_json_name(const char* argv0) {
-  return default_sidecar_name(argv0, "BENCH");
+  return "BENCH_" + base + ".json";
 }
 
 inline BenchArgs parse_args(int argc, char** argv) {
@@ -110,11 +105,8 @@ inline BenchArgs parse_args(int argc, char** argv) {
       if (args.json_file.empty()) malformed();
     } else if (a == "--json") {
       args.json_file = default_json_name(argv[0]);
-    } else if (const char* s = value("--profile=")) {
-      args.profile_file = s;
-      if (args.profile_file.empty()) malformed();
     } else if (a == "--profile") {
-      args.profile_file = default_sidecar_name(argv[0], "PROF");
+      args.profile = true;
     } else if (a == "--csv") {
       args.csv_only = true;
     } else if (a == "--help" || a == "-h") {
@@ -123,6 +115,9 @@ inline BenchArgs parse_args(int argc, char** argv) {
       std::fprintf(stderr, "%s: unknown option '%s'\n", argv[0], a.c_str());
       usage_exit(argv[0], 2);
     }
+  }
+  if (args.profile && args.json_file.empty()) {
+    args.json_file = default_json_name(argv[0]);
   }
   return args;
 }
@@ -151,7 +146,7 @@ class Harness {
     report_.manifest.seed = args.seed;
     report_.manifest.trials = args.trials;
     if (args.threads != 0) report_.manifest.threads = args.threads;
-    if (!args_.profile_file.empty()) obs::Profiler::start();
+    if (args_.profile) obs::Profiler::start();
   }
 
   /// Runs `fn` default_warmup (unmeasured) + default_reps (measured) times
@@ -192,16 +187,24 @@ class Harness {
     }
   }
 
-  /// Writes the BENCH_*.json report when --json was given and the
-  /// PROF_*.json + .folded profile when --profile was given. Call once,
-  /// after every case ran. A file that cannot be opened exits 1, as in
-  /// gridsec_cli, so a failed write never passes for a fresh artifact.
+  /// Writes the BENCH_*.json report when --json (or --profile) was given,
+  /// with the profiler's call tree under --profile. Call once, after every
+  /// case ran. A file that cannot be opened exits 1, as in gridsec_cli, so
+  /// a failed write never passes for a fresh artifact.
   void emit_report() {
-    emit_profile();
     if (args_.json_file.empty()) return;
     report_.manifest.wall_time_seconds = elapsed_seconds(start_);
-    std::ofstream out = open_or_exit("report", args_.json_file);
-    report_.write_json(out, &obs::default_registry());
+    if (args_.profile) {
+      obs::Profiler::stop();
+      report_.profile = obs::Profiler::snapshot();
+    }
+    std::ofstream out(args_.json_file);
+    if (!out) {
+      std::fprintf(stderr, "cannot write report to '%s'\n",
+                   args_.json_file.c_str());
+      std::exit(1);
+    }
+    report_.write_json(out);
     std::fprintf(stderr, "report -> %s\n", args_.json_file.c_str());
   }
 
@@ -221,29 +224,6 @@ class Harness {
     report_.cases.push_back(obs::make_case(
         name, warmup, seconds, before,
         obs::default_registry().counter_values()));
-  }
-
-  static std::ofstream open_or_exit(const char* what,
-                                    const std::string& path) {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s to '%s'\n", what, path.c_str());
-      std::exit(1);
-    }
-    return out;
-  }
-
-  void emit_profile() {
-    if (args_.profile_file.empty()) return;
-    obs::Profiler::stop();
-    const obs::Profile profile = obs::Profiler::snapshot();
-    std::ofstream out = open_or_exit("profile", args_.profile_file);
-    obs::write_profile_json(out, profile);
-    const std::string folded_file = args_.profile_file + ".folded";
-    std::ofstream folded = open_or_exit("folded stacks", folded_file);
-    obs::write_profile_folded(folded, profile);
-    std::fprintf(stderr, "profile -> %s (+ %s)\n",
-                 args_.profile_file.c_str(), folded_file.c_str());
   }
 
   BenchArgs args_;

@@ -15,14 +15,11 @@
 //   --collab       collaborative defense (defend)
 //   --cost=C       per-asset defense cost (defend; default 2000)
 //   --budget=B     system defense budget in assets (defend; default 12)
-//   --trace=FILE   write a Chrome trace-event JSON of the run to FILE
-//   --profile=FILE run under the self-profiler and write the
-//                  gridsec.profile JSON to FILE plus folded flamegraph
-//                  stacks to FILE.folded (render with gridsec-inspect
-//                  profile FILE; see docs/observability.md)
-//   --metrics      dump the metrics registry as JSON to stdout after the run
 //   --report=FILE  write a gridsec.bench_report run report (provenance
 //                  manifest + wall time + metric deltas) to FILE
+//   --profile      run under the self-profiler and add its call tree to
+//                  the --report file (requires --report; rank it with
+//                  gridsec-inspect profile FILE; see docs/observability.md)
 //   --time-limit-ms=N  wall-clock budget per solve (LP pivoting, B&B nodes,
 //                  adversary search); expiry degrades to the best incumbent
 //   --fail-fast    treat any non-optimal solver verdict as a hard error
@@ -59,7 +56,6 @@
 #include "gridsec/obs/prof.hpp"
 #include "gridsec/obs/report.hpp"
 #include "gridsec/robust/recovery.hpp"
-#include "gridsec/obs/trace.hpp"
 #include "gridsec/util/table.hpp"
 
 namespace {
@@ -75,11 +71,9 @@ struct CliArgs {
   bool collab = false;
   double cost = 2000.0;
   double budget_assets = 12.0;
-  std::string trace_file;    // empty = tracing off
-  std::string profile_file;  // empty = profiling off
+  bool profile = false;      // add the profiler's tree to the report
   std::string report_file;   // empty = no run report
   std::string audit_file;    // empty = no audit bundle
-  bool metrics = false;
   double time_limit_ms = 0.0;  // 0 = unlimited
   bool fail_fast = false;
   bool recovery = true;  // --recovery=off leaves the ladder uninstalled
@@ -98,9 +92,8 @@ int usage() {
                "usage: gridsec_cli "
                "{dump|impact|attack|defend|rents|stackelberg} <file> "
                "[--actors=N] [--seed=S] [--targets=K] [--collab] "
-               "[--cost=C] [--budget=B] [--trace=FILE] [--profile=FILE] "
-               "[--report=FILE] "
-               "[--audit=FILE] [--metrics] [--time-limit-ms=N] "
+               "[--cost=C] [--budget=B] [--report=FILE [--profile]] "
+               "[--audit=FILE] [--time-limit-ms=N] "
                "[--fail-fast] [--warm-start=on|off] "
                "[--recovery=ladder|off]\n");
   return 2;
@@ -413,12 +406,6 @@ int main(int argc, char** argv) {
       ok = parse_double(v, &args.cost);
     } else if (const char* v = value("--budget=")) {
       ok = parse_double(v, &args.budget_assets);
-    } else if (const char* v = value("--trace=")) {
-      args.trace_file = v;
-      ok = !args.trace_file.empty();
-    } else if (const char* v = value("--profile=")) {
-      args.profile_file = v;
-      ok = !args.profile_file.empty();
     } else if (const char* v = value("--report=")) {
       args.report_file = v;
       ok = !args.report_file.empty();
@@ -439,8 +426,8 @@ int main(int argc, char** argv) {
       args.collab = true;
     } else if (a == "--fail-fast") {
       args.fail_fast = true;
-    } else if (a == "--metrics") {
-      args.metrics = true;
+    } else if (a == "--profile") {
+      args.profile = true;
     } else {
       std::fprintf(stderr, "gridsec_cli: unknown option '%s'\n", a.c_str());
       return usage();
@@ -450,6 +437,10 @@ int main(int argc, char** argv) {
                    a.c_str());
       return usage();
     }
+  }
+  if (args.profile && args.report_file.empty()) {
+    std::fprintf(stderr, "gridsec_cli: --profile needs --report=FILE\n");
+    return usage();
   }
 
   // Every LP solve below runs under the numerical-recovery ladder:
@@ -473,7 +464,7 @@ int main(int argc, char** argv) {
     counters_before = gridsec::obs::default_registry().counter_values();
   }
   const auto run_start = std::chrono::steady_clock::now();
-  if (!args.profile_file.empty()) gridsec::obs::Profiler::start();
+  if (args.profile) gridsec::obs::Profiler::start();
 
   if (!args.audit_file.empty()) {
     gridsec::obs::clear_audit_attribution();
@@ -481,29 +472,8 @@ int main(int argc, char** argv) {
     audit_cfg.capture_all = true;  // always have a bundle to write at exit
     gridsec::obs::arm_audit(std::move(audit_cfg));
   }
-  if (!args.trace_file.empty()) gridsec::obs::Tracer::start();
   const int rc = run_command(*parsed, args);
-  if (!args.profile_file.empty()) {
-    gridsec::obs::Profiler::stop();
-    const gridsec::obs::Profile profile = gridsec::obs::Profiler::snapshot();
-    std::ofstream out(args.profile_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot write profile to '%s'\n",
-                   args.profile_file.c_str());
-      return 1;
-    }
-    gridsec::obs::write_profile_json(out, profile);
-    const std::string folded_file = args.profile_file + ".folded";
-    std::ofstream folded(folded_file);
-    if (!folded) {
-      std::fprintf(stderr, "cannot write folded stacks to '%s'\n",
-                   folded_file.c_str());
-      return 1;
-    }
-    gridsec::obs::write_profile_folded(folded, profile);
-    std::fprintf(stderr, "profile: %s (+ %s)\n", args.profile_file.c_str(),
-                 folded_file.c_str());
-  }
+  if (args.profile) gridsec::obs::Profiler::stop();
   if (!args.audit_file.empty()) {
     // Prefer the first failing solve (that is the one worth explaining);
     // fall back to the last solve observed. Attribution rows were pushed
@@ -539,31 +509,15 @@ int main(int argc, char** argv) {
     report.cases.push_back(gridsec::obs::make_case(
         args.command, /*warmup=*/0, rep_seconds, counters_before,
         gridsec::obs::default_registry().counter_values()));
+    if (args.profile) report.profile = gridsec::obs::Profiler::snapshot();
     std::ofstream out(args.report_file);
     if (!out) {
       std::fprintf(stderr, "cannot write report to '%s'\n",
                    args.report_file.c_str());
       return 1;
     }
-    report.write_json(out, &gridsec::obs::default_registry());
+    report.write_json(out);
     std::fprintf(stderr, "report: %s\n", args.report_file.c_str());
-  }
-  if (!args.trace_file.empty()) {
-    gridsec::obs::Tracer::stop();
-    std::ofstream out(args.trace_file);
-    if (!out) {
-      std::fprintf(stderr, "cannot write trace to '%s'\n",
-                   args.trace_file.c_str());
-      return 1;
-    }
-    gridsec::obs::Tracer::write_chrome_json(out);
-    std::fprintf(stderr, "trace: %zu events -> %s\n",
-                 gridsec::obs::Tracer::event_count(),
-                 args.trace_file.c_str());
-  }
-  if (args.metrics) {
-    gridsec::obs::default_registry().write_json(std::cout);
-    std::cout << "\n";
   }
   return rc;
 }

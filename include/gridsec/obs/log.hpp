@@ -11,8 +11,8 @@
 //      out entirely.
 //   2. Lock-light. The record line is formatted entirely on the calling
 //      thread; the logger mutex is held only to move the finished string
-//      into the ring buffer and hand it to the sinks.
-//   3. Always diagnosable after the fact. Even with no sink attached,
+//      into the ring buffer and mirror it to stderr when asked.
+//   3. Always diagnosable after the fact. Even with stderr off,
 //      the last `Logger::kDefaultRingCapacity` records are retained in a
 //      ring buffer; obs::audit embeds that tail in every audit bundle, so
 //      a failed solve carries its own recent history.
@@ -21,8 +21,7 @@
 //   * `GRIDSEC_LOG_LEVEL` env var (trace|debug|info|warn|error|off)
 //     overrides the compiled default (info) at first use;
 //   * `GRIDSEC_LOG_STDERR=1` env var (or Logger::set_stderr_sink) mirrors
-//     records to stderr;
-//   * Logger::open_file_sink(path) appends records to a JSONL file.
+//     records to stderr.
 //
 // Usage (the macro argument is the bare level name):
 //   GRIDSEC_LOG(kWarn, "lp.simplex")
@@ -74,10 +73,6 @@ class Logger {
 
   /// Mirrors records to stderr (also armed by GRIDSEC_LOG_STDERR=1).
   static void set_stderr_sink(bool enabled);
-  /// Appends records to `path` (truncates an existing file). Returns false
-  /// when the file cannot be opened. Empty path closes the sink.
-  static bool open_file_sink(const std::string& path);
-  static void close_file_sink();
 
   /// The most recent records (JSONL lines, oldest first), at most
   /// `max_records` (0 = the whole ring). Thread-safe snapshot.
@@ -85,7 +80,7 @@ class Logger {
       std::size_t max_records = 0);
   /// Records emitted since process start (ring overwrites included).
   [[nodiscard]] static std::uint64_t records_emitted();
-  /// Drops buffered records and zeroes nothing else (threshold/sinks keep).
+  /// Drops buffered records and zeroes nothing else (threshold and stderr sink keep).
   static void reset_ring();
 
   /// Takes ownership of a fully formatted record line (no trailing
@@ -147,8 +142,6 @@ class Logger {
   static void set_level(LogLevel) {}
   [[nodiscard]] static LogLevel level() { return LogLevel::kOff; }
   static void set_stderr_sink(bool) {}
-  static bool open_file_sink(const std::string&) { return true; }
-  static void close_file_sink() {}
   [[nodiscard]] static std::vector<std::string> tail(std::size_t = 0) {
     return {};
   }

@@ -1,12 +1,12 @@
 // gridsec::obs::prof — in-process self-profiling: phase-attributed wall and
-// thread-CPU time, heap-allocation accounting, and flamegraph export.
+// thread-CPU time and heap-allocation accounting.
 //
-// The profiler rides the existing TraceSpan hierarchy: every
-// GRIDSEC_TRACE_SPAN site doubles as a profiling phase marker. While the
-// profiler is enabled, each span open/close maintains a per-thread frame
-// stack and accumulates into a call tree keyed by span-name path, so the
-// same instrumentation that feeds Chrome traces also answers "which phase
-// of compute_impact_matrix burns the cycles".
+// The profiler rides the TraceSpan hierarchy: every GRIDSEC_TRACE_SPAN site
+// is a profiling phase marker. While the profiler is enabled, each span
+// open/close maintains a per-thread frame stack and accumulates into a
+// call tree keyed by span-name path, which answers "which phase of
+// compute_impact_matrix burns the cycles". A run report (obs/report.hpp)
+// carries the snapshot as its optional "profile" member.
 //
 // What gets recorded per call-tree node:
 //   * count         — times the phase was entered (completed frames);
@@ -22,10 +22,9 @@
 // obs.alloc.bytes / obs.alloc.peak_bytes registry counters published by
 // sync_alloc_counters(). `count` and `bytes` track *requested* sizes and
 // are deterministic for a given binary; `live`/`peak` use
-// malloc_usable_size and depend on the allocator. Everything in this
-// header compiles to no-ops under GRIDSEC_NO_OBS (the parse/format
-// helpers for gridsec.profile artifacts stay available so tools keep
-// working against profiles produced elsewhere).
+// malloc_usable_size and depend on the allocator. The capture machinery
+// in this header compiles to no-ops under GRIDSEC_NO_OBS (the tree types
+// and ranking helpers stay, so tools read profiles produced elsewhere).
 //
 // Cost model:
 //   * GRIDSEC_NO_OBS: zero — the operator new replacement is not
@@ -42,17 +41,10 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "gridsec/util/error.hpp"
-
 namespace gridsec::obs {
-
-/// Wire-format version of the gridsec.profile JSON artifact.
-inline constexpr int kProfileSchemaVersion = 1;
-inline constexpr const char* kProfileSchemaName = "gridsec.profile";
 
 /// One node of the (merged, thread-agnostic) call-tree profile.
 struct ProfileNode {
@@ -79,30 +71,16 @@ struct AllocTotals {
   std::int64_t peak_bytes = 0;
 };
 
-/// A merged snapshot of everything the profiler knows.
+/// The merged call tree. Process-wide allocation and thread-pool totals
+/// are not repeated here: every run-report case carries them as
+/// obs.alloc.* and util.threadpool.* counter deltas.
 struct Profile {
-  int schema_version = kProfileSchemaVersion;
   ProfileNode root;            // name "(root)"; children = top-level phases
   std::int64_t threads = 0;    // threads that recorded at least one frame
-  AllocTotals alloc;           // process-wide at snapshot time
-  std::int64_t pool_busy_ns = 0;  // util.threadpool.busy_ns at snapshot
-  std::int64_t pool_idle_ns = 0;  // util.threadpool.idle_ns at snapshot
 };
 
-/// Weight used for folded-stack export and the inspect ranking.
+/// Weight used for the inspect ranking.
 enum class ProfileWeight { kWallMicros, kCpuMicros, kAllocCount, kAllocBytes };
-
-/// Writes the versioned gridsec.profile JSON document.
-void write_profile_json(std::ostream& os, const Profile& profile);
-
-/// Writes flamegraph-ready folded stacks: one "a;b;c VALUE" line per
-/// call-tree path with a nonzero exclusive weight. Feed to flamegraph.pl.
-void write_profile_folded(std::ostream& os, const Profile& profile,
-                          ProfileWeight weight = ProfileWeight::kWallMicros);
-
-/// Parses a gridsec.profile document back (the inverse of
-/// write_profile_json). Rejects wrong schema name/version loudly.
-StatusOr<Profile> parse_profile(const std::string& json_text);
 
 /// Flattened view for rankings: "a;b;c" path plus a pointer into the
 /// profile tree. Stable order: depth-first, children by name.
@@ -124,7 +102,7 @@ struct ProfileRow {
 class Profiler {
  public:
   /// Enables frame capture. Spans already open stay unprofiled (the
-  /// decision is made at span open, like tracing).
+  /// decision is made at span open).
   static void start();
   /// Disables capture; the accumulated tree is kept for snapshot().
   static void stop();
@@ -133,8 +111,8 @@ class Profiler {
   /// with recording if you care about attribution of in-flight spans
   /// (it is memory-safe either way).
   static void reset();
-  /// Merges every thread's tree, computes exclusive times, and attaches
-  /// allocation + thread-pool totals. Callable while recording.
+  /// Merges every thread's tree and computes exclusive times. Callable
+  /// while recording.
   [[nodiscard]] static Profile snapshot();
 };
 
@@ -148,10 +126,9 @@ class Profiler {
 [[nodiscard]] AllocTotals alloc_totals();
 
 /// Publishes allocation totals into default_registry() as monotonic
-/// counters obs.alloc.count / obs.alloc.bytes / obs.alloc.peak_bytes (plus
-/// the obs.alloc.live_bytes gauge). Call before reading counter snapshots
-/// that should include heap traffic — the bench harness does this around
-/// every case.
+/// counters obs.alloc.count / obs.alloc.bytes / obs.alloc.peak_bytes. Call
+/// before reading counter snapshots that should include heap traffic —
+/// the bench harness does this around every case.
 void sync_alloc_counters();
 
 namespace prof_detail {

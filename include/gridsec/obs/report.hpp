@@ -2,7 +2,7 @@
 // CLI invocation.
 //
 // A report bundles three things under a versioned schema
-// ("gridsec.bench_report", schema_version 2):
+// ("gridsec.bench_report", schema_version 3):
 //   1. RunManifest — provenance captured once per process: git sha, build
 //      type and flags, compiler, hostname, thread count, seed, CLI args,
 //      start time and total wall time. Two reports from different configs
@@ -12,10 +12,13 @@
 //      how much each registry counter (lp.simplex.pivots, lp.bnb.nodes,
 //      sim.montecarlo.failed_trials, ...) advanced across the measured
 //      repetitions, total and per repetition.
-//   3. The full metrics-registry dump, for ad-hoc digging.
+//   3. Optionally, the self-profiler's merged call tree (obs/prof.hpp),
+//      when the run was recorded with --profile.
 //
-// parse_report() reads the JSON back (a minimal parser lives in
-// report.cpp; no external dependency), and diff_reports() compares two
+// One report is the whole artifact of a run: gridsec-benchdiff reads its
+// cases, gridsec-inspect profile ranks its call tree. parse_report() reads
+// the JSON back (through the minimal reader in json.hpp; no external
+// dependency), and diff_reports() compares two
 // parsed reports with per-metric relative thresholds — the engine behind
 // the `gridsec-benchdiff` CI gate. See docs/observability.md for the
 // schema and the baseline-refresh workflow.
@@ -24,20 +27,19 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
-#include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "gridsec/obs/prof.hpp"
 #include "gridsec/util/error.hpp"
 
 namespace gridsec::obs {
 
-class MetricRegistry;
-
 /// Wire-format version of RunReport JSON. Bump on breaking changes and
 /// teach parse_report() about the old layout (or reject it loudly).
-inline constexpr int kReportSchemaVersion = 2;
+inline constexpr int kReportSchemaVersion = 3;
 inline constexpr const char* kReportSchemaName = "gridsec.bench_report";
 
 /// Once-per-process provenance embedded in every report.
@@ -100,14 +102,15 @@ struct RunReport {
   int schema_version = kReportSchemaVersion;
   RunManifest manifest;
   std::vector<CaseResult> cases;
+  /// The self-profiler's snapshot, present when the run was profiled;
+  /// written as {"threads":N,"tree":{...}} under "profile".
+  std::optional<Profile> profile;
 
-  /// Serializes the report; when `registry` is non-null its full dump is
-  /// embedded under "registry". Finalize manifest.wall_time_seconds first.
-  void write_json(std::ostream& os, const MetricRegistry* registry) const;
+  /// Serializes the report. Finalize manifest.wall_time_seconds first.
+  void write_json(std::ostream& os) const;
 };
 
-/// Parses a serialized RunReport (the "registry" blob is skipped; diffing
-/// operates on manifest + cases). Rejects wrong schema name/version and
+/// Parses a serialized RunReport. Rejects wrong schema name/version and
 /// malformed JSON with an explanatory Status.
 StatusOr<RunReport> parse_report(const std::string& json_text);
 

@@ -21,8 +21,8 @@ std::string_view verdict_name(Presolved::Verdict v) {
   return "unknown";
 }
 
-/// Reduction counts go to the registry so B&B root presolve shows up in a
-/// `--metrics` dump alongside node/pivot counters.
+/// Reduction counts go to the registry so B&B root presolve shows up in
+/// run-report counter deltas alongside node/pivot counters.
 void record_presolve_metrics(const Presolved& p) {
   auto& reg = obs::default_registry();
   static obs::Counter& runs = reg.counter("lp.presolve.runs");

@@ -40,7 +40,6 @@ struct IterationOutcome {
   /// growth-flagged eta pivot, or a drift repair that moved the basic
   /// values) rather than the periodic chain-length schedule.
   long residual_refactorizations = 0;
-  double pivot_growth = 0.0;  // max BasisFactorization::pivot_growth() seen
 };
 
 /// Extracts the basis matrix B (m x m) from the tableau into `out`
@@ -154,7 +153,6 @@ bool update_factorization(Tableau& t, WorkspaceImpl& ws, int row,
   }
   if (need_refactor) {
     ++out.refactorizations;
-    out.pivot_growth = std::max(out.pivot_growth, factor.pivot_growth());
     build_basis_matrix(t, ws.bmat);
     if (!factor.refactorize(ws.bmat)) return false;
     // Drift repair: the pivot loops track x incrementally, so a rebuilt
@@ -180,7 +178,6 @@ bool update_factorization(Tableau& t, WorkspaceImpl& ws, int row,
     }
     if (stability_event) ++out.residual_refactorizations;
   }
-  out.pivot_growth = std::max(out.pivot_growth, factor.pivot_growth());
   return true;
 }
 
@@ -382,7 +379,6 @@ struct SimplexMetricsGuard {
   long basis_repairs = 0;
   long refine_steps = 0;
   long residual_refactorizations = 0;
-  double pivot_growth_max = 0.0;
   bool warm_started = false;
   bool warm_rejected = false;
   SolveStatus status = SolveStatus::kOptimal;
@@ -410,10 +406,6 @@ struct SimplexMetricsGuard {
     static obs::Counter& c_refines = reg.counter("lp.basis.refine_steps");
     static obs::Counter& c_stability =
         reg.counter("lp.basis.residual_refactorizations");
-    static obs::Gauge& g_growth = reg.gauge("lp.basis.pivot_growth_max");
-    static obs::Histogram& h_pivots = reg.histogram(
-        "lp.simplex.pivots_per_solve",
-        {0.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0});
     solves.add();
     c_pivots.add(pivots);
     c_degen.add(degenerate);
@@ -425,16 +417,11 @@ struct SimplexMetricsGuard {
     c_repairs.add(basis_repairs);
     c_refines.add(refine_steps);
     c_stability.add(residual_refactorizations);
-    // High-water mark, not a sum. The read-then-set is racy across
-    // concurrent solves, but a missed update only understates a gauge
-    // that the next extreme solve restores — fine for an indicator.
-    if (pivot_growth_max > g_growth.value()) g_growth.set(pivot_growth_max);
     if (warm_started) c_warm.add();
     if (warm_rejected) c_warm_rejects.add();
     if (status != SolveStatus::kOptimal) c_failed.add();
     if (status == SolveStatus::kTimeLimit) c_timeouts.add();
     if (status == SolveStatus::kNumericalError) c_numerical.add();
-    h_pivots.observe(static_cast<double>(pivots));
   }
 
   void absorb(const IterationOutcome& out) {
@@ -446,7 +433,6 @@ struct SimplexMetricsGuard {
     eta_updates += out.eta_updates;
     refine_steps += out.refine_steps;
     residual_refactorizations += out.residual_refactorizations;
-    pivot_growth_max = std::max(pivot_growth_max, out.pivot_growth);
     if (out.cycle_fallback) ++cycle_fallbacks;
   }
 };
@@ -687,7 +673,6 @@ IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws,
     out.status = SolveStatus::kNumericalError;
     return out;
   }
-  out.pivot_growth = factor.pivot_growth();
 
   // Dual-feasible start.
   compute_multipliers(t, factor, ws.y);
@@ -1193,8 +1178,6 @@ Solution solve_impl_inner(const Problem& problem,
       }
     }
     recompute_basics(t, factor, ws.xb, metrics.refine_steps);
-    metrics.pivot_growth_max =
-        std::max(metrics.pivot_growth_max, factor.pivot_growth());
     refine_duals();
 
     bool attractive = false;

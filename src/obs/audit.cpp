@@ -1,10 +1,8 @@
 #include "gridsec/obs/audit.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <ctime>
 #include <fstream>
 #include <mutex>
 #include <optional>
@@ -28,27 +26,9 @@ using lp::VarType;
 // ---------------------------------------------------------------------------
 // Small shared helpers
 
-std::string utc_now_iso8601() {
-  const std::time_t now =
-      std::chrono::system_clock::to_time_t(std::chrono::system_clock::now());
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-void write_number(std::ostream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // JSON has no Inf/NaN literals; infinite bounds are elided by the writer
-  // and anything else non-finite is a data bug worth preserving visibly.
-  if (std::isfinite(v)) {
-    os << buf;
-  } else {
-    os << '"' << buf << '"';
-  }
-}
+// Infinite bounds are elided by the writer; any other non-finite value is
+// a data bug that write_number keeps visible as a quoted string.
+using json::write_number;
 
 std::string_view sense_token(Sense s) {
   switch (s) {
@@ -525,7 +505,7 @@ AuditBundle make_audit_bundle(const Problem& problem, const Solution& solution,
   AuditBundle b;
   b.context = std::move(context);
   b.trigger = std::move(trigger);
-  b.created_utc = utc_now_iso8601();
+  b.created_utc = json::utc_now_iso8601();
   b.problem = problem;
   b.solution = solution;
   CertifyOptions opts = options;

@@ -1,14 +1,18 @@
-// Minimal internal JSON reader shared by the obs artifact parsers
-// (report.cpp, audit.cpp) and their tests. Header-only, recursive descent
-// over a value tree, no external dependency. Deliberately NOT installed
-// under include/ — the public surface stays parse_report/parse_audit_bundle;
-// this is plumbing for round-tripping our own artifacts.
+// Minimal internal JSON reader and writer helpers shared by the obs
+// artifacts (report.cpp, audit.cpp, log.cpp) and their tests. Header-only,
+// recursive descent over a value tree, no external dependency. Deliberately
+// NOT installed under include/ — the public surface stays
+// parse_report/parse_audit_bundle; this is plumbing for round-tripping our
+// own artifacts.
 #pragma once
 
 #include <cctype>
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <map>
 #include <ostream>
 #include <string>
@@ -231,6 +235,31 @@ inline void write_string(std::ostream& os, const std::string& s) {
     }
   }
   os << '"';
+}
+
+/// Writes `v` with 17 significant digits, so every finite double parses
+/// back bit-identical. JSON has no Inf/NaN literals: a non-finite value is
+/// written as a quoted string ("inf", "nan"), visibly not a number.
+inline void write_number(std::ostream& os, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  if (std::isfinite(v)) {
+    os << buf;
+  } else {
+    os << '"' << buf << '"';
+  }
+}
+
+/// Current UTC time as ISO 8601 with second resolution,
+/// e.g. "2026-08-06T12:00:00Z".
+inline std::string utc_now_iso8601() {
+  const std::time_t now =
+      std::chrono::system_clock::to_time_t(std::chrono::system_clock::now());
+  std::tm tm{};
+  gmtime_r(&now, &tm);
+  char buf[32];
+  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
+  return buf;
 }
 
 }  // namespace gridsec::obs::json

@@ -42,7 +42,6 @@ bool parse_log_level(std::string_view text, LogLevel* out) {
 #include <cstdlib>
 #include <ctime>
 #include <deque>
-#include <fstream>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -93,7 +92,6 @@ struct LoggerState {
   std::deque<std::string> ring;  // oldest first, bounded by ring capacity
   std::uint64_t emitted = 0;
   bool stderr_sink;
-  std::ofstream file_sink;
 
   LoggerState()
       : threshold(static_cast<int>(level_from_env_or(LogLevel::kInfo))),
@@ -130,23 +128,6 @@ void Logger::set_stderr_sink(bool enabled) {
   s.stderr_sink = enabled;
 }
 
-bool Logger::open_file_sink(const std::string& path) {
-  LoggerState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  s.file_sink.close();
-  s.file_sink.clear();
-  if (path.empty()) return true;
-  s.file_sink.open(path, std::ios::out | std::ios::trunc);
-  return s.file_sink.is_open();
-}
-
-void Logger::close_file_sink() {
-  LoggerState& s = state();
-  const std::lock_guard<std::mutex> lock(s.mu);
-  s.file_sink.close();
-  s.file_sink.clear();
-}
-
 std::vector<std::string> Logger::tail(std::size_t max_records) {
   LoggerState& s = state();
   const std::lock_guard<std::mutex> lock(s.mu);
@@ -178,7 +159,6 @@ void Logger::emit(LogLevel level, std::string line) {
   const std::lock_guard<std::mutex> lock(s.mu);
   ++s.emitted;
   if (s.stderr_sink) std::cerr << line << '\n';
-  if (s.file_sink.is_open()) s.file_sink << line << '\n' << std::flush;
   s.ring.push_back(std::move(line));
   while (s.ring.size() > kDefaultRingCapacity) s.ring.pop_front();
 }
@@ -214,18 +194,11 @@ LogEvent& LogEvent::field(std::string_view key, std::string_view value) {
 }
 
 LogEvent& LogEvent::field(std::string_view key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
   std::ostringstream os;
   os << ',';
   json::write_string(os, std::string(key));
-  // JSON has no NaN/Inf literals; quote them so records stay parseable.
-  if (value != value || value > 1.7976931348623157e308 ||
-      value < -1.7976931348623157e308) {
-    os << ":\"" << buf << '"';
-  } else {
-    os << ':' << buf;
-  }
+  os << ':';
+  json::write_number(os, value);
   line_ += os.str();
   return *this;
 }

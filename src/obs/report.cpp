@@ -3,18 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <ctime>
 #include <ostream>
-#include <sstream>
 #include <thread>
 
-#include "gridsec/obs/metrics.hpp"
 #include "gridsec/util/stats.hpp"
 #include "json.hpp"
 
@@ -52,26 +45,22 @@ std::string current_hostname() {
   return env != nullptr ? env : "unknown";
 }
 
-std::string utc_now_iso8601() {
-  const std::time_t now =
-      std::chrono::system_clock::to_time_t(std::chrono::system_clock::now());
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
+using json::write_number;
+using json::write_string;
 
-void write_json_string(std::ostream& os, const std::string& s) {
-  json::write_string(os, s);
-}
-
-void write_json_double(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << (v > 0 ? "1e308" : "-1e308");
+void write_node(std::ostream& os, const ProfileNode& n) {
+  os << "{\"name\":";
+  write_string(os, n.name);
+  os << ",\"count\":" << n.count << ",\"wall_ns\":" << n.wall_ns
+     << ",\"cpu_ns\":" << n.cpu_ns << ",\"excl_wall_ns\":" << n.excl_wall_ns
+     << ",\"excl_cpu_ns\":" << n.excl_cpu_ns
+     << ",\"alloc_count\":" << n.alloc_count
+     << ",\"alloc_bytes\":" << n.alloc_bytes << ",\"children\":[";
+  for (std::size_t i = 0; i < n.children.size(); ++i) {
+    if (i != 0) os << ',';
+    write_node(os, n.children[i]);
   }
+  os << "]}";
 }
 
 }  // namespace
@@ -89,7 +78,7 @@ RunManifest RunManifest::capture(std::string tool, int argc,
   m.hostname = current_hostname();
   m.hardware_threads = std::max(1u, std::thread::hardware_concurrency());
   m.threads = m.hardware_threads;
-  m.start_time_utc = utc_now_iso8601();
+  m.start_time_utc = json::utc_now_iso8601();
   for (int i = 1; i < argc; ++i) m.args.emplace_back(argv[i]);
   return m;
 }
@@ -129,68 +118,68 @@ CaseResult make_case(std::string name, int warmup,
   return c;
 }
 
-void RunReport::write_json(std::ostream& os,
-                           const MetricRegistry* registry) const {
+void RunReport::write_json(std::ostream& os) const {
   os << "{\"schema\":\"" << kReportSchemaName
      << "\",\"schema_version\":" << schema_version << ",\"manifest\":{";
   os << "\"tool\":";
-  write_json_string(os, manifest.tool);
+  write_string(os, manifest.tool);
   os << ",\"git_sha\":";
-  write_json_string(os, manifest.git_sha);
+  write_string(os, manifest.git_sha);
   os << ",\"build_type\":";
-  write_json_string(os, manifest.build_type);
+  write_string(os, manifest.build_type);
   os << ",\"compiler\":";
-  write_json_string(os, manifest.compiler);
+  write_string(os, manifest.compiler);
   os << ",\"cxx_flags\":";
-  write_json_string(os, manifest.cxx_flags);
+  write_string(os, manifest.cxx_flags);
   os << ",\"hostname\":";
-  write_json_string(os, manifest.hostname);
+  write_string(os, manifest.hostname);
   os << ",\"hardware_threads\":" << manifest.hardware_threads
      << ",\"threads\":" << manifest.threads << ",\"seed\":" << manifest.seed
      << ",\"trials\":" << manifest.trials << ",\"args\":[";
   for (std::size_t i = 0; i < manifest.args.size(); ++i) {
     if (i != 0) os << ',';
-    write_json_string(os, manifest.args[i]);
+    write_string(os, manifest.args[i]);
   }
   os << "],\"start_time_utc\":";
-  write_json_string(os, manifest.start_time_utc);
+  write_string(os, manifest.start_time_utc);
   os << ",\"wall_time_seconds\":";
-  write_json_double(os, manifest.wall_time_seconds);
+  write_number(os, manifest.wall_time_seconds);
   os << "},\"cases\":[";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const CaseResult& c = cases[i];
     if (i != 0) os << ',';
     os << "{\"name\":";
-    write_json_string(os, c.name);
+    write_string(os, c.name);
     os << ",\"reps\":" << c.wall.reps << ",\"warmup\":" << c.wall.warmup
        << ",\"wall_seconds\":{\"min\":";
-    write_json_double(os, c.wall.min_seconds);
+    write_number(os, c.wall.min_seconds);
     os << ",\"median\":";
-    write_json_double(os, c.wall.median_seconds);
+    write_number(os, c.wall.median_seconds);
     os << ",\"mean\":";
-    write_json_double(os, c.wall.mean_seconds);
+    write_number(os, c.wall.mean_seconds);
     os << ",\"stddev\":";
-    write_json_double(os, c.wall.stddev_seconds);
+    write_number(os, c.wall.stddev_seconds);
     os << ",\"max\":";
-    write_json_double(os, c.wall.max_seconds);
+    write_number(os, c.wall.max_seconds);
     os << ",\"total\":";
-    write_json_double(os, c.wall.total_seconds);
+    write_number(os, c.wall.total_seconds);
     os << "},\"metrics\":{";
     bool first = true;
     for (const auto& [metric, delta] : c.metrics) {
       if (!first) os << ',';
       first = false;
-      write_json_string(os, metric);
+      write_string(os, metric);
       os << ":{\"total\":" << delta.total << ",\"per_rep\":";
-      write_json_double(os, delta.per_rep);
+      write_number(os, delta.per_rep);
       os << '}';
     }
     os << "}}";
   }
   os << ']';
-  if (registry != nullptr) {
-    os << ",\"registry\":";
-    registry->write_json(os);
+  if (profile) {
+    os << ",\"profile\":{\"threads\":" << profile->threads << ",\"tree\":";
+    write_node(os, profile->root);
+    os << '}';
   }
   os << "}\n";
 }
@@ -202,6 +191,42 @@ void RunReport::write_json(std::ostream& os,
 
 using json::JsonParser;
 using json::JsonValue;
+
+namespace {
+
+std::int64_t node_i64(const JsonValue& obj, const char* key) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr ? static_cast<std::int64_t>(v->number_or(0.0)) : 0;
+}
+
+Status parse_node(const JsonValue& jn, ProfileNode* out) {
+  if (jn.kind != JsonValue::Kind::kObject) {
+    return Status::invalid_argument("report: profile node is not an object");
+  }
+  const JsonValue* name = jn.find("name");
+  if (name == nullptr || name->kind != JsonValue::Kind::kString) {
+    return Status::invalid_argument("report: profile node without a name");
+  }
+  out->name = name->string;
+  out->count = node_i64(jn, "count");
+  out->wall_ns = node_i64(jn, "wall_ns");
+  out->cpu_ns = node_i64(jn, "cpu_ns");
+  out->excl_wall_ns = node_i64(jn, "excl_wall_ns");
+  out->excl_cpu_ns = node_i64(jn, "excl_cpu_ns");
+  out->alloc_count = node_i64(jn, "alloc_count");
+  out->alloc_bytes = node_i64(jn, "alloc_bytes");
+  if (const JsonValue* children = jn.find("children");
+      children != nullptr && children->kind == JsonValue::Kind::kArray) {
+    out->children.resize(children->array.size());
+    for (std::size_t i = 0; i < children->array.size(); ++i) {
+      const Status st = parse_node(children->array[i], &out->children[i]);
+      if (!st.is_ok()) return st;
+    }
+  }
+  return Status::ok();
+}
+
+}  // namespace
 
 StatusOr<RunReport> parse_report(const std::string& json_text) {
   JsonParser parser(json_text);
@@ -301,6 +326,18 @@ StatusOr<RunReport> parse_report(const std::string& json_text) {
       }
     }
     report.cases.push_back(std::move(c));
+  }
+
+  if (const JsonValue* prof = root->find("profile")) {
+    const JsonValue* tree = prof->find("tree");
+    if (tree == nullptr) {
+      return Status::invalid_argument("report: \"profile\" without a tree");
+    }
+    Profile p;
+    p.threads = node_i64(*prof, "threads");
+    const Status st = parse_node(*tree, &p.root);
+    if (!st.is_ok()) return st;
+    report.profile = std::move(p);
   }
   return report;
 }

@@ -19,16 +19,11 @@ int next_scratch_type_id() {
 
 namespace {
 
-/// Pool gauges live in the default registry. Queue depth and active-worker
-/// count are written under the pool mutex the code already holds, so the
-/// extra cost is two relaxed stores per task transition. busy_ns/idle_ns
-/// extend the gauges into cumulative time counters: busy accrues once per
-/// completed task, idle once per condition-variable wait.
+/// Pool counters live in the default registry and are written under the
+/// pool mutex the code already holds. busy_ns/idle_ns are cumulative time:
+/// busy accrues once per completed task, idle once per condition-variable
+/// wait.
 struct PoolMetrics {
-  obs::Gauge& queue_depth =
-      obs::default_registry().gauge("util.threadpool.queue_depth");
-  obs::Gauge& active =
-      obs::default_registry().gauge("util.threadpool.active_workers");
   obs::Counter& submitted =
       obs::default_registry().counter("util.threadpool.tasks_submitted");
   obs::Counter& completed =
@@ -85,7 +80,6 @@ std::future<void> ThreadPool::submit(std::function<void()> task) {
     std::lock_guard lock(mutex_);
     GRIDSEC_ASSERT_MSG(!stop_, "submit after shutdown");
     queue_.push_back(Task{nullptr, nullptr, std::move(pt)});
-    pool_metrics().queue_depth.set(static_cast<double>(queue_.size()));
     pool_metrics().submitted.add();
   }
   cv_.notify_one();
@@ -99,8 +93,7 @@ void ThreadPool::submit_raw(void (*fn)(void*), void* ctx, std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
       queue_.push_back(Task{fn, ctx, {}});
     }
-    pool_metrics().queue_depth.set(static_cast<double>(queue_.size()));
-    pool_metrics().submitted.add(static_cast<double>(count));
+    pool_metrics().submitted.add(static_cast<std::int64_t>(count));
   }
   cv_.notify_all();
 }
@@ -148,8 +141,6 @@ void ThreadPool::worker_loop(std::size_t worker) {
       task = std::move(queue_.front());
       queue_.pop_front();
       ++active_;
-      pool_metrics().queue_depth.set(static_cast<double>(queue_.size()));
-      pool_metrics().active.set(static_cast<double>(active_));
     }
     const std::uint64_t busy_start = mono_ns();
     // Raw tasks own their error signalling; packaged tasks capture
@@ -165,7 +156,6 @@ void ThreadPool::worker_loop(std::size_t worker) {
       stats_[worker].tasks += 1;
       pool_metrics().busy_ns.add(busy);
       --active_;
-      pool_metrics().active.set(static_cast<double>(active_));
       pool_metrics().completed.add();
       if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
     }

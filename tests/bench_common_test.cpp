@@ -3,7 +3,6 @@
 // parse_args() terminates the process on malformed input (it is a CLI
 // front door), so the rejection paths are exercised as gtest death tests.
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -34,6 +33,7 @@ TEST(BenchArgs, Defaults) {
   EXPECT_FALSE(args.csv_only);
   EXPECT_EQ(args.threads, 0u);
   EXPECT_TRUE(args.json_file.empty());
+  EXPECT_FALSE(args.profile);
   EXPECT_EQ(args.reps, 0);
   EXPECT_EQ(args.warmup, -1);
 }
@@ -41,14 +41,20 @@ TEST(BenchArgs, Defaults) {
 TEST(BenchArgs, ParsesEveryFlag) {
   const BenchArgs args =
       parse({"--trials=7", "--seed=42", "--threads=3", "--reps=5",
-             "--warmup=2", "--csv", "--json=out.json"});
+             "--warmup=2", "--csv", "--profile", "--json=out.json"});
   EXPECT_EQ(args.trials, 7);
   EXPECT_EQ(args.seed, 42u);
   EXPECT_EQ(args.threads, 3u);
   EXPECT_EQ(args.reps, 5);
   EXPECT_EQ(args.warmup, 2);
   EXPECT_TRUE(args.csv_only);
-  EXPECT_EQ(args.json_file, "out.json");
+  EXPECT_TRUE(args.profile);
+  EXPECT_EQ(args.json_file, "out.json");  // --profile keeps an explicit file
+
+  // A bare --profile implies the default report name.
+  const BenchArgs bare = parse({"--profile"}, "/some/build/dir/fig4");
+  EXPECT_TRUE(bare.profile);
+  EXPECT_EQ(bare.json_file, "BENCH_fig4.json");
 }
 
 TEST(BenchArgs, BareJsonDerivesFilenameFromProgram) {
@@ -143,7 +149,7 @@ TEST(Harness, VoidCasesAndManifestPropagation) {
   EXPECT_EQ(harness.report().manifest.tool, "bench_common_test");
 }
 
-/// Runs one empty case and emits the report and profile the args ask for.
+/// Runs one empty case and emits the report the args ask for.
 void emit_with(const BenchArgs& args) {
   char prog[] = "bench_common_test";
   char* argv[] = {prog};
@@ -159,21 +165,6 @@ TEST(HarnessDeathTest, UnwritableArtifactsExitOne) {
   report.json_file = "/nonexistent-dir/x/BENCH_x.json";
   EXPECT_EXIT(emit_with(report), testing::ExitedWithCode(1),
               "cannot write report");
-
-  BenchArgs profile;
-  profile.profile_file = "/nonexistent-dir/x/PROF_x.json";
-  EXPECT_EXIT(emit_with(profile), testing::ExitedWithCode(1),
-              "cannot write profile");
-
-  // The profile itself opens, but a directory squats on its .folded name.
-  BenchArgs folded;
-  folded.profile_file = ::testing::TempDir() + "bench_common_test_prof.json";
-  const std::string squatter = folded.profile_file + ".folded";
-  std::filesystem::create_directories(squatter);
-  EXPECT_EXIT(emit_with(folded), testing::ExitedWithCode(1),
-              "cannot write folded stacks");
-  std::filesystem::remove(squatter);
-  std::filesystem::remove(folded.profile_file);
 }
 
 }  // namespace

@@ -1,11 +1,9 @@
 // Tests for gridsec::obs structured logging: level parsing and gating,
-// the retained ring tail, sinks, and the JSON shape of emitted records.
+// the retained ring tail, and the JSON shape of emitted records.
 #include "gridsec/obs/log.hpp"
 
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -20,7 +18,7 @@ namespace obs = gridsec::obs;
 namespace {
 
 // Saves and restores the process-global logger configuration so tests in
-// this binary do not leak levels/sinks into each other.
+// this binary do not leak levels or the stderr sink into each other.
 class LogTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -29,7 +27,6 @@ class LogTest : public ::testing::Test {
     obs::Logger::reset_ring();
   }
   void TearDown() override {
-    obs::Logger::close_file_sink();
     obs::Logger::set_stderr_sink(false);
     obs::Logger::set_level(saved_level_);
     obs::Logger::reset_ring();
@@ -170,31 +167,6 @@ TEST_F(LogTest, RingOverwritesOldestBeyondCapacity) {
   // The oldest retained record is i = 10.
   const obs::json::JsonValue v = parse_record(all.front());
   EXPECT_DOUBLE_EQ(v.find("i")->number_or(-1.0), 10.0);
-}
-
-TEST_F(LogTest, FileSinkWritesJsonl) {
-  const std::string path =
-      ::testing::TempDir() + "gridsec_obs_log_test.jsonl";
-  ASSERT_TRUE(obs::Logger::open_file_sink(path));
-  GRIDSEC_LOG(kInfo, "unit.test").field("i", 1).message("first");
-  GRIDSEC_LOG(kWarn, "unit.test").field("i", 2).message("second");
-  obs::Logger::close_file_sink();
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_EQ(parse_record(lines[0]).find("msg")->string_or(""), "first");
-  EXPECT_EQ(parse_record(lines[1]).find("level")->string_or(""), "warn");
-  std::remove(path.c_str());
-}
-
-TEST_F(LogTest, OpenFileSinkFailsOnBadPath) {
-  EXPECT_FALSE(obs::Logger::open_file_sink("/nonexistent-dir/x/y.jsonl"));
 }
 
 #endif  // GRIDSEC_NO_OBS

@@ -1,10 +1,9 @@
 // gridsec::obs::prof — phase-attributed profiling: frame capture via
-// TraceSpan, exclusive allocation attribution, folded/JSON export round
-// trips, registry publication, and TSan-exercised concurrent recording.
+// TraceSpan, exclusive allocation attribution, registry publication, and
+// TSan-exercised concurrent recording.
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,6 +47,23 @@ TEST_F(ProfilerTest, DisabledByDefaultAndSpansRecordNothing) {
   { GRIDSEC_TRACE_SPAN("prof.test.unrecorded"); }
   const Profile p = Profiler::snapshot();
   EXPECT_EQ(p.root.find("prof.test.unrecorded"), nullptr);
+}
+
+// The capture decision is made when a span opens: a span that straddles
+// start() pushes and pops no frame, while one opened after start()
+// records at top level rather than under the unrecorded span.
+TEST_F(ProfilerTest, SpanOpenedWhileDisabledIsNotRecorded) {
+  {
+    TraceSpan straddle("prof.test.straddle");  // opened while off
+    Profiler::start();
+    { GRIDSEC_TRACE_SPAN("prof.test.after_start"); }
+  }  // closes while on — still must not record
+  Profiler::stop();
+  const Profile p = Profiler::snapshot();
+  EXPECT_EQ(p.root.find("prof.test.straddle"), nullptr);
+  const ProfileNode* inner = p.root.find("prof.test.after_start");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(inner->count, 1);
 }
 
 TEST_F(ProfilerTest, BuildsCallTreeWithCountsAndTimes) {
@@ -131,55 +147,6 @@ TEST_F(ProfilerTest, SnapshotIsCallableWhileRecording) {
   if (open != nullptr) EXPECT_EQ(open->count, 0);
 }
 
-TEST_F(ProfilerTest, FoldedExportEmitsSemicolonPathsWithExclusiveWeights) {
-  Profiler::start();
-  {
-    GRIDSEC_TRACE_SPAN("prof.test.fold_outer");
-    auto a = grab(4096);
-    {
-      GRIDSEC_TRACE_SPAN("prof.test.fold_inner");
-      auto b = grab(8192);
-    }
-  }
-  Profiler::stop();
-  const Profile p = Profiler::snapshot();
-  std::ostringstream folded;
-  write_profile_folded(folded, p, ProfileWeight::kAllocBytes);
-  const std::string text = folded.str();
-  EXPECT_NE(text.find("prof.test.fold_outer "), std::string::npos) << text;
-  EXPECT_NE(text.find("prof.test.fold_outer;prof.test.fold_inner "),
-            std::string::npos)
-      << text;
-}
-
-TEST_F(ProfilerTest, JsonRoundTripPreservesTheTree) {
-  Profiler::start();
-  {
-    GRIDSEC_TRACE_SPAN("prof.test.rt_outer");
-    auto a = grab(2000);
-    { GRIDSEC_TRACE_SPAN("prof.test.rt_inner"); }
-  }
-  Profiler::stop();
-  const Profile p = Profiler::snapshot();
-  std::ostringstream os;
-  write_profile_json(os, p);
-  const StatusOr<Profile> back = parse_profile(os.str());
-  ASSERT_TRUE(back.is_ok()) << back.status().to_string();
-  EXPECT_EQ(back->schema_version, kProfileSchemaVersion);
-  EXPECT_EQ(back->threads, p.threads);
-  EXPECT_EQ(back->alloc.count, p.alloc.count);
-  EXPECT_EQ(back->alloc.bytes, p.alloc.bytes);
-  const ProfileNode* outer = back->root.find("prof.test.rt_outer");
-  ASSERT_NE(outer, nullptr);
-  const ProfileNode* orig = p.root.find("prof.test.rt_outer");
-  ASSERT_NE(orig, nullptr);
-  EXPECT_EQ(outer->count, orig->count);
-  EXPECT_EQ(outer->wall_ns, orig->wall_ns);
-  EXPECT_EQ(outer->excl_wall_ns, orig->excl_wall_ns);
-  EXPECT_EQ(outer->alloc_bytes, orig->alloc_bytes);
-  ASSERT_NE(outer->find("prof.test.rt_inner"), nullptr);
-}
-
 TEST_F(ProfilerTest, AllocTotalsTrackCountBytesLiveAndPeak) {
   // live/peak need the usable-size path, which only runs while recording.
   Profiler::start();
@@ -257,8 +224,7 @@ TEST(Profiler, ConcurrentSpansAndAllocsAreTSanClean) {
   std::atomic<bool> stop_snapshots{false};
   std::thread snapshotter([&stop_snapshots] {
     while (!stop_snapshots.load(std::memory_order_relaxed)) {
-      const Profile p = Profiler::snapshot();
-      EXPECT_GE(p.alloc.count, 0);
+      EXPECT_GE(Profiler::snapshot().threads, 0);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
@@ -285,40 +251,6 @@ TEST(Profiler, ConcurrentSpansAndAllocsAreTSanClean) {
 }
 
 #endif  // GRIDSEC_NO_OBS
-
-// Parsing guards are available in every build flavor.
-TEST(ParseProfile, RejectsWrongSchemaAndGarbage) {
-  EXPECT_FALSE(parse_profile("not json").is_ok());
-  EXPECT_FALSE(parse_profile("{}").is_ok());
-  EXPECT_FALSE(
-      parse_profile(
-          R"({"schema":"gridsec.bench_report","schema_version":1,"tree":{}})")
-          .is_ok());
-  EXPECT_FALSE(
-      parse_profile(
-          R"({"schema":"gridsec.profile","schema_version":999,"tree":{}})")
-          .is_ok());
-  EXPECT_FALSE(
-      parse_profile(R"({"schema":"gridsec.profile","schema_version":1})")
-          .is_ok());
-}
-
-TEST(ParseProfile, AcceptsMinimalDocument) {
-  const StatusOr<Profile> p = parse_profile(
-      R"json({"schema":"gridsec.profile","schema_version":1,"threads":2,)json"
-      R"json("alloc":{"count":10,"bytes":640,"live_bytes":0,"peak_bytes":640},)json"
-      R"json("pool":{"busy_ns":5,"idle_ns":7},)json"
-      R"json("tree":{"name":"(root)","children":[)json"
-      R"json({"name":"a","count":1,"wall_ns":100,"excl_wall_ns":100}]}})json");
-  ASSERT_TRUE(p.is_ok()) << p.status().to_string();
-  EXPECT_EQ(p->threads, 2);
-  EXPECT_EQ(p->alloc.bytes, 640);
-  EXPECT_EQ(p->pool_busy_ns, 5);
-  EXPECT_EQ(p->pool_idle_ns, 7);
-  const ProfileNode* a = p->root.find("a");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->wall_ns, 100);
-}
 
 }  // namespace
 }  // namespace gridsec::obs

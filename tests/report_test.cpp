@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/report.hpp"
 
 namespace gridsec::obs {
@@ -88,7 +87,7 @@ TEST(MakeCase, ComputesPerRepDeltasAndKeepsUnchangedAtZero) {
 TEST(RunReport, JsonRoundTripPreservesEverythingDiffable) {
   const RunReport original = small_report();
   std::ostringstream os;
-  original.write_json(os, nullptr);
+  original.write_json(os);
   const auto parsed = parse_report(os.str());
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
 
@@ -111,19 +110,78 @@ TEST(RunReport, JsonRoundTripPreservesEverythingDiffable) {
   EXPECT_FALSE(diff.rows.empty());
 }
 
-TEST(RunReport, JsonRoundTripWithRegistryBlobAndEscapes) {
+TEST(RunReport, JsonRoundTripWithProfileAndEscapes) {
   RunReport report = small_report();
   report.manifest.args = {"--path=C:\\tmp\\x", "--note=\"quoted\"\n\ttabbed"};
-  MetricRegistry reg;  // embedded registry dump must parse (and be skipped)
-  reg.counter("c").add(3);
-  reg.histogram("h", {1.0}).observe(0.5);
-  reg.timer("t").observe_seconds(0.1);
+  Profile profile;
+  profile.threads = 2;
+  profile.root.name = "(root)";
+  ProfileNode& outer = profile.root.children.emplace_back();
+  outer.name = "core.game.play";
+  outer.count = 3;
+  outer.wall_ns = 9000;
+  outer.cpu_ns = 8000;
+  outer.excl_wall_ns = 4000;
+  outer.excl_cpu_ns = 3500;
+  outer.alloc_count = 7;
+  outer.alloc_bytes = 4096;
+  ProfileNode& inner = outer.children.emplace_back();
+  inner.name = "lp.simplex.solve";
+  inner.count = 12;
+  inner.wall_ns = 5000;
+  inner.excl_wall_ns = 5000;
+  report.profile = profile;
   std::ostringstream os;
-  report.write_json(os, &reg);
-  const auto parsed = parse_report(os.str());
+  report.write_json(os);
+  const std::string text = os.str();
+  const auto parsed = parse_report(text);
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
   EXPECT_EQ(parsed->manifest.args, report.manifest.args);
   EXPECT_TRUE(diff_reports(report, *parsed).clean());
+
+  ASSERT_TRUE(parsed->profile.has_value());
+  EXPECT_EQ(parsed->profile->threads, 2);
+  EXPECT_EQ(parsed->profile->root.name, "(root)");
+  const ProfileNode* back = parsed->profile->root.find("core.game.play");
+  ASSERT_NE(back, nullptr);
+  EXPECT_EQ(back->count, 3);
+  EXPECT_EQ(back->wall_ns, 9000);
+  EXPECT_EQ(back->cpu_ns, 8000);
+  EXPECT_EQ(back->excl_wall_ns, 4000);
+  EXPECT_EQ(back->excl_cpu_ns, 3500);
+  EXPECT_EQ(back->alloc_count, 7);
+  EXPECT_EQ(back->alloc_bytes, 4096);
+  const ProfileNode* back_inner = back->find("lp.simplex.solve");
+  ASSERT_NE(back_inner, nullptr);
+  EXPECT_EQ(back_inner->count, 12);
+  EXPECT_EQ(back_inner->excl_wall_ns, 5000);
+
+  // A report without --profile carries no profile member.
+  std::ostringstream plain;
+  small_report().write_json(plain);
+  EXPECT_EQ(plain.str().find("\"profile\""), std::string::npos);
+  const auto plain_parsed = parse_report(plain.str());
+  ASSERT_TRUE(plain_parsed.is_ok()) << plain_parsed.status().to_string();
+  EXPECT_FALSE(plain_parsed->profile.has_value());
+
+  // A document cut off inside the profile tree is rejected.
+  EXPECT_FALSE(parse_report(text.substr(0, text.size() - 8)).is_ok());
+}
+
+TEST(RunReport, DoublesRoundTripAtFullPrecision) {
+  const double reps[] = {0.123456789, 0.2, 0.3};
+  RunReport report;
+  report.cases.push_back(make_case("precise", 0, reps,
+                                   {{"obs.alloc.bytes", 0}},
+                                   {{"obs.alloc.bytes", 16378575}}));
+  std::ostringstream os;
+  report.write_json(os);
+  const auto parsed = parse_report(os.str());
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  const CaseResult& c = parsed->cases.at(0);
+  EXPECT_EQ(c.metrics.at("obs.alloc.bytes").total, 16378575);
+  EXPECT_EQ(c.metrics.at("obs.alloc.bytes").per_rep, 16378575.0 / 3);
+  EXPECT_EQ(c.wall.min_seconds, 0.123456789);
 }
 
 TEST(ParseReport, RejectsWrongSchemaVersionAndGarbage) {

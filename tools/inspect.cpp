@@ -1,9 +1,9 @@
 // gridsec-inspect — render and validate gridsec.audit_bundle artifacts and
-// gridsec.profile self-profiles.
+// rank the self-profile a run report carries.
 //
-//   gridsec-inspect [options] BUNDLE.json       human-readable solve narrative
-//   gridsec-inspect --validate BUNDLE.json      recompute the certificate
-//   gridsec-inspect profile [options] PROF.json rank phases by exclusive cost
+//   gridsec-inspect [options] BUNDLE.json         human-readable solve narrative
+//   gridsec-inspect --validate BUNDLE.json        recompute the certificate
+//   gridsec-inspect profile [options] REPORT.json rank phases by exclusive cost
 //
 // Profile mode options:
 //   --top=N             rows to show (default 10)
@@ -25,7 +25,8 @@
 //
 // Exit codes mirror gridsec-benchdiff: 0 = bundle is valid (and, under
 // --validate, the recomputed certificate passes), 1 = bundle parses but
-// the certificate fails, 2 = usage or parse error.
+// the certificate fails, 2 = usage or parse error (profile mode: also a
+// report recorded without --profile).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -37,7 +38,7 @@
 #include <vector>
 
 #include "gridsec/obs/audit.hpp"
-#include "gridsec/obs/prof.hpp"
+#include "gridsec/obs/report.hpp"
 #include "gridsec/util/table.hpp"
 
 namespace {
@@ -50,7 +51,7 @@ int usage() {
       "usage: gridsec-inspect [--tail=N] [--quiet] BUNDLE.json\n"
       "       gridsec-inspect --validate BUNDLE.json\n"
       "       gridsec-inspect profile [--top=N] "
-      "[--weight=wall|cpu|allocs|bytes] PROF.json\n");
+      "[--weight=wall|cpu|allocs|bytes] REPORT.json\n");
   return 2;
 }
 
@@ -206,29 +207,24 @@ int cmd_profile(int argc, char** argv) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  const StatusOr<obs::Profile> loaded = obs::parse_profile(buf.str());
+  const StatusOr<obs::RunReport> loaded = obs::parse_report(buf.str());
   if (!loaded.is_ok()) {
     std::fprintf(stderr, "gridsec-inspect: %s: %s\n", files[0].c_str(),
                  loaded.status().to_string().c_str());
     return 2;
   }
-  const obs::Profile& p = loaded.value();
-
-  std::printf(
-      "profile v%d — %lld recording thread%s, %lld allocs / %lld bytes "
-      "(peak rss of heap %lld)\n",
-      p.schema_version, static_cast<long long>(p.threads),
-      p.threads == 1 ? "" : "s", static_cast<long long>(p.alloc.count),
-      static_cast<long long>(p.alloc.bytes),
-      static_cast<long long>(p.alloc.peak_bytes));
-  if (p.pool_busy_ns > 0 || p.pool_idle_ns > 0) {
-    const double busy_ms = static_cast<double>(p.pool_busy_ns) / 1e6;
-    const double idle_ms = static_cast<double>(p.pool_idle_ns) / 1e6;
-    const double util =
-        busy_ms + idle_ms > 0.0 ? 100.0 * busy_ms / (busy_ms + idle_ms) : 0.0;
-    std::printf("thread pool: busy %.1f ms, idle %.1f ms (%.0f%% utilized)\n",
-                busy_ms, idle_ms, util);
+  if (!loaded->profile) {
+    std::fprintf(stderr,
+                 "gridsec-inspect: %s: report has no profile (record the "
+                 "run with --profile)\n",
+                 files[0].c_str());
+    return 2;
   }
+  const obs::Profile& p = *loaded->profile;
+
+  std::printf("profile of %s — %lld recording thread%s\n",
+              loaded->manifest.tool.c_str(),
+              static_cast<long long>(p.threads), p.threads == 1 ? "" : "s");
 
   std::vector<obs::ProfileRow> rows = obs::flatten_profile(p);
   std::stable_sort(rows.begin(), rows.end(),
