@@ -12,30 +12,20 @@
 
 #include "gridsec/lp/problem.hpp"
 #include "gridsec/lp/simplex.hpp"
-#include "gridsec/obs/solver_events.hpp"
 
 namespace gridsec::lp {
 
 struct BranchAndBoundOptions {
   SimplexOptions lp_options;
-  double integrality_tol = 1e-6;
-  /// Absolute optimality gap at which search stops.
-  double absolute_gap = 1e-9;
   long max_nodes = 200000;
   /// Wall-clock deadline in milliseconds, checked once per node (and in the
   /// diving heuristic). 0 = no limit. Expiry returns the incumbent (if any)
   /// with SolveStatus::kTimeLimit — feasible but not proven optimal.
   double time_limit_ms = 0.0;
-  /// Run LP presolve at the root (bound tightening propagates into every
-  /// node because nodes only shrink bounds further).
-  bool use_presolve = false;
   /// Before the search, dive once from the root relaxation — repeatedly
   /// round the most fractional integer and re-solve — to seed an incumbent
   /// early. Never affects optimality, only pruning speed.
   bool diving_heuristic = true;
-  /// Optional event stream: called for every node explored / pruned /
-  /// incumbent found. Empty (the default) costs one branch per node.
-  obs::BnBObserver observer;
 };
 
 // BranchAndBoundStats lives in problem.hpp so Solution can embed it; the
@@ -46,7 +36,9 @@ class BranchAndBoundSolver {
   explicit BranchAndBoundSolver(BranchAndBoundOptions options = {})
       : options_(options) {}
 
-  /// Solves `problem` to proven optimality (within absolute_gap).
+  /// Solves `problem` to proven optimality: a node is pruned once its
+  /// bound is within 1e-9 of the incumbent, and a relaxation value within
+  /// 1e-6 of an integer counts as integral.
   /// Solution::duals is empty (MILP duals are not well defined).
   /// status == kIterationLimit / kTimeLimit means the node or wall-clock
   /// budget was exhausted; the returned incumbent (if any) is feasible but

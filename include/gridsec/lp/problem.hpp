@@ -208,7 +208,7 @@ struct Solution {
   /// The optimal basis (LP: final simplex basis; MILP: the incumbent
   /// node's relaxation basis). Feed it back through
   /// SimplexOptions::warm_start to hot-start a sibling solve. Empty when
-  /// the solve did not reach optimality or went through presolve.
+  /// the solve did not reach optimality.
   Basis basis;
   /// True when this solve started from a warm basis (after any crash
   /// repair) rather than the cold slack/artificial basis. Audit bundles

@@ -21,7 +21,6 @@
 #pragma once
 
 #include "gridsec/lp/problem.hpp"
-#include "gridsec/obs/solver_events.hpp"
 
 namespace gridsec::lp {
 
@@ -36,13 +35,11 @@ class SolverWorkspace;
 inline constexpr double kDualRoundingFloor = 1e-13;
 
 struct SimplexOptions {
-  double feasibility_tol = 1e-7;   // bound/constraint violation tolerance
-  double optimality_tol = 1e-9;    // reduced-cost threshold
-  long max_iterations = 0;         // 0 = automatic (scales with size)
-  /// Pivot count after which pricing switches to Bland's rule.
-  /// 0 = automatic (20·(m+n), min 200); negative = Bland from the first
-  /// pivot (the recovery ladder's deterministic-termination rung).
-  long bland_after = 0;
+  /// Price by Bland's rule from the first pivot (the recovery ladder's
+  /// deterministic-termination rung and the fuzz's cold oracle). Without
+  /// it pricing takes the steepest violation and switches to Bland's rule
+  /// after max(200, 20·(m+n)) pivots.
+  bool bland = false;
   /// Wall-clock deadline in milliseconds, checked once per pivot (a pivot
   /// refactorizes the basis, so the clock read is noise). 0 = no limit.
   /// Expiry returns SolveStatus::kTimeLimit.
@@ -51,9 +48,6 @@ struct SimplexOptions {
   /// forced to Bland's rule for the rest of the solve (cycling detection;
   /// Bland guarantees termination). 0 = automatic (scales with size).
   long cycle_streak_limit = 0;
-  /// Optional event stream: called once per completed pivot (including
-  /// bound flips). Empty (the default) costs one branch per iteration.
-  obs::SimplexObserver observer;
   /// Warm-start basis, typically a previous Solution::basis from a
   /// structurally similar model. Empty (the default) = cold start. The
   /// row count must match the problem's; the variable statuses may cover

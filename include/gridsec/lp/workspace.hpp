@@ -20,10 +20,10 @@
 //     thread_local off-pool). Pass an explicit workspace only when the
 //     solver state must outlive the solve (analyze_sensitivity does this
 //     for its final-tableau views).
-//   - A workspace is reused, not shared: a nested solve that finds the
-//     workspace already in use (e.g. a solve inside a simplex observer)
-//     falls back to a heap-allocated impl for that solve, counted in
-//     lp.workspace.nested_fallbacks.
+//   - A workspace is reused, not shared: each solve leases it for its
+//     duration, and no solve starts inside another (the recovery ladder
+//     and the solve hook run after the lease is released). A lease on a
+//     workspace already in use asserts.
 #pragma once
 
 #include <cstddef>

@@ -46,7 +46,10 @@ struct CertifyOptions {
   double feasibility_tol = 1e-6;  // primal rows + variable bounds
   double dual_tol = 1e-6;         // dual signs, reduced costs, compl. slack
   double duality_gap_tol = 1e-6;  // |primal - dual| / (1 + |p| + |d|)
-  double integrality_tol = 1e-5;  // matches BranchAndBoundOptions default
+  /// Ten times the branch and bound's kIntegralityTol (1e-6,
+  /// src/lp/milp.cpp): every point the search calls integral passes, and
+  /// it snaps incumbents to exact integers anyway.
+  double integrality_tol = 1e-5;
   /// The solution is an LP-relaxation answer for a problem that declares
   /// integer variables (a branch-and-bound node LP, or solve_lp called on
   /// a MILP model). Integer variables are checked as continuous: the

@@ -10,8 +10,9 @@
 // run_differential_fuzz() is the harness: it generates seeded random
 // instances, optionally injects faults, and cross-checks independent
 // solution paths against each other —
-//   * hardened SimplexSolver vs. solve_lp_with_presolve on the same LP
-//     (verdict classes must agree; optimal objectives must match),
+//   * hardened SimplexSolver vs. a cold re-solve under Bland's rule from
+//     the first pivot on the same LP (verdict classes must agree; optimal
+//     objectives must match),
 //   * StrategicAdversary::plan / plan_milp vs. the brute-force
 //     plan_enumerate on small impact matrices,
 //   * Network::validate vs. solve_social_welfare on faulted grids (invalid
@@ -136,7 +137,7 @@ struct FuzzOptions {
 struct FuzzStats {
   int instances = 0;         // total instances exercised across all legs
   int faulted = 0;           // instances that received injected faults
-  int lp_checks = 0;         // simplex-vs-presolve comparisons run
+  int lp_checks = 0;         // default-vs-Bland simplex comparisons run
   int adversary_checks = 0;  // plan/plan_milp-vs-enumerate comparisons run
   int network_checks = 0;    // validate-vs-solve pipeline probes run
   int warm_checks = 0;       // warm-vs-cold simplex comparisons run

@@ -33,7 +33,7 @@
 // See docs/robustness.md#numerical-recovery-robustrecovery.
 #pragma once
 
-#include "gridsec/lp/presolve.hpp"
+#include "gridsec/lp/equilibrate.hpp"
 #include "gridsec/lp/problem.hpp"
 #include "gridsec/lp/simplex.hpp"
 

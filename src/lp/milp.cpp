@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "gridsec/lp/presolve.hpp"
 #include "gridsec/obs/log.hpp"
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/trace.hpp"
@@ -13,6 +12,12 @@
 
 namespace gridsec::lp {
 namespace {
+
+/// A relaxation value this close to an integer counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+/// Absolute optimality gap: a node whose bound is within it of the
+/// incumbent cannot improve on it and is pruned.
+constexpr double kAbsoluteGap = 1e-9;
 
 struct BoundChange {
   int var;
@@ -87,78 +92,14 @@ Solution BranchAndBoundSolver::solve(const Problem& problem) const {
 Solution BranchAndBoundSolver::solve_search(const Problem& problem) const {
   stats_ = {};
 
-  // Guardrails: reject NaN/Inf-poisoned data before presolve or any LP
-  // arithmetic touches it, and arm the wall-clock deadline for the search.
+  // Guardrails: reject NaN/Inf-poisoned data before any LP arithmetic
+  // touches it, and arm the wall-clock deadline for the search.
   if (!validate_problem(problem).is_ok()) {
     Solution out;
     out.status = SolveStatus::kNumericalError;
     return out;
   }
   const Deadline deadline = Deadline::in_ms(options_.time_limit_ms);
-
-  // Optional root presolve. Only usable when it does not fix any integer
-  // variable at a fractional value (then its reductions are MILP-valid:
-  // bounds only ever shrink further down the tree).
-  if (options_.use_presolve) {
-    Presolved pre = presolve(problem);
-    bool integral_fixings = true;
-    if (pre.verdict() == Presolved::Verdict::kReduced ||
-        pre.verdict() == Presolved::Verdict::kSolved) {
-      Solution dummy;
-      dummy.status = SolveStatus::kOptimal;
-      if (pre.verdict() == Presolved::Verdict::kSolved) {
-        Solution mapped = pre.postsolve(dummy);
-        if (problem.is_feasible(mapped.x, options_.integrality_tol)) {
-          return mapped;
-        }
-        integral_fixings = false;  // a fixing violated integrality
-      } else {
-        // Check the fixings without solving: reconstruct fixed values by
-        // postsolving a zero vector of reduced size.
-        Solution zeros;
-        zeros.status = SolveStatus::kOptimal;
-        zeros.x.assign(
-            static_cast<std::size_t>(pre.reduced().num_variables()), 0.0);
-        Solution mapped = pre.postsolve(zeros);
-        for (int j = 0; j < problem.num_variables(); ++j) {
-          if (problem.variable(j).type == VarType::kContinuous) continue;
-          const double v = mapped.x[static_cast<std::size_t>(j)];
-          // Only fixed variables carry meaningful values here; reduced
-          // columns were zeroed, and zero is always integral.
-          if (std::fabs(v - std::round(v)) > options_.integrality_tol) {
-            integral_fixings = false;
-            break;
-          }
-        }
-        if (integral_fixings) {
-          BranchAndBoundOptions inner = options_;
-          inner.use_presolve = false;
-          if (inner.time_limit_ms > 0.0) {
-            inner.time_limit_ms = deadline.remaining_ms();
-          }
-          BranchAndBoundSolver solver(inner);
-          Solution reduced_sol = solver.solve(pre.reduced());
-          stats_ = solver.stats();
-          if (reduced_sol.status != SolveStatus::kOptimal) {
-            // Map terminal statuses through unchanged.
-            Solution out;
-            out.status = reduced_sol.status;
-            return out;
-          }
-          return pre.postsolve(reduced_sol);
-        }
-      }
-    } else if (pre.verdict() == Presolved::Verdict::kInfeasible) {
-      Solution out;
-      out.status = SolveStatus::kInfeasible;
-      return out;
-    } else if (pre.verdict() == Presolved::Verdict::kUnbounded) {
-      Solution out;
-      out.status = SolveStatus::kUnbounded;
-      return out;
-    }
-    // Fractional integer fixing: fall through to the plain search.
-  }
 
   const bool maximize = problem.objective() == Objective::kMaximize;
   const auto internal = [maximize](double obj) {
@@ -205,23 +146,6 @@ Solution BranchAndBoundSolver::solve_search(const Problem& problem) const {
   static obs::Counter& c_incumbents = reg.counter("lp.bnb.incumbents");
   static obs::Counter& c_pruned = reg.counter("lp.bnb.pruned");
 
-  const bool observed = static_cast<bool>(options_.observer);
-  const auto emit = [&](obs::BnBNodeEvent::Kind kind, double bound_internal,
-                        int depth, int branch_var = -1) {
-    if (!observed) return;
-    obs::BnBNodeEvent ev;
-    ev.kind = kind;
-    ev.node = stats_.nodes_explored;
-    ev.depth = depth;
-    ev.bound = maximize ? -bound_internal : bound_internal;
-    ev.has_incumbent = incumbent.status == SolveStatus::kOptimal;
-    ev.incumbent = ev.has_incumbent ? incumbent.objective : 0.0;
-    ev.gap = ev.has_incumbent ? std::fabs(incumbent_internal - bound_internal)
-                              : 0.0;
-    ev.branch_var = branch_var;
-    options_.observer(ev);
-  };
-
   Basis root_warm;  // seeded by the dive's root relaxation, if it runs
   if (options_.diving_heuristic && problem.has_integer_variables()) {
     // One rounding dive from the root: cheap, and a feasible incumbent
@@ -240,8 +164,7 @@ Solution BranchAndBoundSolver::solve_search(const Problem& problem) const {
       if (relax.status != SolveStatus::kOptimal) break;
       if (dive.empty()) root_warm = relax.basis;  // root relaxation basis
       dive_warm = relax.basis;
-      const int frac =
-          most_fractional(problem, relax.x, options_.integrality_tol);
+      const int frac = most_fractional(problem, relax.x, kIntegralityTol);
       if (frac < 0) {
         for (int j = 0; j < problem.num_variables(); ++j) {
           if (problem.variable(j).type != VarType::kContinuous) {
@@ -256,8 +179,6 @@ Solution BranchAndBoundSolver::solve_search(const Problem& problem) const {
         incumbent_internal = internal(relax.objective);
         ++stats_.incumbent_updates;
         c_incumbents.add();
-        emit(obs::BnBNodeEvent::Kind::kIncumbent, incumbent_internal,
-             static_cast<int>(dive.size()));
         break;
       }
       const double v = relax.x[static_cast<std::size_t>(frac)];
@@ -290,26 +211,18 @@ Solution BranchAndBoundSolver::solve_search(const Problem& problem) const {
     }
     Node node = open.top();
     open.pop();
-    if (node.bound >= incumbent_internal - options_.absolute_gap) {
+    if (node.bound >= incumbent_internal - kAbsoluteGap) {
       c_pruned.add();
-      emit(obs::BnBNodeEvent::Kind::kPrunedByBound, node.bound,
-           static_cast<int>(node.changes.size()));
       continue;  // cannot improve the incumbent
     }
     ++stats_.nodes_explored;
     c_nodes.add();
-    emit(obs::BnBNodeEvent::Kind::kNodeExplored, node.bound,
-         static_cast<int>(node.changes.size()));
 
     apply(node.changes);
     Solution relax = solve_relaxation(node.warm);
     ++stats_.lp_solves;
     c_lp_solves.add();
-    if (relax.status == SolveStatus::kInfeasible) {
-      emit(obs::BnBNodeEvent::Kind::kInfeasible, node.bound,
-           static_cast<int>(node.changes.size()));
-      continue;
-    }
+    if (relax.status == SolveStatus::kInfeasible) continue;
     if (relax.status == SolveStatus::kUnbounded) {
       // Unbounded relaxation at the root means the MILP is unbounded (our
       // binaries cannot bound it); deeper nodes inherit it too.
@@ -332,15 +245,12 @@ Solution BranchAndBoundSolver::solve_search(const Problem& problem) const {
       continue;
     }
     const double node_internal = internal(relax.objective);
-    if (node_internal >= incumbent_internal - options_.absolute_gap) {
+    if (node_internal >= incumbent_internal - kAbsoluteGap) {
       c_pruned.add();
-      emit(obs::BnBNodeEvent::Kind::kPrunedByBound, node_internal,
-           static_cast<int>(node.changes.size()));
       continue;
     }
 
-    const int branch_var =
-        most_fractional(problem, relax.x, options_.integrality_tol);
+    const int branch_var = most_fractional(problem, relax.x, kIntegralityTol);
     if (branch_var < 0) {
       // Integral: new incumbent. Snap integer values exactly.
       for (int j = 0; j < problem.num_variables(); ++j) {
@@ -356,13 +266,8 @@ Solution BranchAndBoundSolver::solve_search(const Problem& problem) const {
       incumbent_internal = internal(relax.objective);
       ++stats_.incumbent_updates;
       c_incumbents.add();
-      emit(obs::BnBNodeEvent::Kind::kIncumbent, node_internal,
-           static_cast<int>(node.changes.size()));
       continue;
     }
-
-    emit(obs::BnBNodeEvent::Kind::kBranched, node_internal,
-         static_cast<int>(node.changes.size()), branch_var);
 
     const double v = relax.x[static_cast<std::size_t>(branch_var)];
     const double floor_v = std::floor(v);

@@ -26,6 +26,11 @@ using detail::VarState;
 using detail::WorkspaceImpl;
 using detail::WorkspaceLease;
 
+/// Bound and constraint violation tolerance.
+constexpr double kFeasibilityTol = 1e-7;
+/// Reduced-cost threshold: a column prices as attractive only past it.
+constexpr double kOptimalityTol = 1e-9;
+
 struct IterationOutcome {
   SolveStatus status = SolveStatus::kOptimal;
   long iterations = 0;
@@ -185,18 +190,15 @@ bool update_factorization(Tableau& t, WorkspaceImpl& ws, int row,
 /// until optimal / unbounded / iteration budget exhausted. ws.factor must
 /// be current for t's basis on entry and is kept current across pivots
 /// by update_factorization. Pricing/direction vectors live in the
-/// workspace — zero heap traffic per pivot. `phase` and `iter_base` only
-/// label observer events (cumulative ids).
+/// workspace — zero heap traffic per pivot.
 IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
                          const SimplexOptions& opt,
                          long max_iters, long bland_after,
-                         const Deadline& deadline, int phase,
-                         long iter_base) {
+                         const Deadline& deadline) {
   IterationOutcome out;
   BasisFactorization& factor = ws.factor;
-  const double dtol = opt.optimality_tol;
+  const double dtol = kOptimalityTol;
   const double eps = 1e-11;
-  const bool observed = static_cast<bool>(opt.observer);
 
   // Cycling detection: a run of degenerate pivots this long under the
   // steepest-violation rule is treated as (near-)cycling and the pricing
@@ -320,18 +322,6 @@ IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
       t.state[eq] = enter_dir > 0 ? VarState::kAtUpper : VarState::kAtLower;
       t.x[eq] = enter_dir > 0 ? t.upper[eq] : t.lower[eq];
       ++out.bound_flips;
-      if (observed) {
-        obs::SimplexIterationEvent ev;
-        ev.iteration = iter_base + iter;
-        ev.phase = phase;
-        ev.entering = entering;
-        ev.leaving = -1;
-        ev.step = t_limit;
-        ev.bound_flip = true;
-        ev.degenerate = degenerate;
-        ev.bland = bland;
-        opt.observer(ev);
-      }
       continue;
     }
 
@@ -346,17 +336,6 @@ IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
       out.status = SolveStatus::kNumericalError;
       out.iterations = iter + 1;
       return out;
-    }
-    if (observed) {
-      obs::SimplexIterationEvent ev;
-      ev.iteration = iter_base + iter;
-      ev.phase = phase;
-      ev.entering = entering;
-      ev.leaving = static_cast<int>(lcol);
-      ev.step = t_limit;
-      ev.degenerate = degenerate;
-      ev.bland = bland;
-      opt.observer(ev);
     }
   }
   out.status = SolveStatus::kIterationLimit;
@@ -640,7 +619,7 @@ double pivot_row_entry(const Tableau& t, std::span<const double> rho, int j) {
 /// when that bound is finite, else its cost is shifted to make the reduced
 /// cost zero (each one counted in `repairs`). The basic variable with the
 /// largest bound violation then leaves, until every basic is within
-/// feasibility_tol; the factorization is kept current by
+/// kFeasibilityTol; the factorization is kept current by
 /// update_factorization, as in iterate. Status on return:
 ///   kOptimal          primal feasible: run phase 2;
 ///   kInfeasible       a dual ray whose row misses its bound even with
@@ -648,19 +627,16 @@ double pivot_row_entry(const Tableau& t, std::span<const double> rho, int j) {
 ///   kTimeLimit        the deadline expired;
 ///   kNumericalError,  the basis is singular, a dual ray proves nothing,
 ///   kIterationLimit   or the pivot cap was hit: solve cold instead.
-/// Each pivot emits one phase-1 observer event, numbered from 0.
-IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws,
-                              const SimplexOptions& opt, long max_iters,
+IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
                               const Deadline& deadline, long& repairs) {
   IterationOutcome out;
   BasisFactorization& factor = ws.factor;
-  const double ftol = opt.feasibility_tol;
-  const double dtol = opt.optimality_tol;
+  const double ftol = kFeasibilityTol;
+  const double dtol = kOptimalityTol;
   const double eps = 1e-11;
   // Smallest pivot-row entry a column may enter on: dividing a reduced
   // cost by less would make the dual step meaningless.
   constexpr double kDualPivotTol = 1e-9;
-  const bool observed = static_cast<bool>(opt.observer);
   const std::span<double> d = t.cost;
   // Columns the dual pivots price: nonbasic and not fixed.
   const auto priced = [&t](std::size_t js) {
@@ -817,22 +793,11 @@ IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws,
     t.basis[rs] = entering;
     t.state[eq] = VarState::kBasic;
 
-    const bool degenerate = std::fabs(theta) <= eps;
-    if (degenerate) ++out.degenerate_pivots;
+    if (std::fabs(theta) <= eps) ++out.degenerate_pivots;
     if (!update_factorization(t, ws, r, w, out)) {
       out.status = SolveStatus::kNumericalError;
       out.iterations = iter + 1;
       return out;
-    }
-    if (observed) {
-      obs::SimplexIterationEvent ev;
-      ev.iteration = iter;
-      ev.phase = 1;
-      ev.entering = entering;
-      ev.leaving = static_cast<int>(p);
-      ev.step = std::fabs(step);
-      ev.degenerate = degenerate;
-      opt.observer(ev);
     }
   }
   out.status = SolveStatus::kIterationLimit;
@@ -978,11 +943,9 @@ Solution solve_impl_inner(const Problem& problem,
   build_columns(problem, t, ws.col_fill, slack_of_row);
   install_cold_columns(problem, t, artificial_used);
 
-  long max_iters = options.max_iterations;
-  if (max_iters <= 0) max_iters = 2000 + 200L * (m + n);
-  long bland_after = options.bland_after;
-  if (bland_after == 0) bland_after = std::max(200L, 20L * (m + n));
-  if (bland_after < 0) bland_after = 0;  // force Bland from the first pivot
+  const long max_iters = 2000 + 200L * (m + n);
+  // Pivot from which pricing follows Bland's rule.
+  const long bland_after = options.bland ? 0 : std::max(200L, 20L * (m + n));
   // Pivot cap of the dual simplex and of each optimality resume below.
   const long confirm_budget = 4L * (m + n) + 16;
   long total_iters = 0;
@@ -1001,8 +964,8 @@ Solution solve_impl_inner(const Problem& problem,
       fix_artificials(t);
       install_phase2_costs(problem, t);
       const IterationOutcome dual =
-          dual_simplex(t, ws, options, std::min(max_iters, confirm_budget),
-                       deadline, repairs);
+          dual_simplex(t, ws, std::min(max_iters, confirm_budget), deadline,
+                       repairs);
       total_iters += dual.iterations;
       metrics.absorb(dual);
       warm_applied = dual.status == SolveStatus::kOptimal ||
@@ -1082,8 +1045,7 @@ Solution solve_impl_inner(const Problem& problem,
           t.cost[static_cast<std::size_t>(art_base + i)] = 1.0;
         }
       }
-      auto outcome = iterate(t, ws, options, max_iters, bland_after,
-                             deadline, /*phase=*/1, /*iter_base=*/total_iters);
+      auto outcome = iterate(t, ws, options, max_iters, bland_after, deadline);
       total_iters += outcome.iterations;
       metrics.absorb(outcome);
       if (outcome.status == SolveStatus::kIterationLimit ||
@@ -1106,7 +1068,7 @@ Solution solve_impl_inner(const Problem& problem,
           phase1_obj += t.x[static_cast<std::size_t>(art_base + i)];
         }
       }
-      if (phase1_obj > options.feasibility_tol) {
+      if (phase1_obj > kFeasibilityTol) {
         sol.status = SolveStatus::kInfeasible;
         sol.iterations = total_iters;
         return sol;
@@ -1118,8 +1080,7 @@ Solution solve_impl_inner(const Problem& problem,
   // Phase 2: the original costs (replacing the dual simplex's reduced
   // costs on a warm start) from a primal feasible basis.
   install_phase2_costs(problem, t);
-  auto outcome = iterate(t, ws, options, max_iters, bland_after,
-                         deadline, /*phase=*/2, /*iter_base=*/total_iters);
+  auto outcome = iterate(t, ws, options, max_iters, bland_after, deadline);
   total_iters += outcome.iterations;
   metrics.absorb(outcome);
   sol.iterations = total_iters;
@@ -1151,8 +1112,8 @@ Solution solve_impl_inner(const Problem& problem,
   // retries warm-started solves cold, and the recovery ladder does the rest.
   constexpr int kMaxOptimalityResumes = 3;
   constexpr double kDualResidualTol = 5e-7;
-  const double dtol = options.optimality_tol;
-  const double ftol = options.feasibility_tol;
+  const double dtol = kOptimalityTol;
+  const double ftol = kFeasibilityTol;
   const std::span<double> y = ws.y;
   sol.reduced_costs.resize(static_cast<std::size_t>(n));
   const auto fail = [&sol](SolveStatus status) {
@@ -1220,8 +1181,7 @@ Solution solve_impl_inner(const Problem& problem,
     }
     outcome = iterate(t, ws, options,
                       std::min(max_iters - total_iters, confirm_budget),
-                      bland_after, deadline, /*phase=*/2,
-                      /*iter_base=*/total_iters);
+                      bland_after, deadline);
     total_iters += outcome.iterations;
     metrics.absorb(outcome);
     sol.iterations = total_iters;
@@ -1257,9 +1217,8 @@ Solution solve_impl_inner(const Problem& problem,
     double xj = t.x[static_cast<std::size_t>(j)];
     // Snap to bounds to remove O(tol) noise.
     const auto& v = problem.variable(j);
-    if (std::fabs(xj - v.lower) < options.feasibility_tol) xj = v.lower;
-    if (std::isfinite(v.upper) &&
-        std::fabs(xj - v.upper) < options.feasibility_tol) {
+    if (std::fabs(xj - v.lower) < kFeasibilityTol) xj = v.lower;
+    if (std::isfinite(v.upper) && std::fabs(xj - v.upper) < kFeasibilityTol) {
       xj = v.upper;
     }
     sol.x[static_cast<std::size_t>(j)] = xj;
@@ -1306,8 +1265,8 @@ Solution solve_impl(const Problem& problem, const SimplexOptions& options,
   {
     // Lease the workspace for the solve (plus the built-in warm→cold
     // retry, which re-binds the same workspace). Released before the
-    // recovery ladder below runs, so rung re-solves reuse the same
-    // thread workspace instead of falling back to the heap.
+    // recovery ladder and the solve hook below run, so their re-solves
+    // can lease the same thread workspace.
     WorkspaceLease lease(options.workspace);
     {
       SimplexMetricsGuard metrics;

@@ -1,6 +1,6 @@
 #include "gridsec/lp/workspace.hpp"
 
-#include "gridsec/obs/metrics.hpp"
+#include "gridsec/util/error.hpp"
 #include "gridsec/util/thread_pool.hpp"
 #include "workspace_internal.hpp"
 
@@ -42,16 +42,8 @@ void WorkspaceImpl::bind(int m, int n_struct, int n_total,
 WorkspaceLease::WorkspaceLease(SolverWorkspace* requested) {
   SolverWorkspace& ws =
       requested != nullptr ? *requested : thread_solver_workspace();
-  if (ws.impl().in_use) {
-    static obs::Counter& c_nested =
-        obs::default_registry().counter("lp.workspace.nested_fallbacks");
-    c_nested.add();
-    owned_ = std::make_unique<WorkspaceImpl>();
-    impl_ = owned_.get();
-    impl_->in_use = true;
-    return;
-  }
   impl_ = &ws.impl();
+  GRIDSEC_ASSERT_MSG(!impl_->in_use, "solver workspace leased twice");
   impl_->in_use = true;
 }
 

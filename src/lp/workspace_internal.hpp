@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 
 #include "gridsec/lp/basis.hpp"
@@ -84,7 +83,7 @@ struct WorkspaceImpl {
   std::span<unsigned char> artificial_used;  // m flags
   std::span<unsigned char> used_row;         // warm start: crash row flags
 
-  bool in_use = false;     // guards against nested-solve aliasing
+  bool in_use = false;     // leased by a running solve
   std::size_t binds = 0;
 
   /// Rewinds the arena and carves all of the above for an m-row problem
@@ -93,11 +92,11 @@ struct WorkspaceImpl {
   void bind(int m, int n_struct, int n_total, std::size_t nnz);
 };
 
-/// Resolves which workspace a solve uses: the one in SimplexOptions if
-/// given, else the thread default — unless that one is already mid-solve
-/// (a nested solve from an observer/hook), in which case a private heap
-/// impl carries this solve and the counter lp.workspace.nested_fallbacks
-/// records it.
+/// Marks the workspace a solve uses busy for the solve's duration: the
+/// one in SimplexOptions if given, else the thread default. No solve can
+/// start while another holds the lease (solve_impl releases it before
+/// the recovery and solve hooks run), so a second lease on a busy
+/// workspace is a contract violation and asserts.
 class WorkspaceLease {
  public:
   explicit WorkspaceLease(SolverWorkspace* requested);
@@ -110,7 +109,6 @@ class WorkspaceLease {
 
  private:
   WorkspaceImpl* impl_ = nullptr;
-  std::unique_ptr<WorkspaceImpl> owned_;  // nested-solve fallback only
 };
 
 }  // namespace gridsec::lp::detail

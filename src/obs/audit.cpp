@@ -210,8 +210,7 @@ void check_bnb_stats(const Solution& sol, Residuals& r) {
   if (s.nodes_explored < 0 || s.lp_solves < 0 || s.incumbent_updates < 0) {
     fail("negative branch-and-bound counter", s.nodes_explored, s.lp_solves);
   }
-  // Every explored node solves at least its own relaxation. A presolve-
-  // solved root legitimately reports all-zero stats.
+  // Every explored node solves at least its own relaxation.
   if (s.lp_solves < s.nodes_explored) {
     fail("lp_solves < nodes_explored", s.lp_solves, s.nodes_explored);
   }

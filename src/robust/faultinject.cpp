@@ -10,7 +10,7 @@
 
 #include "gridsec/core/adversary.hpp"
 #include "gridsec/flow/social_welfare.hpp"
-#include "gridsec/lp/presolve.hpp"
+#include "gridsec/lp/equilibrate.hpp"
 #include "gridsec/lp/simplex.hpp"
 #include "gridsec/obs/log.hpp"
 #include "gridsec/obs/metrics.hpp"
@@ -365,8 +365,10 @@ flow::Network make_fuzz_grid(Rng& rng) {
   return sim::make_random_grid(grid, rng);
 }
 
-/// Leg 1: hardened simplex vs. presolve path on the same (possibly
-/// faulted) problem.
+/// Leg 1: the default simplex vs. a cold re-solve under Bland's rule from
+/// the first pivot on the same (possibly faulted) problem. The two take
+/// different pivot paths, so a verdict or optimum that depends on the
+/// default pricing shows up as a disagreement.
 void fuzz_lp_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
   lp::Problem p =
       rng.bernoulli(0.5)
@@ -384,10 +386,11 @@ void fuzz_lp_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
   lp::SimplexOptions so;
   so.time_limit_ms = ctx.options.time_limit_ms;
   const lp::Solution direct = lp::SimplexSolver(so).solve(p);
-  const lp::Solution presolved = lp::solve_lp_with_presolve(p, so);
+  so.bland = true;
+  const lp::Solution bland = lp::SimplexSolver(so).solve(p);
   ++ctx.stats.lp_checks;
   ctx.tally(direct.status);
-  ctx.tally(presolved.status);
+  ctx.tally(bland.status);
 
   // Judge from the problem's final state, not the injection history — a
   // later fault may overwrite an earlier one (e.g. a tie copied over the
@@ -395,42 +398,39 @@ void fuzz_lp_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
   if (!lp::validate_problem(p).is_ok()) {
     // NaN/Inf data must be caught by validation on both paths.
     if (direct.status != lp::SolveStatus::kNumericalError ||
-        presolved.status != lp::SolveStatus::kNumericalError) {
+        bland.status != lp::SolveStatus::kNumericalError) {
       ctx.fail(seed, "poisoned LP (" + to_string(report) +
                          ") not rejected: direct=" +
                          std::string(lp::to_string(direct.status)) +
-                         " presolved=" +
-                         std::string(lp::to_string(presolved.status)));
+                         " bland=" + std::string(lp::to_string(bland.status)));
     }
     return;
   }
 
   const VerdictClass a = classify(direct.status);
-  const VerdictClass b = classify(presolved.status);
+  const VerdictClass b = classify(bland.status);
   if (a != VerdictClass::kSoft && b != VerdictClass::kSoft && a != b) {
     ctx.fail(seed, "LP verdict disagreement (" + to_string(report) +
                        "): direct=" +
                        std::string(lp::to_string(direct.status)) +
-                       " presolved=" +
-                       std::string(lp::to_string(presolved.status)));
+                       " bland=" + std::string(lp::to_string(bland.status)));
     return;
   }
   if (a == VerdictClass::kHardOptimal && b == VerdictClass::kHardOptimal) {
     const double tol =
         ctx.options.objective_tol * (1.0 + std::fabs(direct.objective));
-    if (std::fabs(direct.objective - presolved.objective) > tol) {
+    if (std::fabs(direct.objective - bland.objective) > tol) {
       std::ostringstream os;
       os << "LP objective mismatch (" << to_string(report)
-         << "): direct=" << direct.objective
-         << " presolved=" << presolved.objective;
+         << "): direct=" << direct.objective << " bland=" << bland.objective;
       ctx.fail(seed, os.str());
     }
     if (!p.is_feasible(direct.x, 1e-5)) {
       ctx.fail(seed, "direct simplex returned infeasible point (" +
                          to_string(report) + ")");
     }
-    if (!p.is_feasible(presolved.x, 1e-5)) {
-      ctx.fail(seed, "presolve path returned infeasible point (" +
+    if (!p.is_feasible(bland.x, 1e-5)) {
+      ctx.fail(seed, "Bland re-solve returned infeasible point (" +
                          to_string(report) + ")");
     }
   }
@@ -740,7 +740,7 @@ void fuzz_stress_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
   // cycling-proof, and well-scaled by construction.
   lp::SimplexOptions ref_options;
   ref_options.time_limit_ms = ctx.options.time_limit_ms;
-  ref_options.bland_after = -1;
+  ref_options.bland = true;
   lp::Solution reference;
   {
     ScopedRecoveryDisable off;

@@ -98,7 +98,7 @@ bool run_ladder(const lp::Problem& problem, const lp::SimplexOptions& options,
   lp::SimplexOptions cold = options;
   cold.warm_start = {};
   lp::SimplexOptions bland = cold;
-  bland.bland_after = -1;  // Bland's rule from the first pivot
+  bland.bland = true;
 
   std::string_view rung = "bland";
   lp::Solution candidate = lp::solve_lp(problem, bland);

@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "gridsec/lp/milp.hpp"
-#include "gridsec/lp/presolve.hpp"
 #include "gridsec/lp/problem.hpp"
 #include "gridsec/lp/simplex.hpp"
 #include "gridsec/obs/metrics.hpp"
@@ -73,13 +72,6 @@ TEST(Guardrails, SimplexRejectsNanRhs) {
   Problem p = pivoting_lp();
   p.set_rhs(0, kNan);
   EXPECT_EQ(SimplexSolver().solve(p).status, SolveStatus::kNumericalError);
-}
-
-TEST(Guardrails, PresolvePipelineRejectsNan) {
-  Problem p = pivoting_lp();
-  p.set_objective_coef(1, kNan);
-  EXPECT_EQ(solve_lp_with_presolve(p).status,
-            SolveStatus::kNumericalError);
 }
 
 TEST(Guardrails, MilpRejectsNanData) {

@@ -21,8 +21,8 @@
 #include <gtest/gtest.h>
 
 #include "gridsec/lp/basis.hpp"
+#include "gridsec/lp/equilibrate.hpp"
 #include "gridsec/lp/lp_io.hpp"
-#include "gridsec/lp/presolve.hpp"
 #include "gridsec/lp/problem.hpp"
 #include "gridsec/lp/simplex.hpp"
 #include "gridsec/obs/audit.hpp"
@@ -334,7 +334,7 @@ TEST(LpIo, MalformedTextIsInvalidArgument) {
 
 TEST(BlandFromFirstPivot, MatchesDefaultPricingOnCleanInstance) {
   lp::SimplexOptions bland;
-  bland.bland_after = -1;
+  bland.bland = true;
   const lp::Solution a = lp::SimplexSolver(bland).solve(tiny_lp());
   const lp::Solution b = lp::SimplexSolver(lp::SimplexOptions{}).solve(tiny_lp());
   ASSERT_TRUE(a.optimal());

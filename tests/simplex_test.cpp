@@ -353,7 +353,7 @@ End
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
   const Problem p = std::move(parsed.value());
   SimplexOptions so;
-  so.bland_after = -1;
+  so.bland = true;
   const Solution sol = solve_lp(p, so);
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   ASSERT_EQ(sol.duals.size(), static_cast<std::size_t>(p.num_constraints()));

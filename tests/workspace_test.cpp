@@ -1,8 +1,8 @@
 // Tests for the allocation-free hot path: util::Arena (bump allocation,
 // high-water recycling, GRIDSEC_ARENA_POISON), lp::SolverWorkspace
 // (solve → reset → solve bit-identical reuse across the simplex, MILP
-// branch-and-bound, and the numerical-recovery ladder), and per-worker
-// workspace isolation on the thread pool.
+// branch-and-bound, and the numerical-recovery ladder; a nested lease
+// asserts), and per-worker workspace isolation on the thread pool.
 //
 // The WorkspaceConcurrency suite runs under TSan in CI: thread-pool
 // workers each own a scratch-slot workspace, and concurrent solves must
@@ -10,10 +10,12 @@
 #include "gridsec/lp/workspace.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,10 +25,10 @@
 #include "gridsec/lp/problem.hpp"
 #include "gridsec/lp/simplex.hpp"
 #include "gridsec/obs/metrics.hpp"
-#include "gridsec/obs/solver_events.hpp"
 #include "gridsec/robust/recovery.hpp"
 #include "gridsec/util/arena.hpp"
 #include "gridsec/util/thread_pool.hpp"
+#include "lp/workspace_internal.hpp"
 
 #ifndef GRIDSEC_ILLCOND_DIR
 #define GRIDSEC_ILLCOND_DIR "tests/data/illcond"
@@ -256,46 +258,46 @@ TEST(SolverWorkspaceTest, SolveResetSolveBitIdenticalToFreshWorkspace) {
   expect_bit_identical(reference, warm_reuse);
 }
 
-TEST(SolverWorkspaceTest, EventStreamIdenticalAcrossReuse) {
+// The counters that trace a solve's pivot path. Equal per-solve deltas on
+// a replay mean the same pivots, bound flips, eta updates and
+// refactorizations ran.
+std::vector<std::int64_t> pivot_path_counters() {
+  static const char* const kNames[] = {
+      "lp.simplex.pivots",           "lp.simplex.degenerate_pivots",
+      "lp.simplex.bound_flips",      "lp.simplex.eta_updates",
+      "lp.simplex.refactorizations", "lp.simplex.bland_pivots"};
+  std::vector<std::int64_t> values;
+  for (const char* name : kNames) {
+    values.push_back(obs::default_registry().counter(name).value());
+  }
+  return values;
+}
+
+TEST(SolverWorkspaceTest, PivotPathIdenticalAcrossReuse) {
   const lp::Problem p = pivoty_lp();
-  struct Ev {
-    long iteration;
-    int phase, entering, leaving;
-    double step;
-    bool bound_flip, degenerate;
-  };
-  const auto run = [&](lp::SolverWorkspace* ws) {
-    std::vector<Ev> events;
+  // One solve on `ws`: its Solution and its pivot-path counter deltas.
+  const auto run = [&p](lp::SolverWorkspace* ws) {
     lp::SimplexOptions opt;
     opt.workspace = ws;
-    opt.observer = [&events](const obs::SimplexIterationEvent& e) {
-      events.push_back({e.iteration, e.phase, e.entering, e.leaving, e.step,
-                        e.bound_flip, e.degenerate});
-    };
-    const lp::Solution sol = lp::solve_lp(p, opt);
-    EXPECT_EQ(sol.status, lp::SolveStatus::kOptimal);
-    return events;
+    const std::vector<std::int64_t> before = pivot_path_counters();
+    lp::Solution sol = lp::solve_lp(p, opt);
+    std::vector<std::int64_t> delta = pivot_path_counters();
+    for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
+    return std::make_pair(std::move(sol), std::move(delta));
   };
 
   lp::SolverWorkspace fresh;
-  const std::vector<Ev> reference = run(&fresh);
-  ASSERT_FALSE(reference.empty());
+  const auto [reference, reference_delta] = run(&fresh);
+  ASSERT_EQ(reference.status, lp::SolveStatus::kOptimal);
+  ASSERT_GT(reference_delta.front(), 0);  // the solve pivoted
 
   lp::SolverWorkspace reused;
   (void)run(&reused);
   reused.reset();
-  const std::vector<Ev> replay = run(&reused);
+  const auto [replay, replay_delta] = run(&reused);
 
-  ASSERT_EQ(reference.size(), replay.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(reference[i].iteration, replay[i].iteration);
-    EXPECT_EQ(reference[i].phase, replay[i].phase);
-    EXPECT_EQ(reference[i].entering, replay[i].entering);
-    EXPECT_EQ(reference[i].leaving, replay[i].leaving);
-    EXPECT_EQ(reference[i].step, replay[i].step);
-    EXPECT_EQ(reference[i].bound_flip, replay[i].bound_flip);
-    EXPECT_EQ(reference[i].degenerate, replay[i].degenerate);
-  }
+  expect_bit_identical(reference, replay);
+  EXPECT_EQ(reference_delta, replay_delta);
 }
 
 TEST(SolverWorkspaceTest, SteadyStateBindsWithoutGrowingTheArena) {
@@ -383,38 +385,17 @@ TEST(SolverWorkspaceTest, RecoveryLadderReuseBitIdentical) {
   }
 }
 
-TEST(SolverWorkspaceTest, NestedSolveFallsBackInsteadOfAliasing) {
-  const lp::Problem outer = pivoty_lp();
-  lp::Problem inner(lp::Objective::kMinimize);
-  inner.add_variable("x", 0.0, 5.0, 1.0);
-  lp::LinearExpr row;
-  row.add(0, 1.0);
-  inner.add_constraint("c", std::move(row), lp::Sense::kGreaterEqual, 1.0);
-
-  obs::Counter& fallbacks =
-      obs::default_registry().counter("lp.workspace.nested_fallbacks");
-  const std::int64_t before = fallbacks.value();
-
-  const lp::Solution inner_reference = lp::solve_lp(inner);
-  bool nested_ran = false;
-  lp::SimplexOptions opt;
-  opt.observer = [&](const obs::SimplexIterationEvent&) {
-    if (nested_ran) return;
-    nested_ran = true;
-    // This solve starts while the outer solve holds the thread workspace:
-    // it must fall back to a private impl, not corrupt the outer tableau.
-    const lp::Solution nested = lp::solve_lp(inner);
-    EXPECT_EQ(nested.status, lp::SolveStatus::kOptimal);
-    EXPECT_EQ(nested.objective, inner_reference.objective);
-  };
-  const lp::Solution sol = lp::solve_lp(outer, opt);
-  EXPECT_EQ(sol.status, lp::SolveStatus::kOptimal);
-  EXPECT_TRUE(nested_ran);
-  EXPECT_GT(fallbacks.value(), before);
-
-  // And the outer answer is unaffected by the nested solve.
-  lp::SimplexOptions plain;
-  expect_bit_identical(lp::solve_lp(outer, plain), sol);
+TEST(SolverWorkspaceDeathTest, NestedLeaseAsserts) {
+  // No solve starts inside another (the recovery ladder and the solve hook
+  // run after the lease is released), so a second lease on a busy
+  // workspace is a broken contract, not a case to work around.
+  lp::SolverWorkspace ws;
+  EXPECT_DEATH(
+      {
+        lp::detail::WorkspaceLease outer(&ws);
+        lp::detail::WorkspaceLease inner(&ws);
+      },
+      "solver workspace leased twice");
 }
 
 // ---------------------------------------------------------------------------
