@@ -12,6 +12,7 @@
 // loss l withdraws f/(1-l) at its tail to deliver f at its head.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,12 @@ class Network {
   EdgeId add_demand(std::string name, NodeId hub, double capacity,
                     double unit_price, double loss = 0.0);
 
+  /// Identifies the topology: the nodes with their names and kinds, and
+  /// the edges with their names, kinds and endpoints. A Network gets a
+  /// fresh id on construction and on every add_*; copies share it, and the
+  /// set_* mutators of edge data never touch it.
+  [[nodiscard]] std::uint64_t topology_id() const { return topology_id_; }
+
   [[nodiscard]] int num_nodes() const {
     return static_cast<int>(nodes_.size());
   }
@@ -119,12 +126,14 @@ class Network {
   [[nodiscard]] StatusOr<EdgeId> find_edge(std::string_view name) const;
 
  private:
+  static std::uint64_t fresh_topology_id();
   NodeId add_node(std::string name, NodeKind kind);
 
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
   std::vector<std::vector<EdgeId>> out_;
   std::vector<std::vector<EdgeId>> in_;
+  std::uint64_t topology_id_ = fresh_topology_id();
 };
 
 }  // namespace gridsec::flow

@@ -11,6 +11,7 @@
 // node_price[h] is the system cost of delivering one extra unit at hub h.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "gridsec/flow/network.hpp"
@@ -58,14 +59,15 @@ lp::Problem build_social_welfare_lp(const Network& net);
 /// against sibling networks that share one topology.
 ///
 /// sync() points the model at a network. The first call — and any call
-/// where the topology (node kinds, edge endpoints, edge names) changed —
-/// builds the Eq 1-7 LP from scratch. Every other call refreshes the
-/// capacities, costs and loss coefficients of the cached Problem in place
-/// (zero heap allocations), exploiting the build's deterministic term
-/// layout: each conservation row lists its hub's out-edges first, then its
-/// in-edges. A refreshed model is value-identical to a fresh
-/// build_social_welfare_lp of the same network, so solve results are
-/// bit-identical either way.
+/// with a network of another Network::topology_id — builds the Eq 1-7 LP
+/// from scratch. Every other call refreshes the capacities, costs and loss
+/// coefficients of the cached Problem in place (zero heap allocations),
+/// exploiting the build's deterministic term layout: each conservation row
+/// lists its hub's out-edges first, then its in-edges. A refreshed model
+/// is value-identical to a fresh build_social_welfare_lp of the same
+/// network, so solve results are bit-identical either way. A refresh that
+/// changes no loss keeps the Problem's rows_id, so the solver's resident A
+/// (see lp/workspace.hpp) survives a sweep of capacity and cost changes.
 ///
 /// Not thread-safe; give each worker its own model (see
 /// util::WorkerScratch::slot).
@@ -86,11 +88,7 @@ class SocialWelfareModel {
   void refresh(const Network& net);
 
   lp::Problem problem_;
-  // Topology fingerprint captured at build time; a mismatch on any entry
-  // forces a rebuild. Edge names are compared against the cached
-  // Problem's variable names directly (no copy here).
-  std::vector<int> edge_from_, edge_to_;
-  std::vector<unsigned char> node_is_hub_;
+  std::uint64_t topology_id_ = 0;  // of the network the LP was built from
   long rebuilds_ = 0;
 };
 

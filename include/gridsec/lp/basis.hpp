@@ -119,6 +119,16 @@ class BasisFactorization {
   int btran_refined(std::span<double> y,
                     double* residual_out = nullptr) const;
 
+  class Snapshot;
+  /// Copies the factor data of the last refactorize (permutation, L, U and
+  /// B by row and by column, and the growth it measured) into `out`. The
+  /// eta chain and the solve scratch are not part of it. Requires valid()
+  /// with no etas applied.
+  void save(Snapshot& out) const;
+  /// Puts back a saved factorization, with an empty eta chain: afterwards
+  /// every solve gives the bits it gave right after that refactorize.
+  void restore(const Snapshot& in);
+
   /// Appends the eta for a pivot in position `p` with direction `w`
   /// (= B^{-1} a_entering), copying its nonzeros into the eta chain. Returns
   /// false — and leaves the factorization unchanged — when |w[p]| is too
@@ -184,6 +194,19 @@ class BasisFactorization {
       return {entries.data() + start[g], entries.data() + start[g + 1]};
     }
   };
+
+ public:
+  /// Factor data kept by save() and put back by restore(); vectors keep
+  /// their capacity, so saving over an older snapshot allocates nothing.
+  class Snapshot {
+   private:
+    friend class BasisFactorization;
+    std::vector<int> perm;
+    SparseGroups l_rows, l_cols, u_rows, u_cols, b_rows, b_cols;
+    double pivot_growth = 1.0;
+  };
+
+ private:
   /// out := `in` regrouped by index (rows ↔ columns of a square matrix);
   /// each output group lists its entries in ascending group order of `in`.
   void transpose(const SparseGroups& in, SparseGroups& out);

@@ -7,6 +7,7 @@
 // MATLAB implementation.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -99,6 +100,14 @@ class Problem {
   void scale_constraint(int row, double factor);
 
   [[nodiscard]] Objective objective() const { return objective_; }
+  /// Identifies the rows: A, b, the row senses and the column count. A
+  /// Problem gets a fresh id on construction and on every change to these
+  /// (add_variable, add_constraint, scale_constraint, and set_rhs or
+  /// set_constraint_coef when the value changes); copies share the id, and
+  /// bounds and costs never touch it. A solver workspace keeps A built
+  /// from the last id it saw and reuses it while the id stays the same
+  /// (see workspace.hpp).
+  [[nodiscard]] std::uint64_t rows_id() const { return rows_id_; }
   [[nodiscard]] int num_variables() const {
     return static_cast<int>(variables_.size());
   }
@@ -130,9 +139,12 @@ class Problem {
                                  double tol = 1e-6) const;
 
  private:
+  static std::uint64_t fresh_rows_id();
+
   Objective objective_;
   std::vector<Variable> variables_;
   std::vector<Constraint> constraints_;
+  std::uint64_t rows_id_ = fresh_rows_id();
 };
 
 /// Solver verdicts shared by LP and MILP layers.
@@ -173,7 +185,13 @@ constexpr double kMaxMagnitude = 1e30;
 /// entry points collapse any validation failure to
 /// SolveStatus::kNumericalError (there is no invalid-input solve status);
 /// callers wanting the distinction run validate_problem themselves.
+/// It is validate_variables followed by the same checks on the rows.
 [[nodiscard]] Status validate_problem(const Problem& problem);
+
+/// The variables part of validate_problem: costs and bounds only. The
+/// simplex runs just this part when its workspace still holds A built from
+/// the problem's rows_id, whose rows passed validation then.
+[[nodiscard]] Status validate_variables(const Problem& problem);
 
 /// Branch-and-bound search counters. Lives here (not milp.hpp) so Solution
 /// can carry a copy back to one-shot solve_milp() callers.

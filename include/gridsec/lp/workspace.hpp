@@ -5,12 +5,21 @@
 // pricing vectors, warm-start repair scratch — carved from a single
 // util::Arena buffer, plus the BasisFactorization whose factor and eta
 // storage lives in its own capacity-reused vectors. The lifecycle is
-// solve → reset → solve: each solve re-binds the workspace to the
-// problem's shape (one arena rewind + pointer carving, no heap traffic
-// once the arena has grown to the high-water mark), so a caller that
-// solves the same-shaped LP in a loop — impact matrices, Monte Carlo
-// trials, B&B nodes, game rounds — performs zero steady-state
-// allocations inside the solver.
+// solve → reset → solve: a solve re-binds the workspace to the problem's
+// shape (one arena rewind + pointer carving, no heap traffic once the
+// arena has grown to the high-water mark), so a caller that solves the
+// same-shaped LP in a loop — impact matrices, Monte Carlo trials, B&B
+// nodes, game rounds — performs zero steady-state allocations inside the
+// solver.
+//
+// Re-solves of the same rows skip even that. The workspace keeps A built
+// from the last lp::Problem::rows_id it saw, and re-binds and rebuilds
+// only for another id; bound and cost changes keep it. It also keeps the
+// last warm start's crash basis, that basis's LU and the dual-feasible
+// start, keyed on the rows id, the warm Basis and the finiteness of its
+// at-upper columns' upper bounds. A warm solve with the same key restores
+// them instead of crashing and refactorizing, with bit-identical answers
+// (docs/solvers.md, "Resident A and the warm checkpoint").
 //
 // Ownership rules:
 //   - One workspace, one thread. Nothing here is synchronized.
@@ -47,16 +56,16 @@ class SolverWorkspace {
   SolverWorkspace(const SolverWorkspace&) = delete;
   SolverWorkspace& operator=(const SolverWorkspace&) = delete;
 
-  /// Releases all carved state and frees the arena. The next solve
-  /// re-grows it; reset() is for reclaiming memory after an unusually
-  /// large problem, not part of the per-solve cycle (solves re-bind
-  /// automatically).
+  /// Releases all carved state, the resident A and the warm checkpoint,
+  /// and frees the arena. The next solve re-grows it; reset() is for
+  /// reclaiming memory after an unusually large problem, not part of the
+  /// per-solve cycle (solves re-bind automatically).
   void reset();
 
   struct Stats {
     std::size_t arena_capacity = 0;   // bytes reserved by the arena
     std::size_t arena_high_water = 0; // max bytes a single bind carved
-    std::size_t binds = 0;            // solve → reset → solve cycles
+    std::size_t binds = 0;            // binds: solves on a new rows id
   };
   [[nodiscard]] Stats stats() const;
 

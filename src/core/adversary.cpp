@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "gridsec/obs/log.hpp"
 #include "gridsec/obs/metrics.hpp"
@@ -453,7 +454,8 @@ StatusOr<double> realized_return_joint(const flow::Network& truth_net,
     return Status::infeasible("realized_return_joint: base not solvable");
   }
   // The attacked model differs from the base only in the struck edges.
-  alloc.warm_start = base.basis;
+  alloc.warm_start = lp::Basis{};
+  alloc.welfare.simplex.warm_start = std::move(base.basis);
   flow::Network hit = truth_net;
   double cost = 0.0;
   for (int t : plan.targets) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
+#include <utility>
 
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/trace.hpp"
@@ -87,8 +88,13 @@ StatusOr<ImpactResult> compute_impact_matrix(const flow::Network& net,
                    base.welfare, 0, base.basis};
 
   // Every attacked scenario differs from the base model only in one
-  // edge's data, so its LP re-solve warm-starts from the base basis.
-  alloc.warm_start = base.basis;
+  // edge's data, so its LP re-solve warm-starts from the base basis. It
+  // goes in the welfare options once, which allocate_profits passes on
+  // without a copy; the solver's workspace then keeps the crash of this
+  // basis, its LU and the rows of the model's LP for every target (see
+  // lp/workspace.hpp).
+  alloc.warm_start = lp::Basis{};
+  alloc.welfare.simplex.warm_start = std::move(base.basis);
 
   const bool capacity_attack = options.attack_type == AttackType::kOutage ||
                                options.attack_type ==

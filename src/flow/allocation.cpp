@@ -82,14 +82,19 @@ AllocationResult allocate_profits(const Network& net,
                                   const AllocationOptions& options) {
   GRIDSEC_TRACE_SPAN("flow.allocation.profits");
   AllocationResult out;
-  SocialWelfareOptions welfare_options = options.welfare;
+  // The welfare options are used in place; only a separate warm basis
+  // needs a copy to carry it.
+  SocialWelfareOptions warm_options;
+  const SocialWelfareOptions* welfare_options = &options.welfare;
   if (!options.warm_start.empty()) {
-    welfare_options.simplex.warm_start = options.warm_start;
+    warm_options = options.welfare;
+    warm_options.simplex.warm_start = options.warm_start;
+    welfare_options = &warm_options;
   }
   FlowSolution base =
       options.model != nullptr
-          ? solve_social_welfare(net, *options.model, welfare_options)
-          : solve_social_welfare(net, welfare_options);
+          ? solve_social_welfare(net, *options.model, *welfare_options)
+          : solve_social_welfare(net, *welfare_options);
   out.status = base.status;
   out.recovered = base.recovered;
   if (!base.optimal()) return out;

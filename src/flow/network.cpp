@@ -1,13 +1,20 @@
 #include "gridsec/flow/network.hpp"
 
+#include <atomic>
 #include <cmath>
 
 namespace gridsec::flow {
+
+std::uint64_t Network::fresh_topology_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 NodeId Network::add_node(std::string name, NodeKind kind) {
   nodes_.push_back({std::move(name), kind});
   out_.emplace_back();
   in_.emplace_back();
+  topology_id_ = fresh_topology_id();
   return num_nodes() - 1;
 }
 
@@ -53,6 +60,7 @@ EdgeId Network::add_edge(std::string name, EdgeKind kind, NodeId from,
   const EdgeId id = num_edges() - 1;
   out_[static_cast<std::size_t>(from)].push_back(id);
   in_[static_cast<std::size_t>(to)].push_back(id);
+  topology_id_ = fresh_topology_id();
   return id;
 }
 

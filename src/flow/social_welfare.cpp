@@ -95,23 +95,7 @@ lp::Problem build_social_welfare_lp(const Network& net) {
 }
 
 bool SocialWelfareModel::topology_matches(const Network& net) const {
-  if (rebuilds_ == 0) return false;
-  const auto ne = static_cast<std::size_t>(net.num_edges());
-  const auto nn = static_cast<std::size_t>(net.num_nodes());
-  if (edge_from_.size() != ne || node_is_hub_.size() != nn) return false;
-  for (int e = 0; e < net.num_edges(); ++e) {
-    const auto es = static_cast<std::size_t>(e);
-    const Edge& edge = net.edge(e);
-    if (edge.from != edge_from_[es] || edge.to != edge_to_[es]) return false;
-    // Variable names mirror edge names; a rename means dumps/audits of the
-    // cached Problem would lie, so treat it as a topology change.
-    if (edge.name != problem_.variable(e).name) return false;
-  }
-  for (int n = 0; n < net.num_nodes(); ++n) {
-    const bool hub = net.node(n).kind == NodeKind::kHub;
-    if (hub != (node_is_hub_[static_cast<std::size_t>(n)] != 0)) return false;
-  }
-  return true;
+  return rebuilds_ > 0 && net.topology_id() == topology_id_;
 }
 
 void SocialWelfareModel::refresh(const Network& net) {
@@ -143,21 +127,8 @@ void SocialWelfareModel::sync(const Network& net) {
     return;
   }
   problem_ = build_social_welfare_lp(net);
+  topology_id_ = net.topology_id();
   ++rebuilds_;
-  const auto ne = static_cast<std::size_t>(net.num_edges());
-  const auto nn = static_cast<std::size_t>(net.num_nodes());
-  edge_from_.resize(ne);
-  edge_to_.resize(ne);
-  node_is_hub_.resize(nn);
-  for (int e = 0; e < net.num_edges(); ++e) {
-    const auto es = static_cast<std::size_t>(e);
-    edge_from_[es] = net.edge(e).from;
-    edge_to_[es] = net.edge(e).to;
-  }
-  for (int n = 0; n < net.num_nodes(); ++n) {
-    node_is_hub_[static_cast<std::size_t>(n)] =
-        net.node(n).kind == NodeKind::kHub ? 1 : 0;
-  }
 }
 
 FlowSolution solve_social_welfare(const Network& net,

@@ -192,6 +192,46 @@ bool BasisFactorization::refactorize(const Matrix& b) {
   return true;
 }
 
+void BasisFactorization::save(Snapshot& out) const {
+  GRIDSEC_ASSERT(valid_ && eta_pivots_.empty());
+  // Each copy first takes the source's capacity, which refactorize sizes
+  // by m alone: how many nonzeros a basis has then never decides whether
+  // a save allocates.
+  const auto copy = [](const auto& from, auto& to) {
+    to.reserve(from.capacity());
+    to = from;
+  };
+  const auto copy_groups = [&copy](const SparseGroups& from,
+                                   SparseGroups& to) {
+    copy(from.start, to.start);
+    copy(from.entries, to.entries);
+  };
+  copy(perm_, out.perm);
+  copy_groups(l_rows_, out.l_rows);
+  copy_groups(l_cols_, out.l_cols);
+  copy_groups(u_rows_, out.u_rows);
+  copy_groups(u_cols_, out.u_cols);
+  copy_groups(b_rows_, out.b_rows);
+  copy_groups(b_cols_, out.b_cols);
+  out.pivot_growth = pivot_growth_;
+}
+
+void BasisFactorization::restore(const Snapshot& in) {
+  perm_ = in.perm;
+  l_rows_ = in.l_rows;
+  l_cols_ = in.l_cols;
+  u_rows_ = in.u_rows;
+  u_cols_ = in.u_cols;
+  b_rows_ = in.b_rows;
+  b_cols_ = in.b_cols;
+  pivot_growth_ = in.pivot_growth;
+  const std::size_t m = perm_.size();
+  etas_.clear(kRefactorInterval, kRefactorInterval * m);  // as refactorize
+  eta_pivots_.clear();
+  eta_pivots_.reserve(kRefactorInterval);
+  valid_ = true;
+}
+
 // The solves below visit stored nonzeros in ascending index order — the
 // order of the dense loops they replace — so each sum adds the same
 // nonzero terms in the same sequence.

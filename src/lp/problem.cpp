@@ -1,6 +1,7 @@
 #include "gridsec/lp/problem.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 
 namespace gridsec::lp {
@@ -9,7 +10,18 @@ namespace {
 std::atomic<SolveHook> g_solve_hook{nullptr};
 std::atomic<RecoveryHook> g_recovery_hook{nullptr};
 thread_local int g_solve_hook_suppressed = 0;
+
+/// Equal down to the sign of zero: a value that compares equal but differs
+/// in its bits would not rebuild the same A.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 }  // namespace
+
+std::uint64_t Problem::fresh_rows_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 SolveHook set_solve_hook(SolveHook hook) {
   return g_solve_hook.exchange(hook, std::memory_order_acq_rel);
@@ -47,6 +59,7 @@ int Problem::add_variable(std::string name, double lower, double upper,
   }
   variables_.push_back(
       {std::move(name), lower, upper, objective_coef, type});
+  rows_id_ = fresh_rows_id();
   return num_variables() - 1;
 }
 
@@ -62,6 +75,7 @@ int Problem::add_constraint(std::string name, LinearExpr expr, Sense sense,
                        "constraint references unknown variable");
   }
   constraints_.push_back({std::move(name), expr.terms(), sense, rhs});
+  rows_id_ = fresh_rows_id();
   return num_constraints() - 1;
 }
 
@@ -80,7 +94,10 @@ void Problem::set_bounds(int var, double lower, double upper) {
 
 void Problem::set_rhs(int row, double rhs) {
   GRIDSEC_ASSERT(row >= 0 && row < num_constraints());
-  constraints_[static_cast<std::size_t>(row)].rhs = rhs;
+  double& old = constraints_[static_cast<std::size_t>(row)].rhs;
+  if (same_bits(old, rhs)) return;
+  old = rhs;
+  rows_id_ = fresh_rows_id();
 }
 
 void Problem::set_constraint_coef(int row, int term, double coef) {
@@ -89,7 +106,10 @@ void Problem::set_constraint_coef(int row, int term, double coef) {
   GRIDSEC_ASSERT(term >= 0 &&
                  term < static_cast<int>(con.terms.size()));
   GRIDSEC_ASSERT_MSG(coef != 0.0, "zero coef would change sparsity");
-  con.terms[static_cast<std::size_t>(term)].coef = coef;
+  double& old = con.terms[static_cast<std::size_t>(term)].coef;
+  if (same_bits(old, coef)) return;
+  old = coef;
+  rows_id_ = fresh_rows_id();
 }
 
 void Problem::scale_constraint(int row, double factor) {
@@ -99,6 +119,7 @@ void Problem::scale_constraint(int row, double factor) {
   auto& con = constraints_[static_cast<std::size_t>(row)];
   for (Term& t : con.terms) t.coef *= factor;
   con.rhs *= factor;
+  rows_id_ = fresh_rows_id();
 }
 
 bool Problem::has_integer_variables() const {
@@ -186,21 +207,28 @@ Status to_status(SolveStatus s, std::string_view context) {
   return Status::internal(std::move(msg));
 }
 
-Status validate_problem(const Problem& problem) {
-  const auto bad = [](const std::string& what, int index) {
-    return Status::numerical_error("validate_problem: non-finite " + what +
-                                   " at index " + std::to_string(index));
-  };
-  // Finite but beyond kMaxMagnitude: pivot products overflow to Inf
-  // mid-solve, so such data is a modeling error, not a numerical accident.
-  const auto huge = [](const std::string& what, int index) {
-    return Status::invalid_argument(
-        "validate_problem: " + what + " at index " + std::to_string(index) +
-        " exceeds the magnitude cap 1e30");
-  };
-  const auto too_big = [](double v) {
-    return std::isfinite(v) && std::fabs(v) > kMaxMagnitude;
-  };
+namespace {
+
+Status bad(const std::string& what, int index) {
+  return Status::numerical_error("validate_problem: non-finite " + what +
+                                 " at index " + std::to_string(index));
+}
+
+// Finite but beyond kMaxMagnitude: pivot products overflow to Inf
+// mid-solve, so such data is a modeling error, not a numerical accident.
+Status huge(const std::string& what, int index) {
+  return Status::invalid_argument("validate_problem: " + what +
+                                  " at index " + std::to_string(index) +
+                                  " exceeds the magnitude cap 1e30");
+}
+
+bool too_big(double v) {
+  return std::isfinite(v) && std::fabs(v) > kMaxMagnitude;
+}
+
+}  // namespace
+
+Status validate_variables(const Problem& problem) {
   for (int j = 0; j < problem.num_variables(); ++j) {
     const Variable& v = problem.variable(j);
     if (std::isnan(v.objective) || std::isinf(v.objective)) {
@@ -223,6 +251,11 @@ Status validate_problem(const Problem& problem) {
           std::to_string(j));
     }
   }
+  return Status::ok();
+}
+
+Status validate_problem(const Problem& problem) {
+  if (Status vars = validate_variables(problem); !vars.is_ok()) return vars;
   for (int i = 0; i < problem.num_constraints(); ++i) {
     const Constraint& con = problem.constraint(i);
     if (!std::isfinite(con.rhs)) return bad("constraint rhs", i);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -446,23 +447,21 @@ void install_artificial(Tableau& t, int i, int art_base,
   artificial_used[is] = 1;
 }
 
-/// Applies SimplexOptions::warm_start to a freshly built tableau (states
-/// and x set to cold defaults, basis unassigned) in two stages:
+/// Applies a warm basis to a tableau in its cold-start state
+/// (install_cold_columns) in two stages:
 ///   1. adopt the nonbasic statuses (stale at-upper states with an
 ///      infinite bound are demoted);
 ///   2. crash-select a linearly independent subset of the requested
 ///      basic columns by Gaussian elimination, demoting dependent ones
 ///      and filling uncovered rows with artificials.
 /// Every demotion/fill counts as one repair. The basic values are left
-/// for dual_simplex, which factors this basis and restores primal
-/// feasibility. All scratch (row/column maps, the crash-elimination
-/// matrix) comes from the workspace.
-void apply_warm_start(Tableau& t, WorkspaceImpl& ws,
-                      const SimplexOptions& options, int art_base,
-                      long& repairs) {
+/// for start_warm, which factors this basis, and dual_simplex, which
+/// restores primal feasibility. All scratch (row/column maps, the
+/// crash-elimination matrix) comes from the workspace.
+void apply_warm_start(Tableau& t, WorkspaceImpl& ws, const Basis& warm,
+                      int art_base, long& repairs) {
   const std::span<const int> slack_of_row = ws.slack_of_row;
   const std::span<unsigned char> artificial_used = ws.artificial_used;
-  const Basis& warm = options.warm_start;
   const int m = t.m;
   const int n_warm = static_cast<int>(warm.variables.size());
 
@@ -609,77 +608,40 @@ double pivot_row_entry(const Tableau& t, std::span<const double> rho, int j) {
   return a;
 }
 
-/// Bounded dual simplex from the crash basis apply_warm_start selected,
-/// with the phase-2 costs installed and every artificial fixed at zero.
-/// Factors the basis and prices every column once. From then on t.cost
-/// holds the reduced costs d = c − Aᵀy: the costs of an equivalent LP in
-/// which every basic column prices at zero, kept current from the pivot
-/// row; install_phase2_costs restores the true costs for phase 2. A
-/// column whose reduced cost has the wrong sign moves to its other bound
-/// when that bound is finite, else its cost is shifted to make the reduced
-/// cost zero (each one counted in `repairs`). The basic variable with the
-/// largest bound violation then leaves, until every basic is within
-/// kFeasibilityTol; the factorization is kept current by
-/// update_factorization, as in iterate. Status on return:
+/// Bounded dual simplex from the dual-feasible start start_warm set up,
+/// accumulating into `out`. The basic variable with the largest bound
+/// violation leaves, until every basic is within kFeasibilityTol; the
+/// reduced costs in t.cost are kept current from the pivot row and the
+/// factorization by update_factorization, as in iterate. Status on return:
 ///   kOptimal          primal feasible: run phase 2;
 ///   kInfeasible       a dual ray whose row misses its bound even with
 ///                     every helping column at its far bound;
 ///   kTimeLimit        the deadline expired;
 ///   kNumericalError,  the basis is singular, a dual ray proves nothing,
 ///   kIterationLimit   or the pivot cap was hit: solve cold instead.
-IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
-                              const Deadline& deadline, long& repairs) {
-  IterationOutcome out;
+void dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
+                  const Deadline& deadline, IterationOutcome& out) {
+  GRIDSEC_TRACE_SPAN("lp.simplex.dual");
   BasisFactorization& factor = ws.factor;
   const double ftol = kFeasibilityTol;
-  const double dtol = kOptimalityTol;
   const double eps = 1e-11;
   // Smallest pivot-row entry a column may enter on: dividing a reduced
   // cost by less would make the dual step meaningless.
   constexpr double kDualPivotTol = 1e-9;
   const std::span<double> d = t.cost;
+  // ρᵀA_j of every priced column, from the ratio test; the dual step and
+  // the dual-ray bound reuse them.
+  const std::span<double> alpha = ws.alpha;
   // Columns the dual pivots price: nonbasic and not fixed.
   const auto priced = [&t](std::size_t js) {
     return t.state[js] != VarState::kBasic && !is_fixed(t, js);
   };
 
-  ++out.refactorizations;
-  build_basis_matrix(t, ws.bmat);
-  if (!factor.refactorize(ws.bmat)) {
-    out.status = SolveStatus::kNumericalError;
-    return out;
-  }
-
-  // Dual-feasible start.
-  compute_multipliers(t, factor, ws.y);
-  for (int j = 0; j < t.n_total; ++j) {
-    const auto js = static_cast<std::size_t>(j);
-    if (t.state[js] == VarState::kBasic) {
-      d[js] = 0.0;
-      continue;
-    }
-    d[js] = reduced_cost(t, ws.y, j);
-    if (!priced(js)) continue;
-    const int dir = entering_direction(t, js, d[js], dtol);
-    if (dir == 0) continue;
-    ++repairs;
-    if (dir < 0) {
-      t.state[js] = VarState::kAtLower;  // at-upper: the lower is finite
-      t.x[js] = t.lower[js];
-    } else if (std::isfinite(t.upper[js])) {
-      t.state[js] = VarState::kAtUpper;
-      t.x[js] = t.upper[js];
-    } else {
-      d[js] = 0.0;  // cost shift
-    }
-  }
-  recompute_basics(t, factor, ws.xb, out.refine_steps);
-
   for (long iter = 0; iter < max_iters; ++iter) {
     if (deadline.expired()) {
       out.status = SolveStatus::kTimeLimit;
       out.iterations = iter;
-      return out;
+      return;
     }
     // Leaving row: the largest bound violation.
     int r = -1;
@@ -697,7 +659,7 @@ IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
     if (r < 0) {
       out.status = SolveStatus::kOptimal;
       out.iterations = iter;
-      return out;
+      return;
     }
     const auto rs = static_cast<std::size_t>(r);
     const auto p = static_cast<std::size_t>(t.basis[rs]);
@@ -719,6 +681,7 @@ IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
       const auto js = static_cast<std::size_t>(j);
       if (!priced(js)) continue;
       const double a = pivot_row_entry(t, rho, j);
+      alpha[js] = a;
       const bool at_lower = t.state[js] == VarState::kAtLower;
       if (at_lower ? toward * a <= kDualPivotTol
                    : toward * a >= -kDualPivotTol) {
@@ -746,7 +709,7 @@ IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
       for (int j = 0; j < t.n_total; ++j) {
         const auto js = static_cast<std::size_t>(j);
         if (!priced(js)) continue;
-        const double a = toward * pivot_row_entry(t, rho, j);
+        const double a = toward * alpha[js];
         if (t.state[js] == VarState::kAtLower ? a > 0.0 : a < 0.0) {
           miss -= std::fabs(a) * (t.upper[js] - t.lower[js]);
         }
@@ -754,7 +717,7 @@ IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
       out.status = miss > ftol ? SolveStatus::kInfeasible
                                : SolveStatus::kNumericalError;
       out.iterations = iter;
-      return out;
+      return;
     }
 
     const auto eq = static_cast<std::size_t>(entering);
@@ -769,7 +732,7 @@ IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
       // factorization is too inaccurate to continue on.
       out.status = SolveStatus::kNumericalError;
       out.iterations = iter;
-      return out;
+      return;
     }
 
     // Primal step: the entering column moves until x_p reaches its bound.
@@ -784,7 +747,7 @@ IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
     const double theta = d[eq] / alpha_q;
     for (int j = 0; j < t.n_total; ++j) {
       const auto js = static_cast<std::size_t>(j);
-      if (priced(js)) d[js] -= theta * pivot_row_entry(t, rho, j);
+      if (priced(js)) d[js] -= theta * alpha[js];
     }
     d[eq] = 0.0;
     d[p] = -theta;
@@ -797,12 +760,11 @@ IterationOutcome dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
     if (!update_factorization(t, ws, r, w, out)) {
       out.status = SolveStatus::kNumericalError;
       out.iterations = iter + 1;
-      return out;
+      return;
     }
   }
   out.status = SolveStatus::kIterationLimit;
   out.iterations = max_iters;
-  return out;
 }
 
 /// Builds A column-sparse straight from the problem's rows, plus b and
@@ -875,8 +837,9 @@ void build_columns(const Problem& problem, Tableau& t,
 
 /// Installs the cold-start column state: structural columns at their
 /// lower bound, slacks in [0, inf) at zero, every artificial unused (fixed
-/// at zero, coefficient 0), zero costs and no basis. Runs after the build
-/// and again to undo a warm start whose repair failed.
+/// at zero, coefficient 0), zero costs and no basis. The crash starts from
+/// it, and so does the cold start basis, also after a warm start the dual
+/// simplex could not finish.
 void install_cold_columns(const Problem& problem, Tableau& t,
                           std::span<unsigned char> artificial_used) {
   const int art_base = t.n_total - t.m;
@@ -903,6 +866,158 @@ void install_cold_columns(const Problem& problem, Tableau& t,
             static_cast<unsigned char>(0));
 }
 
+/// A warm at-upper column whose upper bound is no longer finite:
+/// apply_warm_start demotes it. This is the one bound fact the crash
+/// reads, so the warm checkpoint is keyed on it.
+bool stale_upper(const Problem& problem, const Basis& warm, std::size_t j) {
+  return warm.variables[j] == VarStatus::kAtUpper &&
+         !std::isfinite(problem.variable(static_cast<int>(j)).upper);
+}
+
+bool checkpoint_matches(const detail::WarmCheckpoint& ck,
+                        const Problem& problem, const Basis& warm) {
+  if (!ck.valid || ck.warm != warm) return false;
+  for (std::size_t j = 0; j < warm.variables.size(); ++j) {
+    if ((ck.stale_upper[j] != 0) != stale_upper(problem, warm, j)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Keeps what apply_warm_start and fix_artificials left in `t`, the crash
+/// repair count and ws.factor (just refactorized for t's basis) in the
+/// workspace's checkpoint, keyed on `warm`.
+void save_crash(const Problem& problem, const Tableau& t, WorkspaceImpl& ws,
+                const Basis& warm, long repairs) {
+  detail::WarmCheckpoint& ck = ws.warm;
+  ck.warm = warm;
+  for (std::size_t j = 0; j < warm.variables.size(); ++j) {
+    ck.stale_upper[j] = stale_upper(problem, warm, j) ? 1 : 0;
+  }
+  std::copy(t.state.begin(), t.state.end(), ck.state.begin());
+  std::copy(t.basis.begin(), t.basis.end(), ck.basis.begin());
+  std::copy(ws.artificial_used.begin(), ws.artificial_used.end(),
+            ck.artificial_used.begin());
+  const int art_base = t.n_total - t.m;
+  for (int i = 0; i < t.m; ++i) {
+    ck.artificial_coef[static_cast<std::size_t>(i)] = t.a.single(art_base + i);
+  }
+  ck.repairs = repairs;
+  ws.factor.save(ck.lu);
+  ck.priced = false;
+  ck.valid = true;
+}
+
+/// Puts the checkpoint's crash back. The tableau then holds what
+/// install_cold_columns, apply_warm_start and fix_artificials would leave
+/// for this problem's bounds, and ws.factor the LU of its basis, bit for
+/// bit: the crash and the elimination read nothing the key leaves open.
+void restore_crash(const Problem& problem, Tableau& t, WorkspaceImpl& ws,
+                   long& repairs) {
+  const detail::WarmCheckpoint& ck = ws.warm;
+  const int art_base = t.n_total - t.m;
+  for (int j = 0; j < t.n_total; ++j) {
+    const auto js = static_cast<std::size_t>(j);
+    double lower = 0.0;
+    double upper = 0.0;  // artificials stay fixed at zero
+    if (j < t.n_struct) {
+      lower = problem.variable(j).lower;
+      upper = problem.variable(j).upper;
+    } else if (j < art_base) {
+      upper = kInfinity;
+    }
+    t.lower[js] = lower;
+    t.upper[js] = upper;
+    t.state[js] = ck.state[js];
+    t.x[js] = ck.state[js] == VarState::kAtUpper ? upper : lower;
+  }
+  std::copy(ck.basis.begin(), ck.basis.end(), t.basis.begin());
+  std::copy(ck.artificial_used.begin(), ck.artificial_used.end(),
+            ws.artificial_used.begin());
+  for (int i = 0; i < t.m; ++i) {
+    t.a.single(art_base + i) = ck.artificial_coef[static_cast<std::size_t>(i)];
+  }
+  repairs += ck.repairs;
+  ws.factor.restore(ck.lu);
+}
+
+/// Prices every column once against the phase-2 costs in t.cost:
+/// y = B⁻ᵀc_B, then d_j = c_j − yᵀA_j (zero on basics) replaces c_j in
+/// place. The checkpoint keeps d beside the costs it came from; a warm
+/// start from the same checkpoint with the same costs copies d instead.
+void price_dual_start(Tableau& t, WorkspaceImpl& ws) {
+  detail::WarmCheckpoint& ck = ws.warm;
+  const std::size_t bytes = t.cost.size() * sizeof(double);
+  if (ck.priced && std::memcmp(ck.cost.data(), t.cost.data(), bytes) == 0) {
+    std::copy(ck.d.begin(), ck.d.end(), t.cost.begin());
+    return;
+  }
+  std::copy(t.cost.begin(), t.cost.end(), ck.cost.begin());
+  compute_multipliers(t, ws.factor, ws.y);
+  for (int j = 0; j < t.n_total; ++j) {
+    const auto js = static_cast<std::size_t>(j);
+    t.cost[js] =
+        t.state[js] == VarState::kBasic ? 0.0 : reduced_cost(t, ws.y, j);
+  }
+  std::copy(t.cost.begin(), t.cost.end(), ck.d.begin());
+  ck.priced = true;
+}
+
+/// Sets up the bounded dual simplex from `warm`: the crash basis with the
+/// phase-2 costs and every artificial fixed at zero, ws.factor current for
+/// it, and a dual-feasible start. The crash, its LU and the first pricing
+/// come from the workspace's checkpoint when its key matches; otherwise
+/// they are computed (one refactorization) and saved there. From here on
+/// t.cost holds the reduced costs d = c − Aᵀy: the costs of an equivalent
+/// LP in which every basic column prices at zero; install_phase2_costs
+/// restores the true costs for phase 2. A column whose reduced cost has
+/// the wrong sign moves to its other bound when that bound is finite, else
+/// its cost is shifted to make the reduced cost zero (each one counted in
+/// `repairs`). Returns false when the crash basis is singular.
+bool start_warm(const Problem& problem, Tableau& t, WorkspaceImpl& ws,
+                const Basis& warm, long& repairs, IterationOutcome& out) {
+  GRIDSEC_TRACE_SPAN("lp.simplex.warm_start");
+  const int art_base = t.n_total - t.m;
+  if (checkpoint_matches(ws.warm, problem, warm)) {
+    restore_crash(problem, t, ws, repairs);
+    install_phase2_costs(problem, t);
+  } else {
+    ws.warm.valid = false;
+    install_cold_columns(problem, t, ws.artificial_used);
+    long crash_repairs = 0;
+    apply_warm_start(t, ws, warm, art_base, crash_repairs);
+    repairs += crash_repairs;
+    fix_artificials(t);
+    install_phase2_costs(problem, t);
+    ++out.refactorizations;
+    build_basis_matrix(t, ws.bmat);
+    if (!ws.factor.refactorize(ws.bmat)) return false;
+    save_crash(problem, t, ws, warm, crash_repairs);
+  }
+  price_dual_start(t, ws);
+
+  const std::span<double> d = t.cost;
+  for (int j = 0; j < t.n_total; ++j) {
+    const auto js = static_cast<std::size_t>(j);
+    if (t.state[js] == VarState::kBasic || is_fixed(t, js)) continue;
+    const int dir = entering_direction(t, js, d[js], kOptimalityTol);
+    if (dir == 0) continue;
+    ++repairs;
+    if (dir < 0) {
+      t.state[js] = VarState::kAtLower;  // at-upper: the lower is finite
+      t.x[js] = t.lower[js];
+    } else if (std::isfinite(t.upper[js])) {
+      t.state[js] = VarState::kAtUpper;
+      t.x[js] = t.upper[js];
+    } else {
+      d[js] = 0.0;  // cost shift
+    }
+  }
+  recompute_basics(t, ws.factor, ws.xb, out.refine_steps);
+  return true;
+}
+
 /// Full solve; when `final_tableau` is non-null and the solve is optimal,
 /// the final tableau *view* is copied out for post-optimal analysis — it
 /// stays valid only while `ws` remains bound (analyze_sensitivity passes
@@ -913,35 +1028,42 @@ Solution solve_impl_inner(const Problem& problem,
                           SimplexMetricsGuard& metrics,
                           WorkspaceImpl& ws) {
   Solution sol;
-  if (!validate_problem(problem).is_ok()) {
-    sol.status = SolveStatus::kNumericalError;
-    return sol;
-  }
   const Deadline deadline = Deadline::in_ms(options.time_limit_ms);
   const int n = problem.num_variables();
   const int m = problem.num_constraints();
   const bool maximize = problem.objective() == Objective::kMaximize;
-
-  // Count slacks and the terms that bound A's nonzeros.
-  int n_slack = 0;
-  std::size_t n_terms = 0;
-  for (const auto& con : problem.constraints()) {
-    if (con.sense != Sense::kEqual) ++n_slack;
-    n_terms += con.terms.size();
-  }
-
-  // Bind the workspace to this problem's shape (one arena rewind, spans
-  // carved; artificials allocated per row, used lazily), then build A and
-  // the cold-start state into it.
-  const int art_base = n + n_slack;
-  ws.bind(m, n, art_base + m,
-          n_terms + static_cast<std::size_t>(n_slack + m));
   Tableau& t = ws.t;
+  {
+    GRIDSEC_TRACE_SPAN("lp.simplex.setup");
+    // A built from this problem's rows_id is still resident, and its rows
+    // passed validation when it was built: check the variables only.
+    const bool resident =
+        ws.rows_id == problem.rows_id() && t.m == m && t.n_struct == n;
+    if (!(resident ? validate_variables(problem) : validate_problem(problem))
+             .is_ok()) {
+      sol.status = SolveStatus::kNumericalError;
+      return sol;
+    }
+    if (!resident) {
+      // Count slacks and the terms that bound A's nonzeros, bind the
+      // workspace to this shape (one arena rewind, spans carved;
+      // artificials allocated per row, used lazily) and build A into it.
+      int n_slack = 0;
+      std::size_t n_terms = 0;
+      for (const auto& con : problem.constraints()) {
+        if (con.sense != Sense::kEqual) ++n_slack;
+        n_terms += con.terms.size();
+      }
+      ws.bind(m, n, n + n_slack + m,
+              n_terms + static_cast<std::size_t>(n_slack + m));
+      build_columns(problem, t, ws.col_fill, ws.slack_of_row);
+      ws.rows_id = problem.rows_id();
+    }
+  }
+  const int art_base = t.n_total - m;
   BasisFactorization& factor = ws.factor;
   const std::span<int> slack_of_row = ws.slack_of_row;
   const std::span<unsigned char> artificial_used = ws.artificial_used;
-  build_columns(problem, t, ws.col_fill, slack_of_row);
-  install_cold_columns(problem, t, artificial_used);
 
   const long max_iters = 2000 + 200L * (m + n);
   // Pivot from which pricing follows Bland's rule.
@@ -951,28 +1073,30 @@ Solution solve_impl_inner(const Problem& problem,
   long total_iters = 0;
 
   // Warm start: adopt the caller's basis when it is dimensionally
-  // compatible, crash-select an independent basis from it, and restore
-  // primal feasibility by dual simplex pivots. A basis the dual simplex
-  // cannot finish from falls back to the cold start below — a warm start
-  // can never make a solve fail that would have succeeded cold.
+  // compatible, crash-select an independent basis from it (or restore the
+  // checkpointed one), and restore primal feasibility by dual simplex
+  // pivots. A basis the dual simplex cannot finish from falls back to the
+  // cold start below — a warm start can never make a solve fail that would
+  // have succeeded cold.
   bool warm_applied = false;
   if (warm_start_enabled() && !options.warm_start.empty()) {
     if (static_cast<int>(options.warm_start.rows.size()) == m &&
         static_cast<int>(options.warm_start.variables.size()) <= n) {
       long repairs = 0;
-      apply_warm_start(t, ws, options, art_base, repairs);
-      fix_artificials(t);
-      install_phase2_costs(problem, t);
-      const IterationOutcome dual =
-          dual_simplex(t, ws, std::min(max_iters, confirm_budget), deadline,
-                       repairs);
+      IterationOutcome dual;
+      ws.size_warm();
+      if (start_warm(problem, t, ws, options.warm_start, repairs, dual)) {
+        dual_simplex(t, ws, std::min(max_iters, confirm_budget), deadline,
+                     dual);
+      } else {
+        dual.status = SolveStatus::kNumericalError;
+      }
       total_iters += dual.iterations;
       metrics.absorb(dual);
       warm_applied = dual.status == SolveStatus::kOptimal ||
                      dual.status == SolveStatus::kInfeasible ||
                      dual.status == SolveStatus::kTimeLimit;
       if (!warm_applied) {
-        install_cold_columns(problem, t, artificial_used);
         metrics.warm_rejected = true;
       } else {
         metrics.warm_started = true;
@@ -990,103 +1114,110 @@ Solution solve_impl_inner(const Problem& problem,
   }
   sol.warm_started = warm_applied;
 
-  if (!warm_applied) {
-    // Cold initial basis: slack when it yields a feasible basic value,
-    // else an artificial sized to the residual. Row residuals b − A_S x_S
-    // at the structural start point are summed column by column: each row
-    // still subtracts its terms in ascending column order.
-    const std::span<double> residuals = ws.xb;
-    std::copy(t.b.begin(), t.b.end(), residuals.begin());
-    for (int j = 0; j < n; ++j) {
-      const double xj = t.x[static_cast<std::size_t>(j)];
-      for (const ColumnEntry& e : t.a.column(j)) {
-        residuals[static_cast<std::size_t>(e.row)] -= e.val * xj;
+  IterationOutcome outcome;
+  {
+    GRIDSEC_TRACE_SPAN("lp.simplex.primal");
+    if (!warm_applied) {
+      // Cold initial basis from the cold-start column state: slack when it
+      // yields a feasible basic value, else an artificial sized to the
+      // residual. Row residuals b − A_S x_S at the structural start point
+      // are summed column by column: each row still subtracts its terms in
+      // ascending column order.
+      install_cold_columns(problem, t, artificial_used);
+      const std::span<double> residuals = ws.xb;
+      std::copy(t.b.begin(), t.b.end(), residuals.begin());
+      for (int j = 0; j < n; ++j) {
+        const double xj = t.x[static_cast<std::size_t>(j)];
+        for (const ColumnEntry& e : t.a.column(j)) {
+          residuals[static_cast<std::size_t>(e.row)] -= e.val * xj;
+        }
+      }
+      bool any_artificial = false;
+      for (int i = 0; i < m; ++i) {
+        const auto is = static_cast<std::size_t>(i);
+        const double residual = residuals[is];
+        const auto& con = problem.constraint(i);
+        const int s = slack_of_row[is];
+        const bool slack_feasible =
+            s >= 0 && ((con.sense == Sense::kLessEqual && residual >= 0.0) ||
+                       (con.sense == Sense::kGreaterEqual && residual <= 0.0));
+        if (slack_feasible) {
+          const auto ss = static_cast<std::size_t>(s);
+          t.basis[is] = s;
+          t.state[ss] = VarState::kBasic;
+          t.x[ss] = con.sense == Sense::kLessEqual ? residual : -residual;
+          continue;
+        }
+        const int art = art_base + i;
+        const auto as = static_cast<std::size_t>(art);
+        t.a.single(art) = residual >= 0.0 ? 1.0 : -1.0;
+        t.lower[as] = 0.0;
+        t.upper[as] = kInfinity;
+        t.x[as] = std::fabs(residual);
+        t.basis[is] = art;
+        t.state[as] = VarState::kBasic;
+        artificial_used[is] = 1;
+        any_artificial = true;
+      }
+      // The slack/artificial start basis is diagonal; factorize it once.
+      ++metrics.refactorizations;
+      build_basis_matrix(t, ws.bmat);
+      if (!factor.refactorize(ws.bmat)) {
+        sol.status = SolveStatus::kNumericalError;
+        return sol;
+      }
+
+      // Phase 1: drive the artificials to zero.
+      if (any_artificial) {
+        for (int i = 0; i < m; ++i) {
+          if (artificial_used[static_cast<std::size_t>(i)]) {
+            t.cost[static_cast<std::size_t>(art_base + i)] = 1.0;
+          }
+        }
+        const IterationOutcome phase1 =
+            iterate(t, ws, options, max_iters, bland_after, deadline);
+        total_iters += phase1.iterations;
+        metrics.absorb(phase1);
+        if (phase1.status == SolveStatus::kIterationLimit ||
+            phase1.status == SolveStatus::kTimeLimit ||
+            phase1.status == SolveStatus::kNumericalError) {
+          sol.status = phase1.status;
+          sol.iterations = total_iters;
+          return sol;
+        }
+        if (phase1.status == SolveStatus::kUnbounded) {
+          // Phase 1 minimizes a sum of nonnegative artificials: an
+          // "unbounded" verdict can only come from numerical breakdown.
+          sol.status = SolveStatus::kNumericalError;
+          sol.iterations = total_iters;
+          return sol;
+        }
+        double phase1_obj = 0.0;
+        for (int i = 0; i < m; ++i) {
+          if (artificial_used[static_cast<std::size_t>(i)]) {
+            phase1_obj += t.x[static_cast<std::size_t>(art_base + i)];
+          }
+        }
+        if (phase1_obj > kFeasibilityTol) {
+          sol.status = SolveStatus::kInfeasible;
+          sol.iterations = total_iters;
+          return sol;
+        }
+        fix_artificials(t);  // frozen at zero for phase 2
       }
     }
-    bool any_artificial = false;
-    for (int i = 0; i < m; ++i) {
-      const auto is = static_cast<std::size_t>(i);
-      const double residual = residuals[is];
-      const auto& con = problem.constraint(i);
-      const int s = slack_of_row[is];
-      const bool slack_feasible =
-          s >= 0 && ((con.sense == Sense::kLessEqual && residual >= 0.0) ||
-                     (con.sense == Sense::kGreaterEqual && residual <= 0.0));
-      if (slack_feasible) {
-        const auto ss = static_cast<std::size_t>(s);
-        t.basis[is] = s;
-        t.state[ss] = VarState::kBasic;
-        t.x[ss] = con.sense == Sense::kLessEqual ? residual : -residual;
-        continue;
-      }
-      const int art = art_base + i;
-      const auto as = static_cast<std::size_t>(art);
-      t.a.single(art) = residual >= 0.0 ? 1.0 : -1.0;
-      t.lower[as] = 0.0;
-      t.upper[as] = kInfinity;
-      t.x[as] = std::fabs(residual);
-      t.basis[is] = art;
-      t.state[as] = VarState::kBasic;
-      artificial_used[is] = 1;
-      any_artificial = true;
-    }
-    // The slack/artificial start basis is diagonal; factorize it once.
-    ++metrics.refactorizations;
-    build_basis_matrix(t, ws.bmat);
-    if (!factor.refactorize(ws.bmat)) {
-      sol.status = SolveStatus::kNumericalError;
+
+    // Phase 2: the original costs (replacing the dual simplex's reduced
+    // costs on a warm start) from a primal feasible basis.
+    install_phase2_costs(problem, t);
+    outcome = iterate(t, ws, options, max_iters, bland_after, deadline);
+    total_iters += outcome.iterations;
+    metrics.absorb(outcome);
+    sol.iterations = total_iters;
+    if (outcome.status != SolveStatus::kOptimal) {
+      sol.status = outcome.status;
       return sol;
     }
-
-    // Phase 1: drive the artificials to zero.
-    if (any_artificial) {
-      for (int i = 0; i < m; ++i) {
-        if (artificial_used[static_cast<std::size_t>(i)]) {
-          t.cost[static_cast<std::size_t>(art_base + i)] = 1.0;
-        }
-      }
-      auto outcome = iterate(t, ws, options, max_iters, bland_after, deadline);
-      total_iters += outcome.iterations;
-      metrics.absorb(outcome);
-      if (outcome.status == SolveStatus::kIterationLimit ||
-          outcome.status == SolveStatus::kTimeLimit ||
-          outcome.status == SolveStatus::kNumericalError) {
-        sol.status = outcome.status;
-        sol.iterations = total_iters;
-        return sol;
-      }
-      if (outcome.status == SolveStatus::kUnbounded) {
-        // Phase 1 minimizes a sum of nonnegative artificials: an
-        // "unbounded" verdict can only come from numerical breakdown.
-        sol.status = SolveStatus::kNumericalError;
-        sol.iterations = total_iters;
-        return sol;
-      }
-      double phase1_obj = 0.0;
-      for (int i = 0; i < m; ++i) {
-        if (artificial_used[static_cast<std::size_t>(i)]) {
-          phase1_obj += t.x[static_cast<std::size_t>(art_base + i)];
-        }
-      }
-      if (phase1_obj > kFeasibilityTol) {
-        sol.status = SolveStatus::kInfeasible;
-        sol.iterations = total_iters;
-        return sol;
-      }
-      fix_artificials(t);  // frozen at zero for phase 2
-    }
-  }
-
-  // Phase 2: the original costs (replacing the dual simplex's reduced
-  // costs on a warm start) from a primal feasible basis.
-  install_phase2_costs(problem, t);
-  auto outcome = iterate(t, ws, options, max_iters, bland_after, deadline);
-  total_iters += outcome.iterations;
-  metrics.absorb(outcome);
-  sol.iterations = total_iters;
-  if (outcome.status != SolveStatus::kOptimal) {
-    sol.status = outcome.status;
-    return sol;
   }
 
   // One post-solve check, repeated only on a resume. Each round cleans up
@@ -1110,107 +1241,111 @@ Solution solve_impl_inner(const Problem& problem,
   //   * writes each structural d_j as the reported reduced cost.
   // A failed gate reports kNumericalError, never a fake optimum: solve_impl
   // retries warm-started solves cold, and the recovery ladder does the rest.
-  constexpr int kMaxOptimalityResumes = 3;
-  constexpr double kDualResidualTol = 5e-7;
-  const double dtol = kOptimalityTol;
-  const double ftol = kFeasibilityTol;
   const std::span<double> y = ws.y;
-  sol.reduced_costs.resize(static_cast<std::size_t>(n));
-  const auto fail = [&sol](SolveStatus status) {
-    sol.status = status;
-    sol.reduced_costs.clear();
-  };
-  // Refined multipliers Bᵀy = c_B from the current factorization, into y.
-  const auto refine_duals = [&] {
-    for (int i = 0; i < m; ++i) {
-      y[static_cast<std::size_t>(i)] = t.cost[static_cast<std::size_t>(
-          t.basis[static_cast<std::size_t>(i)])];
-    }
-    metrics.refine_steps += factor.btran_refined(y);
-  };
-  bool breakdown = false;
-  for (int resume = 0;; ++resume) {
-    if (factor.eta_count() > 0) {
-      ++metrics.refactorizations;
-      build_basis_matrix(t, ws.bmat);
-      if (!factor.refactorize(ws.bmat)) {
-        fail(SolveStatus::kNumericalError);
+  {
+    GRIDSEC_TRACE_SPAN("lp.simplex.check");
+    constexpr int kMaxOptimalityResumes = 3;
+    constexpr double kDualResidualTol = 5e-7;
+    const double dtol = kOptimalityTol;
+    const double ftol = kFeasibilityTol;
+    sol.reduced_costs.resize(static_cast<std::size_t>(n));
+    const auto fail = [&sol](SolveStatus status) {
+      sol.status = status;
+      sol.reduced_costs.clear();
+    };
+    // Refined multipliers Bᵀy = c_B from the current factorization, into y.
+    const auto refine_duals = [&] {
+      for (int i = 0; i < m; ++i) {
+        y[static_cast<std::size_t>(i)] = t.cost[static_cast<std::size_t>(
+            t.basis[static_cast<std::size_t>(i)])];
+      }
+      metrics.refine_steps += factor.btran_refined(y);
+    };
+    bool breakdown = false;
+    for (int resume = 0;; ++resume) {
+      if (factor.eta_count() > 0) {
+        ++metrics.refactorizations;
+        build_basis_matrix(t, ws.bmat);
+        if (!factor.refactorize(ws.bmat)) {
+          fail(SolveStatus::kNumericalError);
+          return sol;
+        }
+      }
+      recompute_basics(t, factor, ws.xb, metrics.refine_steps);
+      refine_duals();
+
+      bool attractive = false;
+      breakdown = false;
+      double gap_err = 0.0;    // Σ |d_j|·(1+|x_j|): duality-gap contamination
+      double gap_mag = 1.0;    // Σ |c_j·x_j| over the basis: gap check scale
+      double gap_floor = 0.0;  // Σ rounding-floor_j·(1+|x_j|): unavoidable
+      for (int j = 0; j < t.n_total; ++j) {
+        const auto js = static_cast<std::size_t>(j);
+        double dj = t.cost[js];
+        double acc = 0.0;  // Σ_r |y_r·a_rj|: the dot product's rounding scale
+        for (const ColumnEntry& e : t.a.column(j)) {
+          const double term = y[static_cast<std::size_t>(e.row)] * e.val;
+          dj -= term;
+          acc += std::fabs(term);
+        }
+        if (j < n) sol.reduced_costs[js] = maximize ? -dj : dj;
+        if (t.state[js] != VarState::kBasic) {
+          if (!is_fixed(t, js) && entering_direction(t, js, dj, dtol) != 0) {
+            attractive = true;
+          }
+          continue;
+        }
+        const double xv = t.x[js];
+        const double scale = 1.0 + std::fabs(xv);
+        if (xv < t.lower[js] - ftol * scale ||
+            (std::isfinite(t.upper[js]) && xv > t.upper[js] + ftol * scale) ||
+            std::fabs(dj) > kDualResidualTol * (1.0 + std::fabs(t.cost[js])) +
+                                kDualRoundingFloor * acc) {
+          breakdown = true;
+        }
+        gap_err += std::fabs(dj) * scale;
+        gap_mag += std::fabs(t.cost[js] * xv);
+        gap_floor += kDualRoundingFloor * acc * scale;
+      }
+      if (gap_err > kDualResidualTol * gap_mag + gap_floor) breakdown = true;
+      if (!attractive || resume >= kMaxOptimalityResumes ||
+          max_iters <= total_iters) {
+        break;
+      }
+      outcome = iterate(t, ws, options,
+                        std::min(max_iters - total_iters, confirm_budget),
+                        bland_after, deadline);
+      total_iters += outcome.iterations;
+      metrics.absorb(outcome);
+      sol.iterations = total_iters;
+      if (outcome.status != SolveStatus::kOptimal) {
+        // Past the deadline the verdict is a time limit. Otherwise the pivot
+        // loop said optimal and the resume now says otherwise (budget churn,
+        // a spurious unbounded ray): that contradiction is numerical
+        // instability, and reporting it as such hands the solve to the
+        // warm→cold retry and the recovery ladder.
+        fail(outcome.status == SolveStatus::kTimeLimit
+                 ? SolveStatus::kTimeLimit
+                 : SolveStatus::kNumericalError);
         return sol;
       }
-    }
-    recompute_basics(t, factor, ws.xb, metrics.refine_steps);
-    refine_duals();
-
-    bool attractive = false;
-    breakdown = false;
-    double gap_err = 0.0;    // Σ |d_j|·(1+|x_j|): duality-gap contamination
-    double gap_mag = 1.0;    // Σ |c_j·x_j| over the basis: gap check scale
-    double gap_floor = 0.0;  // Σ rounding-floor_j·(1+|x_j|): unavoidable
-    for (int j = 0; j < t.n_total; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      double dj = t.cost[js];
-      double acc = 0.0;  // Σ_r |y_r·a_rj|: the dot product's rounding scale
-      for (const ColumnEntry& e : t.a.column(j)) {
-        const double term = y[static_cast<std::size_t>(e.row)] * e.val;
-        dj -= term;
-        acc += std::fabs(term);
+      if (outcome.iterations == 0) {
+        // The sweep's refined duals found an attractive column that the pivot
+        // loop's plain multipliers do not: the basis stands, as it would have
+        // without the resume. The pivot loop overwrote y with those plain
+        // multipliers, so restore the refined duals that the gates above
+        // checked and the reduced costs were written from.
+        refine_duals();
+        break;
       }
-      if (j < n) sol.reduced_costs[js] = maximize ? -dj : dj;
-      if (t.state[js] != VarState::kBasic) {
-        if (!is_fixed(t, js) && entering_direction(t, js, dj, dtol) != 0) {
-          attractive = true;
-        }
-        continue;
-      }
-      const double xv = t.x[js];
-      const double scale = 1.0 + std::fabs(xv);
-      if (xv < t.lower[js] - ftol * scale ||
-          (std::isfinite(t.upper[js]) && xv > t.upper[js] + ftol * scale) ||
-          std::fabs(dj) > kDualResidualTol * (1.0 + std::fabs(t.cost[js])) +
-                              kDualRoundingFloor * acc) {
-        breakdown = true;
-      }
-      gap_err += std::fabs(dj) * scale;
-      gap_mag += std::fabs(t.cost[js] * xv);
-      gap_floor += kDualRoundingFloor * acc * scale;
     }
-    if (gap_err > kDualResidualTol * gap_mag + gap_floor) breakdown = true;
-    if (!attractive || resume >= kMaxOptimalityResumes ||
-        max_iters <= total_iters) {
-      break;
-    }
-    outcome = iterate(t, ws, options,
-                      std::min(max_iters - total_iters, confirm_budget),
-                      bland_after, deadline);
-    total_iters += outcome.iterations;
-    metrics.absorb(outcome);
-    sol.iterations = total_iters;
-    if (outcome.status != SolveStatus::kOptimal) {
-      // Past the deadline the verdict is a time limit. Otherwise the pivot
-      // loop said optimal and the resume now says otherwise (budget churn,
-      // a spurious unbounded ray): that contradiction is numerical
-      // instability, and reporting it as such hands the solve to the
-      // warm→cold retry and the recovery ladder.
-      fail(outcome.status == SolveStatus::kTimeLimit
-               ? SolveStatus::kTimeLimit
-               : SolveStatus::kNumericalError);
+    if (breakdown) {
+      fail(SolveStatus::kNumericalError);
       return sol;
     }
-    if (outcome.iterations == 0) {
-      // The sweep's refined duals found an attractive column that the pivot
-      // loop's plain multipliers do not: the basis stands, as it would have
-      // without the resume. The pivot loop overwrote y with those plain
-      // multipliers, so restore the refined duals that the gates above
-      // checked and the reduced costs were written from.
-      refine_duals();
-      break;
-    }
-  }
-  if (breakdown) {
-    fail(SolveStatus::kNumericalError);
-    return sol;
   }
 
+  GRIDSEC_TRACE_SPAN("lp.simplex.extract");
   sol.status = SolveStatus::kOptimal;
   sol.x.resize(static_cast<std::size_t>(n));
   for (int j = 0; j < n; ++j) {

@@ -34,9 +34,24 @@ void WorkspaceImpl::bind(int m, int n_struct, int n_total,
   t.state = arena.allocate_span<VarState>(ns);
   artificial_used = arena.allocate_span<unsigned char>(ms);
   used_row = arena.allocate_span<unsigned char>(ms);
+  warm.valid = false;
+  rows_id = 0;
   t.m = m;
   t.n_struct = n_struct;
   t.n_total = n_total;
+}
+
+void WorkspaceImpl::size_warm() {
+  const auto ms = static_cast<std::size_t>(t.m);
+  const auto ns = static_cast<std::size_t>(t.n_total);
+  alpha.resize(ns);
+  warm.stale_upper.resize(static_cast<std::size_t>(t.n_struct));
+  warm.state.resize(ns);
+  warm.basis.resize(ms);
+  warm.artificial_used.resize(ms);
+  warm.artificial_coef.resize(ms);
+  warm.cost.resize(ns);
+  warm.d.resize(ns);
 }
 
 WorkspaceLease::WorkspaceLease(SolverWorkspace* requested) {

@@ -1,12 +1,17 @@
 // Internal solver-facing view of lp::SolverWorkspace (see workspace.hpp
-// for the ownership rules). Everything here is carved from the workspace
-// arena at bind() time: the simplex works on spans into one contiguous
-// buffer, and a re-bind is an arena rewind plus pointer carving — no heap
-// traffic once the arena has grown to the problem's high-water mark.
+// for the ownership rules). The tableau and the per-solve scratch are
+// carved from the workspace arena at bind() time: the simplex works on
+// spans into one contiguous buffer, and a re-bind is an arena rewind plus
+// pointer carving — no heap traffic once the arena has grown to the
+// problem's high-water mark. A solve on the rows the workspace last built
+// skips the bind, and a warm solve whose crash it already holds skips
+// that too (WarmCheckpoint).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "gridsec/lp/basis.hpp"
 #include "gridsec/lp/workspace.hpp"
@@ -42,6 +47,10 @@ struct SparseColumns {
     const int first = start[static_cast<std::size_t>(j)];
     return entries[static_cast<std::size_t>(first)].val;
   }
+  [[nodiscard]] double single(int j) const {
+    return entries[static_cast<std::size_t>(start[static_cast<std::size_t>(j)])]
+        .val;
+  }
 };
 
 /// The working standard-form tableau: A x = b with per-column bounds,
@@ -61,10 +70,39 @@ struct Tableau {
   int m = 0;
 };
 
+/// The start of the last warm solve that crashed, kept for the next warm
+/// solve whose start is the same. The crash reads only A, the warm Basis
+/// and, for each warm at-upper column, whether its upper bound is finite;
+/// those are the key, with A the workspace's resident A. The value is what
+/// the crash leaves, the LU of its basis and the dual-feasible start's
+/// reduced costs, which also depend on the phase-2 costs they sit beside.
+/// Only warm solves use it, so it lives in capacity-reused vectors sized
+/// by WorkspaceImpl::size_warm rather than in the arena every bind carves;
+/// bind() clears `valid`, since a new A is a new key.
+struct WarmCheckpoint {
+  bool valid = false;
+  Basis warm;
+  std::vector<unsigned char> stale_upper;  // n_struct: the crash demotes it
+  std::vector<VarState> state;             // n_total, after the crash
+  std::vector<int> basis;                  // m
+  std::vector<unsigned char> artificial_used;  // m
+  std::vector<double> artificial_coef;         // m: installed or demoted
+  long repairs = 0;                  // the crash's demotions and fills
+  BasisFactorization::Snapshot lu;   // of the crash basis
+  bool priced = false;               // d holds the prices of `cost`
+  std::vector<double> cost;          // n_total: phase-2 costs
+  std::vector<double> d;             // n_total: reduced costs, 0 on basics
+};
+
 /// The whole per-solve state block. bind() carves every span below from
 /// the arena; the simplex fills and then mutates them in place. `factor`,
-/// `bmat`, and `crash_work` sit outside the arena but reuse their own
-/// heap capacity across binds.
+/// `bmat`, `crash_work`, `alpha` and `warm` sit outside the arena but
+/// reuse their own heap capacity across binds.
+///
+/// A solve binds only when its Problem's rows_id differs from `rows_id`,
+/// the id A was last built from; otherwise t.a (apart from the artificial
+/// coefficients, which every solve sets), t.b and slack_of_row are still
+/// that problem's.
 struct WorkspaceImpl {
   util::Arena arena;
   BasisFactorization factor;
@@ -83,13 +121,21 @@ struct WorkspaceImpl {
   std::span<unsigned char> artificial_used;  // m flags
   std::span<unsigned char> used_row;         // warm start: crash row flags
 
+  std::vector<double> alpha;  // n_total: the dual simplex's ρᵀA_j
+  WarmCheckpoint warm;
+
+  std::uint64_t rows_id = 0;  // Problem::rows_id A was built from; 0 = none
   bool in_use = false;     // leased by a running solve
   std::size_t binds = 0;
 
   /// Rewinds the arena and carves all of the above for an m-row problem
   /// with n_struct structural and n_total total columns and room for
-  /// `nnz` entries of A.
+  /// `nnz` entries of A. Forgets the resident A and the checkpoint.
   void bind(int m, int n_struct, int n_total, std::size_t nnz);
+  /// Sizes `alpha` and the checkpoint's vectors to the bound shape. They
+  /// keep their capacity, so this allocates only when a workspace first
+  /// solves warm at a larger shape; cold-only workloads never pay for them.
+  void size_warm();
 };
 
 /// Marks the workspace a solve uses busy for the solve's duration: the

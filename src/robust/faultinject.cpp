@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include "gridsec/flow/social_welfare.hpp"
 #include "gridsec/lp/equilibrate.hpp"
 #include "gridsec/lp/simplex.hpp"
+#include "gridsec/lp/workspace.hpp"
 #include "gridsec/obs/log.hpp"
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/robust/recovery.hpp"
@@ -572,6 +574,25 @@ void fuzz_network_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
 /// past its optimal value, which leaves some siblings infeasible. Bound
 /// changes keep the stale basis dual feasible, so the last two are the
 /// dual simplex's. Warm starts change the path, never the answer.
+///
+/// The siblings share the problem's rows, so their warm solves on the
+/// thread's workspace reuse its resident A and the warm checkpoint the
+/// confirming re-solve left. Each must match, bit for bit, the same solve
+/// on a fresh workspace, which builds A and crashes from scratch.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Status, pivot count, point, duals, reduced costs and basis agree to the
+/// bit.
+bool same_bits(const lp::Solution& a, const lp::Solution& b) {
+  return a.status == b.status && a.iterations == b.iterations &&
+         same_bits(a.x, b.x) && same_bits(a.duals, b.duals) &&
+         same_bits(a.reduced_costs, b.reduced_costs) && a.basis == b.basis;
+}
+
 void fuzz_warm_start_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
   lp::Problem p =
       rng.bernoulli(0.5)
@@ -662,8 +683,26 @@ void fuzz_warm_start_instance(FuzzContext& ctx, std::uint64_t seed, Rng& rng) {
         return false;
       }
     }
-    if (a == VerdictClass::kHardOptimal) {
-      return check_warm_path(sib_warm, sib_retries_before, what);
+    if (a == VerdictClass::kHardOptimal &&
+        !check_warm_path(sib_warm, sib_retries_before, what)) {
+      return false;
+    }
+    lp::SolverWorkspace fresh;
+    lp::SimplexOptions fresh_options = warm_options;
+    fresh_options.workspace = &fresh;
+    const lp::Solution sib_fresh = lp::solve_lp(sibling, fresh_options);
+    // A deadline can cut the two solves at different pivots.
+    if (sib_warm.status != lp::SolveStatus::kTimeLimit &&
+        sib_fresh.status != lp::SolveStatus::kTimeLimit &&
+        !same_bits(sib_warm, sib_fresh)) {
+      ctx.fail(seed, "resident warm re-solve of " + what +
+                         " differs from a fresh workspace (" +
+                         to_string(report) + "): resident " +
+                         std::string(lp::to_string(sib_warm.status)) + "/" +
+                         std::to_string(sib_warm.iterations) + " fresh " +
+                         std::string(lp::to_string(sib_fresh.status)) + "/" +
+                         std::to_string(sib_fresh.iterations));
+      return false;
     }
     return true;
   };

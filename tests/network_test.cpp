@@ -65,6 +65,28 @@ TEST(Network, MutatorsUpdateParameters) {
   EXPECT_DOUBLE_EQ(net.edge(line.value()).loss, 0.2);
 }
 
+TEST(Network, TopologyIdSharedByCopiesRenewedByAdds) {
+  Network net = two_hub_line();
+  const std::uint64_t id = net.topology_id();
+  EXPECT_NE(two_hub_line().topology_id(), id);
+
+  const Network copy = net;
+  EXPECT_EQ(copy.topology_id(), id);
+  // Edge data is not topology.
+  net.set_capacity(0, 10.0);
+  net.set_cost(1, 3.0);
+  net.set_loss(1, 0.1);
+  EXPECT_EQ(net.topology_id(), id);
+
+  const NodeId c = net.add_hub("C");
+  const std::uint64_t after_hub = net.topology_id();
+  EXPECT_NE(after_hub, id);
+  net.add_edge("line.BC", EdgeKind::kTransmission, 1, c, 10.0, 1.0);
+  EXPECT_NE(net.topology_id(), after_hub);
+  EXPECT_NE(net.topology_id(), id);
+  EXPECT_EQ(copy.topology_id(), id);
+}
+
 TEST(Network, CapacityTotals) {
   Network net = two_hub_line();
   EXPECT_DOUBLE_EQ(net.total_supply_capacity(), 100.0);

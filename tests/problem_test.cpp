@@ -37,6 +37,48 @@ TEST(Problem, MutatorsApply) {
   EXPECT_DOUBLE_EQ(p.constraint(0).rhs, 9.0);
 }
 
+TEST(Problem, RowsIdSharedByCopiesRenewedByRowChanges) {
+  Problem p;
+  const int x = p.add_variable("x", 0.0, 10.0, 1.0);
+  const int y = p.add_variable("y", 0.0, 10.0, 2.0);
+  p.add_constraint("c", LinearExpr().add(x, 1.0).add(y, 2.0),
+                   Sense::kLessEqual, 5.0);
+  const std::uint64_t id = p.rows_id();
+  EXPECT_NE(Problem().rows_id(), id);
+
+  const Problem copy = p;
+  EXPECT_EQ(copy.rows_id(), id);
+  // Bounds, costs and equal values leave the rows as they are.
+  p.set_bounds(x, 1.0, 4.0);
+  p.set_objective_coef(y, 3.0);
+  p.set_rhs(0, 5.0);
+  p.set_constraint_coef(0, 1, 2.0);
+  EXPECT_EQ(p.rows_id(), id);
+
+  std::uint64_t last = id;
+  const auto renewed = [&] {
+    const bool fresh = p.rows_id() != last && p.rows_id() != id;
+    last = p.rows_id();
+    return fresh;
+  };
+  p.set_rhs(0, 6.0);
+  EXPECT_TRUE(renewed());
+  p.set_constraint_coef(0, 1, 2.5);
+  EXPECT_TRUE(renewed());
+  p.scale_constraint(0, 2.0);
+  EXPECT_TRUE(renewed());
+  p.add_variable("z", 0.0, 1.0, 0.0);
+  EXPECT_TRUE(renewed());
+  p.add_constraint("d", LinearExpr().add(x, 1.0), Sense::kEqual, 1.0);
+  EXPECT_TRUE(renewed());
+  // An rhs of -0 is not the same row as one of +0.
+  p.set_rhs(1, 0.0);
+  EXPECT_TRUE(renewed());
+  p.set_rhs(1, -0.0);
+  EXPECT_TRUE(renewed());
+  EXPECT_EQ(copy.rows_id(), id);  // the copy kept its rows
+}
+
 TEST(Problem, ZeroCoefficientsDropped) {
   LinearExpr e;
   e.add(0, 0.0).add(1, 2.0);

@@ -1,6 +1,6 @@
 // gridsec::obs::prof — phase-attributed profiling: frame capture via
-// TraceSpan, exclusive allocation attribution, registry publication, and
-// TSan-exercised concurrent recording.
+// TraceSpan, exclusive allocation attribution, registry publication, the
+// simplex's per-phase spans, and TSan-exercised concurrent recording.
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "gridsec/lp/problem.hpp"
+#include "gridsec/lp/simplex.hpp"
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/prof.hpp"
 #include "gridsec/obs/trace.hpp"
@@ -126,6 +128,48 @@ TEST_F(ProfilerTest, AttributesAllocationsExclusivelyToTheActivePhase) {
   // 5000 — alloc attribution is exclusive, unlike wall/cpu time.
   EXPECT_GE(outer->alloc_bytes, 1300);
   EXPECT_LT(outer->alloc_bytes, 5000);
+}
+
+// A warm simplex solve splits into one child span per phase, and the
+// refactorizations nest inside the phases that run them.
+TEST_F(ProfilerTest, WarmSimplexSolveSplitsIntoPhases) {
+  lp::Problem p(lp::Objective::kMinimize);
+  const int x0 = p.add_variable("x0", 0.0, 4.0, -1.0);
+  const int x1 = p.add_variable("x1", 0.0, 3.0, -2.0);
+  p.add_constraint("cap", lp::LinearExpr().add(x0, 1.0).add(x1, 1.0),
+                   lp::Sense::kLessEqual, 5.0);
+  const lp::Solution cold = lp::solve_lp(p);
+  ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal);
+  // x0 is basic at 2; putting it out takes one dual pivot.
+  p.set_bounds(x0, 0.0, 0.0);
+  lp::SimplexOptions warm;
+  warm.warm_start = cold.basis;
+
+  Profiler::start();
+  const lp::Solution sol = lp::solve_lp(p, warm);
+  Profiler::stop();
+  ASSERT_EQ(sol.status, lp::SolveStatus::kOptimal);
+  ASSERT_TRUE(sol.warm_started);
+  EXPECT_EQ(sol.iterations, 1);
+
+  const Profile prof = Profiler::snapshot();
+  const ProfileNode* solve = prof.root.find("lp.simplex.solve");
+  ASSERT_NE(solve, nullptr);
+  EXPECT_EQ(solve->count, 1);
+  for (const char* phase :
+       {"lp.simplex.setup", "lp.simplex.warm_start", "lp.simplex.dual",
+        "lp.simplex.primal", "lp.simplex.check", "lp.simplex.extract"}) {
+    const ProfileNode* child = solve->find(phase);
+    ASSERT_NE(child, nullptr) << phase;
+    EXPECT_EQ(child->count, 1) << phase;
+  }
+  EXPECT_EQ(solve->find("lp.simplex.refactorize"), nullptr);
+  // The crash basis is factorized in the warm start; the dual pivot's eta
+  // is folded into a fresh factorization by the check.
+  EXPECT_NE(solve->find("lp.simplex.warm_start")->find("lp.simplex.refactorize"),
+            nullptr);
+  EXPECT_NE(solve->find("lp.simplex.check")->find("lp.simplex.refactorize"),
+            nullptr);
 }
 
 TEST_F(ProfilerTest, ResetDiscardsRecordedFrames) {

@@ -2,7 +2,9 @@
 // high-water recycling, GRIDSEC_ARENA_POISON), lp::SolverWorkspace
 // (solve → reset → solve bit-identical reuse across the simplex, MILP
 // branch-and-bound, and the numerical-recovery ladder; a nested lease
-// asserts), and per-worker workspace isolation on the thread pool.
+// asserts), the resident A and the warm checkpoint (what invalidates
+// them, and bit-identical answers against fresh workspaces), and
+// per-worker workspace isolation on the thread pool.
 //
 // The WorkspaceConcurrency suite runs under TSan in CI: thread-pool
 // workers each own a scratch-slot workspace, and concurrent solves must
@@ -20,12 +22,14 @@
 
 #include <gtest/gtest.h>
 
+#include "gridsec/flow/social_welfare.hpp"
 #include "gridsec/lp/lp_io.hpp"
 #include "gridsec/lp/milp.hpp"
 #include "gridsec/lp/problem.hpp"
 #include "gridsec/lp/simplex.hpp"
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/robust/recovery.hpp"
+#include "gridsec/sim/western_us.hpp"
 #include "gridsec/util/arena.hpp"
 #include "gridsec/util/thread_pool.hpp"
 #include "lp/workspace_internal.hpp"
@@ -301,25 +305,174 @@ TEST(SolverWorkspaceTest, PivotPathIdenticalAcrossReuse) {
 }
 
 TEST(SolverWorkspaceTest, SteadyStateBindsWithoutGrowingTheArena) {
-  const lp::Problem p = pivoty_lp();
+  // A workspace binds only for a rows_id it did not build A from: bound
+  // and cost changes re-solve on the resident A, a changed row rebinds,
+  // and once the arena has seen the shape no bind grows it.
+  lp::Problem p = pivoty_lp();
   lp::SolverWorkspace ws;
   lp::SimplexOptions opt;
   opt.workspace = &ws;
-
-  ASSERT_EQ(lp::solve_lp(p, opt).status, lp::SolveStatus::kOptimal);
-  const auto s1 = ws.stats();
-  ASSERT_EQ(lp::solve_lp(p, opt).status, lp::SolveStatus::kOptimal);
-  const auto warm = ws.stats();
-  const long binds_per_solve = warm.binds - s1.binds;
-  EXPECT_GT(binds_per_solve, 0);
-  for (int i = 0; i < 5; ++i) {
+  const auto solve = [&] {
     ASSERT_EQ(lp::solve_lp(p, opt).status, lp::SolveStatus::kOptimal);
+  };
+
+  solve();
+  EXPECT_EQ(ws.stats().binds, 1u);
+  p.set_rhs(0, p.constraint(0).rhs + 1.0);
+  solve();
+  const auto warm = ws.stats();
+  EXPECT_EQ(warm.binds, 2u);
+  for (int i = 0; i < 5; ++i) {
+    p.set_bounds(1, 0.0, 4.0 + i);
+    p.set_objective_coef(2, 1.0 + 0.5 * i);
+    solve();
+  }
+  EXPECT_EQ(ws.stats().binds, warm.binds);
+  for (int i = 0; i < 5; ++i) {
+    p.set_rhs(0, p.constraint(0).rhs + 1.0);
+    solve();
   }
   const auto steady = ws.stats();
-  EXPECT_EQ(steady.binds, warm.binds + 5 * binds_per_solve);
+  EXPECT_EQ(steady.binds, warm.binds + 5);
   // The arena stopped growing once it saw the problem shape.
   EXPECT_EQ(steady.arena_capacity, warm.arena_capacity);
   EXPECT_EQ(steady.arena_high_water, warm.arena_high_water);
+}
+
+TEST(SolverWorkspaceTest, RowChangesInvalidateResidentA) {
+  lp::Problem p = pivoty_lp();
+  lp::SolverWorkspace ws;
+  lp::SimplexOptions opt;
+  opt.workspace = &ws;
+  const auto binds_after_solve = [&] {
+    EXPECT_EQ(lp::solve_lp(p, opt).status, lp::SolveStatus::kOptimal);
+    return ws.stats().binds;
+  };
+  std::size_t binds = binds_after_solve();
+  // Writing the values a row already holds keeps A.
+  p.set_rhs(1, p.constraint(1).rhs);
+  p.set_constraint_coef(0, 0, p.constraint(0).terms[0].coef);
+  EXPECT_EQ(binds_after_solve(), binds);
+
+  p.set_constraint_coef(0, 0, 2.25);
+  EXPECT_EQ(binds_after_solve(), ++binds);
+  p.set_rhs(1, p.constraint(1).rhs - 0.5);
+  EXPECT_EQ(binds_after_solve(), ++binds);
+  p.scale_constraint(2, 2.0);
+  EXPECT_EQ(binds_after_solve(), ++binds);
+  p.add_variable("extra", 0.0, 1.0, 0.5);
+  EXPECT_EQ(binds_after_solve(), ++binds);
+  // The answers still match a fresh workspace's.
+  lp::SimplexOptions fresh_opt;
+  lp::SolverWorkspace fresh;
+  fresh_opt.workspace = &fresh;
+  expect_bit_identical(lp::solve_lp(p, fresh_opt), lp::solve_lp(p, opt));
+}
+
+// ---------------------------------------------------------------------------
+// The warm checkpoint: a warm solve whose crash the workspace already holds
+// skips the crash and its refactorization, and answers bit for bit as a
+// fresh workspace does.
+
+/// Solves `p` warm from `warm` on `ws` and on a fresh workspace, expects
+/// bit-identical answers and equal pivot paths apart from
+/// refactorizations, and returns the refactorizations `ws` saved: 1 when
+/// its checkpoint held the crash of `warm`, 0 when it crashed.
+std::int64_t checkpoint_saving(const lp::Problem& p, const lp::Basis& warm,
+                               lp::SolverWorkspace& ws) {
+  const auto run = [&](lp::SolverWorkspace* on) {
+    lp::SimplexOptions opt;
+    opt.warm_start = warm;
+    opt.workspace = on;
+    std::vector<std::int64_t> before = pivot_path_counters();
+    before.push_back(
+        obs::default_registry().counter("lp.simplex.basis_repairs").value());
+    lp::Solution sol = lp::solve_lp(p, opt);
+    std::vector<std::int64_t> delta = pivot_path_counters();
+    delta.push_back(
+        obs::default_registry().counter("lp.simplex.basis_repairs").value());
+    for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
+    return std::make_pair(std::move(sol), std::move(delta));
+  };
+  lp::SolverWorkspace fresh;
+  auto [reference, reference_delta] = run(&fresh);
+  auto [resident, resident_delta] = run(&ws);
+  expect_bit_identical(reference, resident);
+  EXPECT_TRUE(resident.warm_started);
+  constexpr std::size_t kRefactorizations = 4;  // in pivot_path_counters
+  const std::int64_t saved = reference_delta[kRefactorizations] -
+                             resident_delta[kRefactorizations];
+  reference_delta[kRefactorizations] = resident_delta[kRefactorizations];
+  EXPECT_EQ(reference_delta, resident_delta);
+  return saved;
+}
+
+TEST(WarmCheckpointTest, KeyedOnBasisAndStaleUpperBounds) {
+  lp::Problem p = pivoty_lp();
+  const lp::Solution cold = lp::solve_lp(p);
+  ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal);
+  const auto at_upper = std::find(cold.basis.variables.begin(),
+                                  cold.basis.variables.end(),
+                                  lp::VarStatus::kAtUpper);
+  ASSERT_NE(at_upper, cold.basis.variables.end());
+  const int j = static_cast<int>(at_upper - cold.basis.variables.begin());
+  lp::Basis other = cold.basis;
+  other.variables[static_cast<std::size_t>(j)] = lp::VarStatus::kAtLower;
+
+  lp::SolverWorkspace ws;
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 0);  // first crash
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 1);
+  // Bounds and costs are not part of the key.
+  p.set_bounds(0, 0.0, 1.0);
+  p.set_objective_coef(1, 0.75);
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 1);
+  // Another warm basis crashes, and then owns the checkpoint.
+  EXPECT_EQ(checkpoint_saving(p, other, ws), 0);
+  EXPECT_EQ(checkpoint_saving(p, other, ws), 1);
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 0);
+  // A warm at-upper column whose upper bound turns infinite is demoted by
+  // the crash, so the crash is redone; a finite bound again is a new key
+  // too.
+  const double lower = p.variable(j).lower;
+  p.set_bounds(j, lower, lp::kInfinity);
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 0);
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 1);
+  p.set_bounds(j, lower, 50.0);
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 0);
+  // A row change is a new A, and with it a new key.
+  p.set_rhs(0, p.constraint(0).rhs + 0.5);
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 0);
+}
+
+/// The western-US welfare LP and its optimal basis: the impact sweep's base.
+struct OutageSweep {
+  lp::Problem base;
+  lp::Solution base_solution;
+
+  OutageSweep()
+      : base(flow::build_social_welfare_lp(sim::build_western_us().network)),
+        base_solution(lp::solve_lp(base)) {}
+
+  /// The base LP with column j out: its upper bound at its lower.
+  [[nodiscard]] lp::Problem target(int j) const {
+    lp::Problem out = base;
+    out.set_bounds(j, out.variable(j).lower, out.variable(j).lower);
+    return out;
+  }
+};
+
+TEST(WarmCheckpointTest, WesternUsOutageSweepMatchesFreshWorkspaces) {
+  const OutageSweep sweep;
+  ASSERT_EQ(sweep.base_solution.status, lp::SolveStatus::kOptimal);
+  lp::SolverWorkspace ws;
+  const int targets = sweep.base.num_variables();
+  std::int64_t saved = 0;
+  for (int j = 0; j < targets; ++j) {
+    saved += checkpoint_saving(sweep.target(j), sweep.base_solution.basis, ws);
+  }
+  // Every target after the first finds the crash of the base basis.
+  EXPECT_EQ(saved, targets - 1);
+  EXPECT_EQ(ws.stats().binds, 1u);
 }
 
 TEST(SolverWorkspaceTest, MilpReuseBitIdenticalAcrossReset) {
@@ -415,6 +568,44 @@ TEST(WorkspaceConcurrency, PoolWorkersSolveOnPrivateWorkspaces) {
   });
   for (const lp::Solution& sol : results) {
     expect_bit_identical(reference, sol);
+  }
+}
+
+TEST(WorkspaceConcurrency, WarmSweepsOnPoolWorkersMatchFreshWorkspaces) {
+  // Each task sweeps the outages on its worker's workspace, whose resident
+  // A and warm checkpoint the worker's earlier tasks left; every answer
+  // must match the serial solve on a fresh workspace.
+  const OutageSweep sweep;
+  ASSERT_EQ(sweep.base_solution.status, lp::SolveStatus::kOptimal);
+  const int targets = sweep.base.num_variables();
+  std::vector<lp::Solution> reference;
+  for (int j = 0; j < targets; ++j) {
+    lp::SolverWorkspace fresh;
+    lp::SimplexOptions opt;
+    opt.warm_start = sweep.base_solution.basis;
+    opt.workspace = &fresh;
+    reference.push_back(lp::solve_lp(sweep.target(j), opt));
+  }
+
+  ThreadPool pool(4);
+  constexpr std::size_t kSweeps = 8;
+  std::vector<std::vector<lp::Solution>> results(kSweeps);
+  parallel_for(&pool, kSweeps, [&](std::size_t i) {
+    lp::SimplexOptions opt;
+    opt.warm_start = sweep.base_solution.basis;
+    lp::Problem p = sweep.base;
+    for (int j = 0; j < targets; ++j) {
+      const lp::Variable v = p.variable(j);
+      p.set_bounds(j, v.lower, v.lower);
+      results[i].push_back(lp::solve_lp(p, opt));
+      p.set_bounds(j, v.lower, v.upper);
+    }
+  });
+  for (const std::vector<lp::Solution>& sweep_results : results) {
+    ASSERT_EQ(sweep_results.size(), reference.size());
+    for (std::size_t j = 0; j < reference.size(); ++j) {
+      expect_bit_identical(reference[j], sweep_results[j]);
+    }
   }
 }
 
