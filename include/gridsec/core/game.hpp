@@ -12,6 +12,13 @@
 //     have their effect reduced by the mitigation factor (1.0 = a defended
 //     asset cannot be disrupted, the paper's binary D(t) reading).
 //
+// Each impact matrix in a round is one link of a warm chain: its base basis
+// seeds the next matrix's base solve. With one shared defender view a round
+// computes 3 + pa_samples matrices: the defender's I′, one per Pa sample,
+// the adversary's and the truth's. A perfect-knowledge adversary (σ_a = 0,
+// as in Fig 5) sees the truth itself, so its matrix, computed at the
+// adversary's link of the chain, also realizes the attack: 2 + pa_samples.
+//
 // The headline metric is the paper's defense effectiveness: the adversary's
 // realized gain with no defense minus its gain against the optimized
 // defense.

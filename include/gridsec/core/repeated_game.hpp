@@ -39,8 +39,11 @@ struct RepeatedGameResult {
 };
 
 /// Plays `config.rounds` rounds. The ground-truth impact matrix is computed
-/// once; the adversary redraws its noisy view every round; the defender's
-/// Pa starts from its model-based estimate and is updated from observations.
+/// once; the adversary redraws its noisy view every round, except that a
+/// perfect-knowledge adversary (σ = 0) plans on the ground-truth matrix
+/// itself, so the game computes the same number of matrices for any
+/// `rounds`; the defender's Pa starts from its model-based estimate and is
+/// updated from observations.
 StatusOr<RepeatedGameResult> play_repeated_game(
     const flow::Network& truth, const cps::Ownership& ownership,
     const RepeatedGameConfig& config, Rng& rng);

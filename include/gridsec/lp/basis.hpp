@@ -18,9 +18,8 @@
 //      replaces the basic column in row p with an entering column whose
 //      ftran image is w appends the eta (p, w); ftran/btran then apply
 //      the base LU solve plus the eta chain. The factorization is rebuilt
-//      ("refactorized") when the eta chain grows past a threshold or an
-//      update pivot is too small to be trusted — O(m^3) once per
-//      refactorization instead of per pivot.
+//      ("refactorized") from B's sparse columns when the eta chain grows
+//      past a threshold or an update pivot is too small to be trusted.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +29,6 @@
 #include <vector>
 
 #include "gridsec/util/error.hpp"
-#include "gridsec/util/matrix.hpp"
 
 namespace gridsec::lp {
 
@@ -65,6 +63,12 @@ struct Basis {
 void set_warm_start_enabled(bool enabled);
 [[nodiscard]] bool warm_start_enabled();
 
+/// One stored nonzero of a sparse column: its row and value.
+struct ColumnEntry {
+  int row;
+  double val;
+};
+
 /// LU factorization of a basis matrix with product-form (eta) updates.
 ///
 /// Conventions: refactorize() computes P*B = L*U with partial pivoting.
@@ -74,14 +78,19 @@ void set_warm_start_enabled(bool enabled);
 /// replaced by w. ftran/btran then solve against B_new without touching
 /// the LU factors.
 ///
-/// Sparsity: refactorize() eliminates densely (partial pivoting, so pivot
-/// choice and fill are those of plain Gaussian elimination), then records
-/// the nonzeros of L and U by row and by column, and those of B for the
-/// refinement residuals; update() stores only the nonzeros of each eta.
-/// ftran/btran, the eta chain and the residuals visit nonzeros only, in
-/// the index order of the equivalent dense loops — every sum adds the same
-/// nonzero terms in the same order, so results match a dense solve up to
-/// the sign of an exact zero.
+/// Sparsity: refactorize() reads B's nonzeros column by column and
+/// eliminates over them. Its pivot rule is the dense loop's: in column k,
+/// the first row, in current row order, with a strictly larger |value|.
+/// Each elimination step visits only the rows with a nonzero in column k
+/// and the pivot row's nonzero columns, so pivots, fill and every value
+/// are those of plain dense Gaussian elimination, bit for bit, and no step
+/// scans all m² entries. It records the nonzeros of L and U by row and by
+/// column, and those of B by column for the refinement residuals;
+/// update() stores only the nonzeros of each eta. ftran/btran, the eta
+/// chain and the residuals visit nonzeros only, in the index order of the
+/// equivalent dense loops — every sum adds the same nonzero terms in the
+/// same order, so results match a dense solve up to the sign of an exact
+/// zero.
 ///
 /// Storage is workspace-grade: the factors and the eta chain live in
 /// member vectors that are cleared-not-freed at refactorize, and every
@@ -92,12 +101,16 @@ void set_warm_start_enabled(bool enabled);
 /// one solver workspace and must not be shared.
 class BasisFactorization {
  public:
-  /// Factorizes `b` (square). Discards any eta chain. Returns false when
-  /// `b` is singular (pivot below `pivot_tol`); all factorization state
-  /// (LU, permutation, stored basis copy) is reset so the object is
-  /// cleanly invalid — not half-factorized — until the next successful
-  /// refactorize.
-  bool refactorize(const Matrix& b);
+  /// Factorizes the m x m basis matrix B, m = columns.size(), whose
+  /// column i is column columns[i] of the column-sparse matrix
+  /// (start, entries): column j's nonzeros are entries[start[j] ..
+  /// start[j+1]), rows ascending and below m. Discards any eta chain.
+  /// Returns false when B is singular (pivot below kPivotTol); the object
+  /// is then cleanly invalid — not half-factorized — until the next
+  /// successful refactorize.
+  bool refactorize(std::span<const int> start,
+                   std::span<const ColumnEntry> entries,
+                   std::span<const int> columns);
 
   /// x := B^{-1} x. Requires valid().
   void ftran(std::span<double> x) const;
@@ -120,10 +133,10 @@ class BasisFactorization {
                     double* residual_out = nullptr) const;
 
   class Snapshot;
-  /// Copies the factor data of the last refactorize (permutation, L, U and
-  /// B by row and by column, and the growth it measured) into `out`. The
-  /// eta chain and the solve scratch are not part of it. Requires valid()
-  /// with no etas applied.
+  /// Copies the factor data of the last refactorize (permutation, L and U
+  /// by row and by column, B by column, and the growth it measured) into
+  /// `out`. The eta chain and the solve scratch are not part of it.
+  /// Requires valid() with no etas applied.
   void save(Snapshot& out) const;
   /// Puts back a saved factorization, with an empty eta chain: afterwards
   /// every solve gives the bits it gave right after that refactorize.
@@ -138,6 +151,9 @@ class BasisFactorization {
 
   [[nodiscard]] bool valid() const { return valid_; }
   [[nodiscard]] std::size_t size() const { return perm_.size(); }
+  /// The row permutation of the last refactorize: (P*B)[i] = B[perm()[i]].
+  /// Empty after a singular one.
+  [[nodiscard]] std::span<const int> perm() const { return perm_; }
   [[nodiscard]] std::size_t eta_count() const { return eta_pivots_.size(); }
 
   /// Worst-case growth indicator for the current factorization: the max of
@@ -156,7 +172,7 @@ class BasisFactorization {
   /// Smallest eta pivot relative to max|w|: applying an eta divides by
   /// w[p], so a pivot this much smaller than the direction's largest
   /// entry would amplify rounding by >1e7 per application. update()
-  /// refuses such pivots and the caller refactorizes densely.
+  /// refuses such pivots and the caller refactorizes.
   static constexpr double kEtaStabilityTol = 1e-7;
   /// Cap on iterative-refinement correction steps per refined solve; one
   /// step recovers nearly all attainable accuracy in double precision, the
@@ -202,7 +218,7 @@ class BasisFactorization {
    private:
     friend class BasisFactorization;
     std::vector<int> perm;
-    SparseGroups l_rows, l_cols, u_rows, u_cols, b_rows, b_cols;
+    SparseGroups l_rows, l_cols, u_rows, u_cols, b_cols;
     double pivot_growth = 1.0;
   };
 
@@ -220,13 +236,12 @@ class BasisFactorization {
                         std::span<const double> rhs,
                         std::vector<double>& r) const;
 
-  Matrix lu_;  // elimination workspace: L strictly below (unit), U on/above
   std::vector<int> perm_;  // row permutation: (P*B)[i] = B[perm_[i]]
   SparseGroups l_rows_, l_cols_;  // L below the diagonal
   /// U on and above the diagonal: the diagonal is the first entry of each
   /// row group and the last of each column group.
   SparseGroups u_rows_, u_cols_;
-  SparseGroups b_rows_, b_cols_;  // B at the last refactorize (residuals)
+  SparseGroups b_cols_;  // B at the last refactorize (residuals)
   /// Eta chain: eta k replaces basis position eta_pivots_[k].idx, whose
   /// w_p is eta_pivots_[k].val; its direction w, w_p included, is group
   /// k of etas_.
@@ -242,6 +257,17 @@ class BasisFactorization {
   mutable std::vector<double> refine_rhs_, refine_r_, refine_d_,
       refine_cand_, refine_r2_;
   std::vector<int> transpose_fill_;  // transpose() cursor per output group
+  // refactorize() scratch, capacity-reused. elim_ holds the m x m values
+  // by original row (row r at [r*m, r*m + m)) and in_pattern_ flags the
+  // entries the elimination has touched; both are all zero between calls.
+  // Row r's touched columns are row_cols_[r*m ..], row_len_[r] of them,
+  // and column c's touched rows col_rows_[c*m ..], col_len_[c] of them.
+  std::vector<double> elim_;
+  std::vector<unsigned char> in_pattern_;
+  std::vector<int> row_cols_, col_rows_;
+  std::vector<std::size_t> row_len_, col_len_;
+  std::vector<std::size_t> pos_;  // inverse of perm_: row → position
+  std::vector<Entry> pivot_row_;  // the pivot row's nonzeros past column k
 };
 
 }  // namespace gridsec::lp

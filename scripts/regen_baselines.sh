@@ -49,5 +49,6 @@ run fig6_collaboration --trials=3 --threads=2
 run fig4_impact_matrix --trials=5
 run fig5_defense_effectiveness --trials=3 --threads=2
 run ext_multiperiod
+run ext_learning
 
 echo "regen_baselines: done — reports in ${OUT_DIR}/."

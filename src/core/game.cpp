@@ -1,6 +1,7 @@
 #include "gridsec/core/game.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "gridsec/obs/log.hpp"
 #include "gridsec/obs/metrics.hpp"
@@ -139,13 +140,20 @@ StatusOr<GameOutcome> play_defense_game(const flow::Network& truth,
   }
   }  // end defender phase
 
-  // 4. The actual adversary plans on its own view.
+  // 4. The actual adversary plans on its own view. A perfect-knowledge
+  // adversary (σ_a = 0) sees the truth itself, so its matrix is the truth's
+  // and step 5 realizes the attack on it; perturb_knowledge would draw
+  // nothing for it.
+  const bool perfect_knowledge = config.adversary_noise.sigma == 0.0;
+  std::optional<cps::ImpactResult> truth_im;
   {
     GRIDSEC_TRACE_SPAN("core.game.adversary_phase");
-    flow::Network adversary_view =
-        cps::perturb_knowledge(truth, config.adversary_noise, rng);
     auto adversary_im =
-        cps::compute_impact_matrix(adversary_view, ownership, impact);
+        perfect_knowledge
+            ? cps::compute_impact_matrix(truth, ownership, impact)
+            : cps::compute_impact_matrix(
+                  cps::perturb_knowledge(truth, config.adversary_noise, rng),
+                  ownership, impact);
     if (!adversary_im.is_ok()) return adversary_im.status();
     impact.warm_start = adversary_im->base_basis;
     StrategicAdversary sa(config.adversary);
@@ -154,12 +162,16 @@ StatusOr<GameOutcome> play_defense_game(const flow::Network& truth,
     if (!out.attack.optimal() && !lp::is_budget_limited(out.attack.status)) {
       return lp::to_status(out.attack.status, "play_defense_game: adversary");
     }
+    if (perfect_knowledge) truth_im = std::move(adversary_im).value();
   }
 
   // 5. Realize the attack against the ground truth, with and without the
   // defense in place.
-  auto truth_im = cps::compute_impact_matrix(truth, ownership, impact);
-  if (!truth_im.is_ok()) return truth_im.status();
+  if (!truth_im) {
+    auto realized = cps::compute_impact_matrix(truth, ownership, impact);
+    if (!realized.is_ok()) return realized.status();
+    truth_im = std::move(realized).value();
+  }
   const std::vector<bool> no_defense(
       static_cast<std::size_t>(truth.num_edges()), false);
   out.adversary_gain_undefended = evaluate_attack_with_defense(

@@ -50,6 +50,10 @@ StatusOr<RepeatedGameResult> play_repeated_game(
   std::vector<double> pa = std::move(pa0.value());
   std::vector<double> hits(static_cast<std::size_t>(truth.num_edges()), 0.0);
   StrategicAdversary sa(game.adversary);
+  // A perfect-knowledge adversary's view is the truth, and its matrix would
+  // be computed from exactly truth_im's inputs every round: plan on
+  // truth_im instead.
+  const bool perfect_knowledge = game.adversary_noise.sigma == 0.0;
 
   for (int round = 0; round < config.rounds; ++round) {
     RoundOutcome ro;
@@ -64,11 +68,15 @@ StatusOr<RepeatedGameResult> play_repeated_game(
     }
 
     // Adversary strikes from a fresh noisy view.
-    flow::Network adv_view =
-        cps::perturb_knowledge(truth, game.adversary_noise, rng);
-    auto adv_im = cps::compute_impact_matrix(adv_view, ownership, impact);
-    if (!adv_im.is_ok()) return adv_im.status();
-    ro.attack = sa.plan(adv_im->matrix);
+    if (perfect_knowledge) {
+      ro.attack = sa.plan(truth_im->matrix);
+    } else {
+      flow::Network adv_view =
+          cps::perturb_knowledge(truth, game.adversary_noise, rng);
+      auto adv_im = cps::compute_impact_matrix(adv_view, ownership, impact);
+      if (!adv_im.is_ok()) return adv_im.status();
+      ro.attack = sa.plan(adv_im->matrix);
+    }
     if (ro.attack.status == lp::SolveStatus::kInfeasible ||
         ro.attack.status == lp::SolveStatus::kUnbounded) {
       return Status::internal("play_repeated_game: adversary plan failed");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <utility>
 
 #include "gridsec/obs/trace.hpp"
 
@@ -103,91 +104,142 @@ void BasisFactorization::transpose(const SparseGroups& in,
   }
 }
 
-bool BasisFactorization::refactorize(const Matrix& b) {
+bool BasisFactorization::refactorize(std::span<const int> start,
+                                     std::span<const ColumnEntry> entries,
+                                     std::span<const int> columns) {
   GRIDSEC_TRACE_SPAN("lp.simplex.refactorize");
-  GRIDSEC_ASSERT(b.rows() == b.cols());
-  const std::size_t m = b.rows();
-  lu_ = b;  // copy-assign reuses lu_'s heap block when shapes repeat
+  const std::size_t m = columns.size();
   perm_.resize(m);
-  for (std::size_t i = 0; i < m; ++i) perm_[i] = static_cast<int>(i);
+  pos_.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    perm_[i] = static_cast<int>(i);
+    pos_[i] = i;
+  }
   etas_.clear(kRefactorInterval, kRefactorInterval * m);  // capacity kept
   eta_pivots_.clear();
   eta_pivots_.reserve(kRefactorInterval);
   valid_ = false;
   pivot_growth_ = 1.0;
 
-  // B's nonzeros by row (for the residuals), and max|B|.
+  // The scratch is all zero, whatever m it last served, so growing it
+  // with zeros keeps it so.
+  elim_.resize(m * m);
+  in_pattern_.resize(m * m);
+  row_cols_.resize(m * m);
+  col_rows_.resize(m * m);
+  row_len_.assign(m, 0);
+  col_len_.assign(m, 0);
+  pivot_row_.reserve(m);
+  const auto value = [&](std::size_t r, std::size_t c) -> double& {
+    return elim_[r * m + c];
+  };
+  const auto touch = [&](std::size_t r, std::size_t c) {
+    in_pattern_[r * m + c] = 1;
+    row_cols_[r * m + row_len_[r]++] = static_cast<int>(c);
+    col_rows_[c * m + col_len_[c]++] = static_cast<int>(r);
+  };
+
+  // B's nonzeros by column (for the residuals), max|B|, and the scratch.
   double max_b = 0.0;
-  b_rows_.clear(m, m * m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::span<const double> row = b.row(i);
-    for (std::size_t j = 0; j < m; ++j) {
-      max_b = std::max(max_b, std::fabs(row[j]));
-      if (row[j] != 0.0) b_rows_.push(static_cast<int>(j), row[j]);
+  b_cols_.clear(m, m * m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const auto col = static_cast<std::size_t>(columns[j]);
+    for (int q = start[col]; q < start[col + 1]; ++q) {
+      const ColumnEntry& e = entries[static_cast<std::size_t>(q)];
+      if (e.val == 0.0) continue;
+      b_cols_.push(e.row, e.val);
+      max_b = std::max(max_b, std::fabs(e.val));
+      value(static_cast<std::size_t>(e.row), j) = e.val;
+      touch(static_cast<std::size_t>(e.row), j);
     }
-    b_rows_.close_group();
+    b_cols_.close_group();
   }
 
+  bool singular = false;
   for (std::size_t k = 0; k < m; ++k) {
-    // Partial pivoting: largest magnitude in column k at or below row k.
+    // Partial pivoting: of the rows at or below position k, the first in
+    // position order with the largest |value| in column k — the row a
+    // dense scan from position k would keep.
+    const std::span<const int> rows(&col_rows_[k * m], col_len_[k]);
     std::size_t pivot = k;
-    double best = std::fabs(lu_(k, k));
-    for (std::size_t r = k + 1; r < m; ++r) {
-      const double mag = std::fabs(lu_(r, k));
-      if (mag > best) {
+    double best = std::fabs(value(static_cast<std::size_t>(perm_[k]), k));
+    for (const int ri : rows) {
+      const std::size_t at = pos_[static_cast<std::size_t>(ri)];
+      const double mag = std::fabs(value(static_cast<std::size_t>(ri), k));
+      if (at > k && (mag > best || (mag == best && at < pivot))) {
         best = mag;
-        pivot = r;
+        pivot = at;
       }
     }
     if (best < kPivotTol) {
-      // Singular: wipe the half-built factors too, so a failed refactorize
-      // mid-pivot cannot leave ftran/btran (or a later warm-start repair)
-      // looking at inconsistent state.
-      lu_ = Matrix();
-      perm_.clear();
-      return false;
+      singular = true;
+      break;
     }
     if (pivot != k) {
-      lu_.swap_rows(pivot, k);
       std::swap(perm_[pivot], perm_[k]);
+      pos_[static_cast<std::size_t>(perm_[pivot])] = pivot;
+      pos_[static_cast<std::size_t>(perm_[k])] = k;
     }
-    const std::span<const double> pivot_row = lu_.row(k);
-    const double diag = pivot_row[k];
-    for (std::size_t r = k + 1; r < m; ++r) {
-      const std::span<double> row = lu_.row(r);
-      if (row[k] == 0.0) continue;  // L entry stays 0: nothing to eliminate
-      const double factor = row[k] / diag;
-      row[k] = factor;  // L entry
+    const auto p = static_cast<std::size_t>(perm_[k]);
+    const double diag = value(p, k);
+    pivot_row_.clear();
+    for (std::size_t q = 0; q < row_len_[p]; ++q) {
+      const auto c = static_cast<std::size_t>(row_cols_[p * m + q]);
+      if (c > k && value(p, c) != 0.0) {
+        pivot_row_.push_back({static_cast<int>(c), value(p, c)});
+      }
+    }
+    for (const int ri : rows) {
+      const auto r = static_cast<std::size_t>(ri);
+      // A zero L entry (never filled, or cancelled) has nothing to
+      // eliminate.
+      if (pos_[r] <= k || value(r, k) == 0.0) continue;
+      const double factor = value(r, k) / diag;
+      value(r, k) = factor;  // L entry
       if (factor == 0.0) continue;
-      for (std::size_t c = k + 1; c < m; ++c) {
-        row[c] -= factor * pivot_row[c];
+      for (const Entry& u : pivot_row_) {
+        const auto c = static_cast<std::size_t>(u.idx);
+        if (in_pattern_[r * m + c] == 0) touch(r, c);
+        value(r, c) -= factor * u.val;
       }
     }
   }
-  // The nonzeros of L and U by row, and the element-growth factor
-  // max|U| / max|B| — the classic LU stability indicator; it seeds
-  // pivot_growth(), which eta updates then only raise.
+
+  // L and U by row, read out of the scratch in position order, and the
+  // element-growth factor max|U| / max|B| — the classic LU stability
+  // indicator; it seeds pivot_growth(), which eta updates then only
+  // raise. Reading zeroes the scratch for the next call.
   double max_u = 0.0;
   l_rows_.clear(m, m * (m - 1) / 2);
   u_rows_.clear(m, m * (m + 1) / 2);
   for (std::size_t i = 0; i < m; ++i) {
-    const std::span<const double> row = lu_.row(i);
-    for (std::size_t j = 0; j < i; ++j) {
-      if (row[j] != 0.0) l_rows_.push(static_cast<int>(j), row[j]);
-    }
-    for (std::size_t j = i; j < m; ++j) {
-      max_u = std::max(max_u, std::fabs(row[j]));
-      if (row[j] != 0.0) u_rows_.push(static_cast<int>(j), row[j]);
+    const auto r = static_cast<std::size_t>(perm_[i]);
+    const std::span<int> cols(&row_cols_[r * m], row_len_[r]);
+    std::sort(cols.begin(), cols.end());
+    for (const int ci : cols) {
+      const auto c = static_cast<std::size_t>(ci);
+      const double v = std::exchange(value(r, c), 0.0);
+      in_pattern_[r * m + c] = 0;
+      if (v == 0.0) continue;
+      if (c < i) {
+        l_rows_.push(ci, v);
+      } else {
+        u_rows_.push(ci, v);
+        max_u = std::max(max_u, std::fabs(v));
+      }
     }
     l_rows_.close_group();
     u_rows_.close_group();
+  }
+  if (singular) {
+    perm_.clear();
+    return false;
   }
   if (max_b > 0.0) {
     pivot_growth_ = std::max(1.0, max_u / max_b);
   }
   transpose(l_rows_, l_cols_);
   transpose(u_rows_, u_cols_);
-  transpose(b_rows_, b_cols_);
   valid_ = true;
   return true;
 }
@@ -211,7 +263,6 @@ void BasisFactorization::save(Snapshot& out) const {
   copy_groups(l_cols_, out.l_cols);
   copy_groups(u_rows_, out.u_rows);
   copy_groups(u_cols_, out.u_cols);
-  copy_groups(b_rows_, out.b_rows);
   copy_groups(b_cols_, out.b_cols);
   out.pivot_growth = pivot_growth_;
 }
@@ -222,7 +273,6 @@ void BasisFactorization::restore(const Snapshot& in) {
   l_cols_ = in.l_cols;
   u_rows_ = in.u_rows;
   u_cols_ = in.u_cols;
-  b_rows_ = in.b_rows;
   b_cols_ = in.b_cols;
   pivot_growth_ = in.pivot_growth;
   const std::size_t m = perm_.size();
@@ -360,16 +410,17 @@ double BasisFactorization::residual_ftran(std::span<const double> x,
       v[static_cast<std::size_t>(p)] = eta_pivots_[k].val * vp;
     }
   }
-  r.resize(m);
-  double norm = 0.0;
-  for (std::size_t i = 0; i < m; ++i) {
-    double acc = rhs[i];
-    for (const Entry& e : b_rows_.group(i)) {
-      acc -= e.val * v[static_cast<std::size_t>(e.idx)];
+  // Column by column: each r_i still subtracts its terms B_ij·v_j in
+  // ascending j, the order of a row-wise sum.
+  r.assign(rhs.begin(), rhs.end());
+  for (std::size_t j = 0; j < m; ++j) {
+    const double vj = v[j];
+    for (const Entry& e : b_cols_.group(j)) {
+      r[static_cast<std::size_t>(e.idx)] -= e.val * vj;
     }
-    r[i] = acc;
-    norm = std::max(norm, std::fabs(acc));
   }
+  double norm = 0.0;
+  for (const double ri : r) norm = std::max(norm, std::fabs(ri));
   return norm;
 }
 

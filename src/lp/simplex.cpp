@@ -21,7 +21,6 @@ namespace {
 // The working Tableau and all per-solve scratch live in a SolverWorkspace
 // (see workspace.hpp / workspace_internal.hpp): spans carved from one
 // arena, re-bound per solve, zero steady-state heap traffic.
-using detail::ColumnEntry;
 using detail::Tableau;
 using detail::VarState;
 using detail::WorkspaceImpl;
@@ -47,19 +46,6 @@ struct IterationOutcome {
   /// values) rather than the periodic chain-length schedule.
   long residual_refactorizations = 0;
 };
-
-/// Extracts the basis matrix B (m x m) from the tableau into `out`
-/// (capacity-reused across calls).
-void build_basis_matrix(const Tableau& t, Matrix& out) {
-  out.assign(static_cast<std::size_t>(t.m), static_cast<std::size_t>(t.m));
-  for (int i = 0; i < t.m; ++i) {
-    const int col = t.basis[static_cast<std::size_t>(i)];
-    for (const ColumnEntry& e : t.a.column(col)) {
-      out(static_cast<std::size_t>(e.row), static_cast<std::size_t>(i)) =
-          e.val;
-    }
-  }
-}
 
 /// Computes x_B = B^{-1} (b - A_N x_N) into `out` (size m) via the
 /// factorization's refined ftran (residual-checked iterative refinement)
@@ -159,8 +145,7 @@ bool update_factorization(Tableau& t, WorkspaceImpl& ws, int row,
   }
   if (need_refactor) {
     ++out.refactorizations;
-    build_basis_matrix(t, ws.bmat);
-    if (!factor.refactorize(ws.bmat)) return false;
+    if (!factor.refactorize(t.a.start, t.a.entries, t.basis)) return false;
     // Drift repair: the pivot loops track x incrementally, so a rebuilt
     // factorization is the cheap moment to compare against the exact
     // x_B = B^{-1}(b - A_N x_N). Adopt the recomputed values only when
@@ -991,8 +976,7 @@ bool start_warm(const Problem& problem, Tableau& t, WorkspaceImpl& ws,
     fix_artificials(t);
     install_phase2_costs(problem, t);
     ++out.refactorizations;
-    build_basis_matrix(t, ws.bmat);
-    if (!ws.factor.refactorize(ws.bmat)) return false;
+    if (!ws.factor.refactorize(t.a.start, t.a.entries, t.basis)) return false;
     save_crash(problem, t, ws, warm, crash_repairs);
   }
   price_dual_start(t, ws);
@@ -1161,8 +1145,7 @@ Solution solve_impl_inner(const Problem& problem,
       }
       // The slack/artificial start basis is diagonal; factorize it once.
       ++metrics.refactorizations;
-      build_basis_matrix(t, ws.bmat);
-      if (!factor.refactorize(ws.bmat)) {
+      if (!factor.refactorize(t.a.start, t.a.entries, t.basis)) {
         sol.status = SolveStatus::kNumericalError;
         return sol;
       }
@@ -1265,8 +1248,7 @@ Solution solve_impl_inner(const Problem& problem,
     for (int resume = 0;; ++resume) {
       if (factor.eta_count() > 0) {
         ++metrics.refactorizations;
-        build_basis_matrix(t, ws.bmat);
-        if (!factor.refactorize(ws.bmat)) {
+        if (!factor.refactorize(t.a.start, t.a.entries, t.basis)) {
           fail(SolveStatus::kNumericalError);
           return sol;
         }
@@ -1491,9 +1473,7 @@ SensitivityReport analyze_sensitivity(const Problem& problem,
 
   // One factorization of the final basis serves every ranging query.
   BasisFactorization factor;
-  Matrix bmat;
-  build_basis_matrix(t, bmat);
-  if (!factor.refactorize(bmat)) {
+  if (!factor.refactorize(t.a.start, t.a.entries, t.basis)) {
     return report;  // numerically wedged: no ranges
   }
   std::vector<double> y(static_cast<std::size_t>(m));

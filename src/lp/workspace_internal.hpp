@@ -22,12 +22,6 @@ namespace gridsec::lp::detail {
 
 enum class VarState : unsigned char { kBasic, kAtLower, kAtUpper };
 
-/// One stored coefficient of A.
-struct ColumnEntry {
-  int row;
-  double val;
-};
-
 /// Column-sparse (CSC) view over arena memory: the tableau's A matrix.
 /// Column j's nonzeros are entries[start[j] .. start[j+1]), rows
 /// ascending. Slack and artificial columns hold exactly one signed entry;
@@ -96,7 +90,7 @@ struct WarmCheckpoint {
 
 /// The whole per-solve state block. bind() carves every span below from
 /// the arena; the simplex fills and then mutates them in place. `factor`,
-/// `bmat`, `crash_work`, `alpha` and `warm` sit outside the arena but
+/// `crash_work`, `alpha` and `warm` sit outside the arena but
 /// reuse their own heap capacity across binds.
 ///
 /// A solve binds only when its Problem's rows_id differs from `rows_id`,
@@ -106,7 +100,6 @@ struct WarmCheckpoint {
 struct WorkspaceImpl {
   util::Arena arena;
   BasisFactorization factor;
-  Matrix bmat;        // refactorization scratch: B extracted from the tableau
   Matrix crash_work;  // warm-start crash-selection elimination scratch
 
   Tableau t;

@@ -3,10 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
+#include "gridsec/obs/metrics.hpp"
+#include "gridsec/sim/western_us.hpp"
+
 namespace gridsec::core {
 namespace {
 
 constexpr double kTol = 1e-6;
+
+std::int64_t matrix_computes() {
+  return obs::default_registry().counter("cps.impact.matrix_computes").value();
+}
 
 // Duopoly with a consumer: attacking the dear generator (edge 1) makes the
 // cheap one scarce and profitable; the consumer (actor 2) loses.
@@ -141,6 +151,55 @@ TEST(Game, PerDefenderViewsDeterministic) {
   ASSERT_TRUE(gb.is_ok());
   EXPECT_EQ(ga->defense.defended, gb->defense.defended);
   EXPECT_DOUBLE_EQ(ga->defense_effectiveness, gb->defense_effectiveness);
+}
+
+TEST(Game, PerfectKnowledgeAdversaryReusesTheTruthMatrix) {
+  // One matrix for the defender's view, one per Pa sample, then the
+  // adversary's and the truth's — one matrix when the adversary's view is
+  // the truth.
+  flow::Network net = duopoly();
+  cps::Ownership own({0, 1, 2}, 3);
+  GameConfig cfg = perfect_information_config(net.num_edges(), 3);
+  cfg.defender_noise.sigma = 0.1;
+  cfg.speculated_adversary_noise.sigma = 0.1;
+  cfg.pa_samples = 3;
+  Rng rng(4);
+  const std::int64_t before = matrix_computes();
+  ASSERT_TRUE(play_defense_game(net, own, cfg, rng).is_ok());
+  EXPECT_EQ(matrix_computes() - before, 2 + cfg.pa_samples);
+
+  cfg.adversary_noise.sigma = 0.1;
+  const std::int64_t noisy_before = matrix_computes();
+  ASSERT_TRUE(play_defense_game(net, own, cfg, rng).is_ok());
+  EXPECT_EQ(matrix_computes() - noisy_before, 3 + cfg.pa_samples);
+}
+
+TEST(Game, PerfectKnowledgeAdversaryRealizesWhatItAnticipates) {
+  // At σ_a = 0 the attack is planned and realized on one matrix, so the
+  // undefended realized gain is the plan's anticipated return.
+  const flow::Network net = sim::build_western_us().network;
+  for (int trial = 0; trial < 6; ++trial) {
+    Rng rng(static_cast<std::uint64_t>(100 + trial));
+    const int n_actors = 2 + 2 * (trial % 3);
+    const cps::Ownership own =
+        cps::Ownership::random(net.num_edges(), n_actors, rng);
+    GameConfig cfg;
+    cfg.adversary.max_targets = 1 + trial % 2 * 2;
+    cfg.defender.defense_cost.assign(
+        static_cast<std::size_t>(net.num_edges()), 2000.0);
+    cfg.defender.budget.assign(static_cast<std::size_t>(n_actors),
+                               12.0 * 2000.0 / n_actors);
+    cfg.defender_noise.sigma = 0.1;
+    cfg.speculated_adversary_noise.sigma = 0.2;
+    cfg.pa_samples = 2;
+    auto game = play_defense_game(net, own, cfg, rng);
+    ASSERT_TRUE(game.is_ok());
+    ASSERT_FALSE(game->attack.targets.empty());
+    const double anticipated = game->attack.anticipated_return;
+    EXPECT_NEAR(game->adversary_gain_undefended, anticipated,
+                1e-12 * std::fabs(anticipated))
+        << "trial " << trial;
+  }
 }
 
 TEST(EvaluateAttackWithDefense, MixedDefenseCoverage) {

@@ -85,23 +85,23 @@ TEST(InputValidation, RejectsAstronomicalMagnitudes) {
 }
 
 TEST(BasisFactorizationHygiene, SingularRefactorizeResetsState) {
-  Matrix good(2, 2);
-  good(0, 0) = 2.0;
-  good(1, 1) = 3.0;
+  // Columns: 0 = 2·e0, 1 = 3·e1, 2 = e0 + e1, 3 = empty.
+  const std::vector<int> start = {0, 1, 2, 4, 4};
+  const std::vector<lp::ColumnEntry> entries = {
+      {0, 2.0}, {1, 3.0}, {0, 1.0}, {1, 1.0}};
+  const std::vector<int> good = {0, 1};
+  const std::vector<int> singular = {2, 3};  // rank 1
   lp::BasisFactorization f;
-  ASSERT_TRUE(f.refactorize(good));
+  ASSERT_TRUE(f.refactorize(start, entries, good));
   ASSERT_TRUE(f.valid());
 
-  Matrix singular(2, 2);  // rank 1
-  singular(0, 0) = 1.0;
-  singular(1, 0) = 1.0;
-  EXPECT_FALSE(f.refactorize(singular));
+  EXPECT_FALSE(f.refactorize(start, entries, singular));
   EXPECT_FALSE(f.valid());
   EXPECT_EQ(f.size(), 0u);       // no half-factorized leftovers
   EXPECT_EQ(f.eta_count(), 0u);
 
   // The object must be cleanly reusable after the failure.
-  ASSERT_TRUE(f.refactorize(good));
+  ASSERT_TRUE(f.refactorize(start, entries, good));
   std::vector<double> x = {2.0, 3.0};
   f.ftran(x);
   EXPECT_NEAR(x[0], 1.0, 1e-12);

@@ -3,12 +3,98 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+
+#include "gridsec/obs/metrics.hpp"
 #include "gridsec/sim/scenario.hpp"
+#include "gridsec/sim/western_us.hpp"
 
 namespace gridsec::core {
 namespace {
 
 constexpr double kTol = 1e-6;
+
+std::int64_t matrix_computes() {
+  return obs::default_registry().counter("cps.impact.matrix_computes").value();
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// play_repeated_game with the adversary's matrix recomputed from its own
+/// view every round, whatever its noise.
+RepeatedGameResult per_round_reference(const flow::Network& truth,
+                                       const cps::Ownership& ownership,
+                                       const RepeatedGameConfig& config,
+                                       Rng& rng) {
+  const GameConfig& game = config.game;
+  cps::ImpactOptions impact = game.impact;
+  flow::SocialWelfareModel series_model;
+  impact.allocation.model = &series_model;
+  auto truth_im = cps::compute_impact_matrix(truth, ownership, impact);
+  EXPECT_TRUE(truth_im.is_ok());
+  flow::Network defender_view =
+      cps::perturb_knowledge(truth, game.defender_noise, rng);
+  auto defender_im =
+      cps::compute_impact_matrix(defender_view, ownership, impact);
+  EXPECT_TRUE(defender_im.is_ok());
+  std::vector<double> pa = estimate_attack_probabilities(
+                               defender_view, ownership, game.adversary,
+                               game.speculated_adversary_noise,
+                               game.pa_samples, rng, impact)
+                               .value();
+  RepeatedGameResult out;
+  std::vector<double> hits(static_cast<std::size_t>(truth.num_edges()), 0.0);
+  StrategicAdversary sa(game.adversary);
+  for (int round = 0; round < config.rounds; ++round) {
+    RoundOutcome ro;
+    ro.defense = game.collaborative
+                     ? defend_collaborative(defender_im->matrix, ownership,
+                                            pa, game.defender)
+                     : defend_individual(defender_im->matrix, ownership, pa,
+                                         game.defender);
+    flow::Network adv_view =
+        cps::perturb_knowledge(truth, game.adversary_noise, rng);
+    auto adv_im = cps::compute_impact_matrix(adv_view, ownership, impact);
+    EXPECT_TRUE(adv_im.is_ok());
+    ro.attack = sa.plan(adv_im->matrix);
+    std::vector<double> actor_impact;
+    ro.adversary_gain = evaluate_attack_with_defense(
+        truth_im->matrix, ro.attack, game.adversary, ro.defense.defended,
+        game.mitigation, &actor_impact);
+    for (double v : actor_impact) ro.defender_losses += std::min(v, 0.0);
+    for (int t : ro.attack.targets) hits[static_cast<std::size_t>(t)] += 1.0;
+    const double n = static_cast<double>(round + 1);
+    for (std::size_t t = 0; t < pa.size(); ++t) {
+      pa[t] = (1.0 - config.learning_rate) * pa[t] +
+              config.learning_rate * (hits[t] / n);
+    }
+    out.rounds.push_back(std::move(ro));
+  }
+  out.final_pa = std::move(pa);
+  return out;
+}
+
+/// ext_learning's game: six random owners of the western US, a badly
+/// informed collaborative defender, a perfect-knowledge adversary.
+RepeatedGameConfig western_us_config(int n_edges, int n_actors, int rounds) {
+  RepeatedGameConfig cfg;
+  cfg.rounds = rounds;
+  cfg.learning_rate = 0.5;
+  cfg.game.adversary.max_targets = 2;
+  cfg.game.collaborative = true;
+  cfg.game.defender.defense_cost.assign(static_cast<std::size_t>(n_edges),
+                                        2000.0);
+  cfg.game.defender.budget.assign(static_cast<std::size_t>(n_actors),
+                                  12.0 * 2000.0 / n_actors);
+  cfg.game.defender_noise.sigma = 0.5;
+  cfg.game.speculated_adversary_noise.sigma = 0.2;
+  cfg.game.pa_samples = 3;
+  return cfg;
+}
 
 RepeatedGameConfig base_config(int n_edges, int n_actors) {
   RepeatedGameConfig cfg;
@@ -134,6 +220,56 @@ TEST(RepeatedGame, TotalsAggregateRounds) {
   EXPECT_DOUBLE_EQ(res->total_defender_losses(), losses);
   EXPECT_GT(gain, 0.0);
   EXPECT_LT(losses, 0.0);
+}
+
+TEST(RepeatedGame, PerfectKnowledgeMatrixCountIndependentOfRounds) {
+  // The truth, the defender's view and one matrix per Pa sample; the
+  // perfect-knowledge adversary plans on the truth's.
+  const flow::Network net = sim::build_western_us().network;
+  const int n_actors = 6;
+  Rng own_rng(8);
+  const auto own = cps::Ownership::random(net.num_edges(), n_actors, own_rng);
+  for (const int rounds : {1, 5}) {
+    const auto cfg = western_us_config(net.num_edges(), n_actors, rounds);
+    Rng rng(31);
+    const std::int64_t before = matrix_computes();
+    ASSERT_TRUE(play_repeated_game(net, own, cfg, rng).is_ok());
+    EXPECT_EQ(matrix_computes() - before, 2 + cfg.game.pa_samples)
+        << rounds << " rounds";
+  }
+}
+
+TEST(RepeatedGame, PerfectKnowledgeMatchesPerRoundRecompute) {
+  const flow::Network net = sim::build_western_us().network;
+  const int n_actors = 6;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    Rng own_rng(seed);
+    const auto own =
+        cps::Ownership::random(net.num_edges(), n_actors, own_rng);
+    const auto cfg = western_us_config(net.num_edges(), n_actors, 4);
+    Rng rng(seed + 50), ref_rng(seed + 50);
+    auto res = play_repeated_game(net, own, cfg, rng);
+    ASSERT_TRUE(res.is_ok());
+    const RepeatedGameResult ref =
+        per_round_reference(net, own, cfg, ref_rng);
+    ASSERT_EQ(res->rounds.size(), ref.rounds.size());
+    for (std::size_t r = 0; r < ref.rounds.size(); ++r) {
+      const RoundOutcome& got = res->rounds[r];
+      const RoundOutcome& want = ref.rounds[r];
+      EXPECT_EQ(got.attack.targets, want.attack.targets);
+      EXPECT_EQ(got.attack.actors, want.attack.actors);
+      EXPECT_TRUE(same_bits(got.attack.anticipated_return,
+                            want.attack.anticipated_return));
+      EXPECT_EQ(got.defense.defended, want.defense.defended);
+      EXPECT_TRUE(same_bits(got.adversary_gain, want.adversary_gain));
+      EXPECT_TRUE(same_bits(got.defender_losses, want.defender_losses));
+    }
+    ASSERT_EQ(res->final_pa.size(), ref.final_pa.size());
+    for (std::size_t t = 0; t < ref.final_pa.size(); ++t) {
+      EXPECT_TRUE(same_bits(res->final_pa[t], ref.final_pa[t]));
+    }
+    EXPECT_EQ(rng.next(), ref_rng.next());  // same draws consumed
+  }
 }
 
 }  // namespace
