@@ -59,11 +59,4 @@ class BranchAndBoundSolver {
 /// One-shot MILP solve with default options.
 Solution solve_milp(const Problem& problem);
 
-/// MILP solve followed by an LP re-solve with every integer variable fixed
-/// at its incumbent value — the standard way to recover meaningful duals
-/// and reduced costs for the continuous part of a mixed program. Only
-/// valid interpretation: sensitivities *given* the chosen integer design.
-Solution solve_milp_with_duals(const Problem& problem,
-                               const BranchAndBoundOptions& options = {});
-
 }  // namespace gridsec::lp

@@ -19,12 +19,12 @@
 // Allocation accounting replaces the global operator new/delete (prof.cpp)
 // and is always on in a default build: per-thread counters feed phase
 // attribution, process-wide relaxed atomics feed the obs.alloc.count /
-// obs.alloc.bytes / obs.alloc.peak_bytes registry counters published by
-// sync_alloc_counters(). `count` and `bytes` track *requested* sizes and
-// are deterministic for a given binary; `live`/`peak` use
-// malloc_usable_size and depend on the allocator. The capture machinery
-// in this header compiles to no-ops under GRIDSEC_NO_OBS (the tree types
-// and ranking helpers stay, so tools read profiles produced elsewhere).
+// obs.alloc.bytes registry counters published by sync_alloc_counters().
+// Both track *requested* sizes and are deterministic for a given binary;
+// while the profiler records, its own call-tree nodes count too. The
+// capture machinery in this header compiles to no-ops under
+// GRIDSEC_NO_OBS (the tree types and ranking helpers stay, so tools read
+// profiles produced elsewhere).
 //
 // Cost model:
 //   * GRIDSEC_NO_OBS: zero — the operator new replacement is not
@@ -62,13 +62,10 @@ struct ProfileNode {
   [[nodiscard]] const ProfileNode* find(const std::string& child) const;
 };
 
-/// Process-wide allocation totals since start (requested sizes; live/peak
-/// use malloc_usable_size, see header comment).
+/// Process-wide allocation totals since start (requested sizes).
 struct AllocTotals {
   std::int64_t count = 0;
   std::int64_t bytes = 0;
-  std::int64_t live_bytes = 0;
-  std::int64_t peak_bytes = 0;
 };
 
 /// The merged call tree. Process-wide allocation and thread-pool totals
@@ -116,19 +113,16 @@ class Profiler {
   [[nodiscard]] static Profile snapshot();
 };
 
-/// Process-wide allocation totals. count/bytes always accumulate (cheap
+/// Process-wide allocation totals. They always accumulate (cheap
 /// per-thread increments, folded into the process totals at thread-pool
-/// task boundaries and whenever totals are read); live_bytes/peak_bytes
-/// are only tracked while the profiler is recording — they need a
-/// malloc_usable_size() call per alloc/free, which is kept off the
-/// default-build hot path. Other threads' traffic is included as of
-/// their last flush point.
+/// task boundaries and whenever totals are read). Other threads' traffic
+/// is included as of their last flush point.
 [[nodiscard]] AllocTotals alloc_totals();
 
 /// Publishes allocation totals into default_registry() as monotonic
-/// counters obs.alloc.count / obs.alloc.bytes / obs.alloc.peak_bytes. Call
-/// before reading counter snapshots that should include heap traffic —
-/// the bench harness does this around every case.
+/// counters obs.alloc.count / obs.alloc.bytes. Call before reading counter
+/// snapshots that should include heap traffic — the bench harness does
+/// this around every case.
 void sync_alloc_counters();
 
 namespace prof_detail {

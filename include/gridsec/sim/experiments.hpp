@@ -14,17 +14,16 @@
 
 namespace gridsec::sim {
 
+/// Sweep options shared by the three experiments. A trial that fails is
+/// dropped from its point's statistics: the point reports the other
+/// trials' results plus failed_trials, and run_trials records the failure
+/// breakdown in the obs metrics (sim.montecarlo.failed_trials /
+/// sim.montecarlo.failed.<CODE>).
 struct ExperimentOptions {
   int trials = 20;           // ownership draws per point
   std::uint64_t seed = 2015; // venue year; any fixed value works
   ThreadPool* pool = nullptr;
   cps::ImpactOptions impact;
-  /// Per-trial failure policy. Failed trials are dropped from a point's
-  /// statistics — the point reports partial results plus failed_trials —
-  /// with the failure breakdown recorded in the obs metrics
-  /// (sim.montecarlo.failed_trials / sim.montecarlo.failed.<CODE>).
-  /// Set robust.fail_fast to abort a sweep on the first failure instead.
-  RobustTrialOptions robust;
 };
 
 // ---------------------------------------------------------------------------

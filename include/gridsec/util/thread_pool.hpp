@@ -8,7 +8,7 @@
 // (claim cursor, failure latch, completion latch) on the caller's stack and
 // enqueues raw function-pointer tasks, so dispatching a sweep performs no
 // heap allocation beyond the queue's amortized deque storage. Per-worker
-// solver state (arenas, solver workspaces, warm bases) lives in the
+// solver state (solver workspaces with their warm bases) lives in the
 // worker's WorkerScratch slot — reused across every task the worker runs —
 // rather than being reallocated per trial.
 #pragma once
@@ -18,12 +18,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "gridsec/util/arena.hpp"
 
 namespace gridsec {
 
@@ -36,10 +33,10 @@ int scratch_type_id() {
 }
 }  // namespace detail
 
-/// Per-worker scratch state: a bump arena plus lazily-created typed slots
-/// (one instance of each requested T per worker). A WorkerScratch belongs
-/// to exactly one thread; nothing here is synchronized. Pool workers own
-/// one for their lifetime; code running on a worker reaches it through
+/// Per-worker scratch state: lazily-created typed slots (one instance of
+/// each requested T per worker). A WorkerScratch belongs to exactly one
+/// thread; nothing here is synchronized. Pool workers own one for their
+/// lifetime; code running on a worker reaches it through
 /// ThreadPool::current_scratch().
 class WorkerScratch {
  public:
@@ -52,10 +49,6 @@ class WorkerScratch {
 
   WorkerScratch(const WorkerScratch&) = delete;
   WorkerScratch& operator=(const WorkerScratch&) = delete;
-
-  /// The worker's bump arena. Borrow for per-task scratch and reset()
-  /// between tasks; do not hold allocations across tasks.
-  [[nodiscard]] util::Arena& arena() { return arena_; }
 
   /// Lazily default-constructs (once per worker) and returns this worker's
   /// instance of T — e.g. a solver workspace that then persists across all
@@ -79,7 +72,6 @@ class WorkerScratch {
     void (*destroy)(void*) = nullptr;
   };
 
-  util::Arena arena_;
   std::vector<Slot> slots_;
 };
 
@@ -105,10 +97,8 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Enqueues a task; the future resolves when it completes.
-  std::future<void> submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has finished.
+  /// Blocks until every task submitted so far has finished, including the
+  /// workers' bookkeeping after it (worker_stats, allocation flushes).
   void wait_idle();
 
   /// The scratch slot of the pool worker executing the current thread, or
@@ -122,21 +112,11 @@ class ThreadPool {
   [[nodiscard]] std::vector<WorkerStats> worker_stats() const;
 
  private:
-  /// One queue entry: either a raw function-pointer task (the allocation-
-  /// free parallel_for path; must not throw) or a packaged_task from
-  /// submit() (exceptions land in its future).
+  /// One queue entry: a raw function-pointer task (allocation-free; must
+  /// not throw).
   struct Task {
-    void (*raw)(void*) = nullptr;
+    void (*fn)(void*) = nullptr;
     void* ctx = nullptr;
-    std::packaged_task<void()> packaged;
-
-    void run() {
-      if (raw != nullptr) {
-        raw(ctx);
-      } else {
-        packaged();
-      }
-    }
   };
 
   /// Enqueues `count` copies of a raw task. The callee owns all

@@ -307,30 +307,4 @@ Solution solve_milp(const Problem& problem) {
   return BranchAndBoundSolver().solve(problem);
 }
 
-Solution solve_milp_with_duals(const Problem& problem,
-                               const BranchAndBoundOptions& options) {
-  BranchAndBoundSolver solver(options);
-  Solution incumbent = solver.solve(problem);
-  if (incumbent.status != SolveStatus::kOptimal &&
-      !is_budget_limited(incumbent.status)) {
-    return incumbent;
-  }
-  if (incumbent.x.empty()) return incumbent;  // budgeted run with no plan
-  Problem fixed = problem;
-  for (int j = 0; j < problem.num_variables(); ++j) {
-    if (problem.variable(j).type == VarType::kContinuous) continue;
-    const double v = incumbent.x[static_cast<std::size_t>(j)];
-    fixed.set_bounds(j, v, v);
-  }
-  // The incumbent's relaxation basis is primal-optimal for `fixed` up to
-  // the bound fixings, so the dual re-solve is typically pivot-free.
-  SimplexOptions lp_options = options.lp_options;
-  lp_options.warm_start = incumbent.basis;
-  Solution refined = solve_lp(fixed, lp_options);
-  if (refined.status != SolveStatus::kOptimal) return incumbent;
-  refined.status = incumbent.status;  // keep the proof status of the search
-  refined.bnb = incumbent.bnb;        // and the search counters
-  return refined;
-}
-
 }  // namespace gridsec::lp

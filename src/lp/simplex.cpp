@@ -12,7 +12,6 @@
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/trace.hpp"
 #include "gridsec/util/deadline.hpp"
-#include "gridsec/util/matrix.hpp"
 #include "workspace_internal.hpp"
 
 namespace gridsec::lp {
@@ -508,12 +507,13 @@ void apply_warm_start(Tableau& t, WorkspaceImpl& ws, const Basis& warm,
     const int col = row_basic_col[static_cast<std::size_t>(i)];
     if (col >= 0) candidates[k++] = col;
   }
-  Matrix& work = ws.crash_work;
-  work.assign(static_cast<std::size_t>(m), k);
+  // Row-major m×k: entry (r, c) at work[r * k + c].
+  std::vector<double>& work = ws.crash_work;
+  work.assign(static_cast<std::size_t>(m) * k, 0.0);
   for (std::size_t c = 0; c < k; ++c) {
     const int col = candidates[c];
     for (const ColumnEntry& e : t.a.column(col)) {
-      work(static_cast<std::size_t>(e.row), c) = e.val;
+      work[static_cast<std::size_t>(e.row) * k + c] = e.val;
     }
   }
   const std::span<unsigned char> used_row = ws.used_row;
@@ -526,7 +526,7 @@ void apply_warm_start(Tableau& t, WorkspaceImpl& ws, const Basis& warm,
     for (int r = 0; r < m; ++r) {
       const auto rs = static_cast<std::size_t>(r);
       if (used_row[rs]) continue;
-      const double mag = std::fabs(work(rs, c));
+      const double mag = std::fabs(work[rs * k + c]);
       if (mag > best) {
         best = mag;
         best_row = r;
@@ -541,13 +541,13 @@ void apply_warm_start(Tableau& t, WorkspaceImpl& ws, const Basis& warm,
     const auto ps = static_cast<std::size_t>(best_row);
     t.basis[ps] = candidates[c];
     used_row[ps] = 1;
-    const double diag = work(ps, c);
+    const double diag = work[ps * k + c];
     for (int r = 0; r < m; ++r) {
       const auto rs = static_cast<std::size_t>(r);
-      if (used_row[rs] || work(rs, c) == 0.0) continue;
-      const double f = work(rs, c) / diag;
+      if (used_row[rs] || work[rs * k + c] == 0.0) continue;
+      const double f = work[rs * k + c] / diag;
       for (std::size_t c2 = c + 1; c2 < k; ++c2) {
-        work(rs, c2) -= f * work(ps, c2);
+        work[rs * k + c2] -= f * work[ps * k + c2];
       }
     }
   }

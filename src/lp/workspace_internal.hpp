@@ -16,7 +16,6 @@
 #include "gridsec/lp/basis.hpp"
 #include "gridsec/lp/workspace.hpp"
 #include "gridsec/util/arena.hpp"
-#include "gridsec/util/matrix.hpp"
 
 namespace gridsec::lp::detail {
 
@@ -100,7 +99,7 @@ struct WarmCheckpoint {
 struct WorkspaceImpl {
   util::Arena arena;
   BasisFactorization factor;
-  Matrix crash_work;  // warm-start crash-selection elimination scratch
+  std::vector<double> crash_work;  // warm-start crash elimination, m×k
 
   Tableau t;
 

@@ -13,8 +13,7 @@
 #include "gridsec/obs/metrics.hpp"
 
 #ifndef GRIDSEC_NO_OBS
-#include <malloc.h>  // malloc_usable_size (glibc)
-#include <time.h>    // clock_gettime(CLOCK_THREAD_CPUTIME_ID)
+#include <time.h>  // clock_gettime(CLOCK_THREAD_CPUTIME_ID)
 #endif
 
 namespace gridsec::obs {
@@ -74,23 +73,16 @@ std::vector<ProfileRow> flatten_profile(const Profile& profile) {
 // operator new, where a dynamically-initialized TLS object could recurse
 // into the allocator it is instrumenting.
 //
-// The default-build hot path is kept to plain TLS arithmetic: per-thread
-// counts fold into the global atomics only at flush points (thread-pool
-// task boundaries, alloc_totals() reads, frame push/pop). Live/peak
-// tracking needs a malloc_usable_size() call plus atomics per alloc AND
-// per free, so it runs only while the profiler is recording
-// (g_heap_track) — it is a namespace-scope constant-initialized atomic,
-// not function-local state, because the hooks must not trip a static
-// init guard inside operator new.
+// The hot path is kept to plain TLS arithmetic, the same whether or not
+// the profiler records: per-thread counts fold into the global atomics
+// only at flush points (thread-pool task boundaries, alloc_totals() reads,
+// frame push/pop).
 // ---------------------------------------------------------------------------
 
 namespace {
 
 std::atomic<std::int64_t> g_alloc_count{0};
 std::atomic<std::int64_t> g_alloc_bytes{0};
-std::atomic<std::int64_t> g_live_bytes{0};
-std::atomic<std::int64_t> g_peak_bytes{0};
-std::atomic<bool> g_heap_track{false};
 
 thread_local std::int64_t t_alloc_count = 0;
 thread_local std::int64_t t_alloc_bytes = 0;
@@ -98,32 +90,16 @@ thread_local std::int64_t t_alloc_bytes = 0;
 thread_local std::int64_t t_flushed_count = 0;
 thread_local std::int64_t t_flushed_bytes = 0;
 
-inline void track_alloc(void* p, std::size_t requested) noexcept {
+inline void track_alloc(std::size_t requested) noexcept {
   t_alloc_count += 1;
   t_alloc_bytes += static_cast<std::int64_t>(requested);
-  if (!g_heap_track.load(std::memory_order_relaxed)) return;
-  const auto usable =
-      static_cast<std::int64_t>(::malloc_usable_size(p));
-  const std::int64_t live =
-      g_live_bytes.fetch_add(usable, std::memory_order_relaxed) + usable;
-  std::int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
-  while (live > peak && !g_peak_bytes.compare_exchange_weak(
-                            peak, live, std::memory_order_relaxed)) {
-  }
-}
-
-inline void track_free(void* p) noexcept {
-  if (p == nullptr || !g_heap_track.load(std::memory_order_relaxed)) return;
-  g_live_bytes.fetch_sub(
-      static_cast<std::int64_t>(::malloc_usable_size(p)),
-      std::memory_order_relaxed);
 }
 
 void* alloc_throwing(std::size_t n) {
   if (n == 0) n = 1;
   for (;;) {
     if (void* p = std::malloc(n)) {
-      track_alloc(p, n);
+      track_alloc(n);
       return p;
     }
     const std::new_handler handler = std::get_new_handler();
@@ -135,13 +111,8 @@ void* alloc_throwing(std::size_t n) {
 void* alloc_nothrow(std::size_t n) noexcept {
   if (n == 0) n = 1;
   void* p = std::malloc(n);
-  if (p != nullptr) track_alloc(p, n);
+  if (p != nullptr) track_alloc(n);
   return p;
-}
-
-void free_tracked(void* p) noexcept {
-  track_free(p);
-  std::free(p);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,13 +296,11 @@ void frame_pop() {
 }  // namespace prof_detail
 
 void Profiler::start() {
-  g_heap_track.store(true, std::memory_order_relaxed);
   state().enabled.store(true, std::memory_order_release);
 }
 
 void Profiler::stop() {
   state().enabled.store(false, std::memory_order_release);
-  g_heap_track.store(false, std::memory_order_relaxed);
 }
 
 bool Profiler::enabled() {
@@ -373,8 +342,6 @@ AllocTotals alloc_totals() {
   AllocTotals t;
   t.count = g_alloc_count.load(std::memory_order_relaxed);
   t.bytes = g_alloc_bytes.load(std::memory_order_relaxed);
-  t.live_bytes = g_live_bytes.load(std::memory_order_relaxed);
-  t.peak_bytes = g_peak_bytes.load(std::memory_order_relaxed);
   return t;
 }
 
@@ -383,19 +350,14 @@ void sync_alloc_counters() {
   static std::mutex mutex;
   static std::int64_t published_count = 0;
   static std::int64_t published_bytes = 0;
-  static std::int64_t published_peak = 0;
   static Counter& c_count = default_registry().counter("obs.alloc.count");
   static Counter& c_bytes = default_registry().counter("obs.alloc.bytes");
-  static Counter& c_peak =
-      default_registry().counter("obs.alloc.peak_bytes");
   const AllocTotals t = alloc_totals();
   std::lock_guard lock(mutex);
   c_count.add(t.count - published_count);
   c_bytes.add(t.bytes - published_bytes);
-  c_peak.add(t.peak_bytes - published_peak);
   published_count = t.count;
   published_bytes = t.bytes;
-  published_peak = t.peak_bytes;
 }
 
 #endif  // GRIDSEC_NO_OBS
@@ -409,6 +371,7 @@ void sync_alloc_counters() {
 // pulls this object (trace.cpp references prof_detail::frame_push, so any
 // target using TraceSpan gets the hooks). The replacements must not
 // allocate, which is why the per-thread counters above are plain PODs.
+// new takes its blocks from malloc, so delete hands them back to free.
 // ---------------------------------------------------------------------------
 
 void* operator new(std::size_t n) {
@@ -423,19 +386,19 @@ void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
   return gridsec::obs::alloc_nothrow(n);
 }
-void operator delete(void* p) noexcept { gridsec::obs::free_tracked(p); }
-void operator delete[](void* p) noexcept { gridsec::obs::free_tracked(p); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept {
-  gridsec::obs::free_tracked(p);
+  std::free(p);
 }
 void operator delete[](void* p, std::size_t) noexcept {
-  gridsec::obs::free_tracked(p);
+  std::free(p);
 }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-  gridsec::obs::free_tracked(p);
+  std::free(p);
 }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  gridsec::obs::free_tracked(p);
+  std::free(p);
 }
 
 #endif  // GRIDSEC_NO_OBS

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <utility>
 
+#include "gridsec/util/stats.hpp"
+
 namespace gridsec::sim {
 namespace {
 
@@ -26,24 +28,22 @@ std::vector<GainLossPoint> experiment_gain_loss(
     struct Trial {
       double gain = 0.0, loss = 0.0, net = 0.0;
     };
-    auto trials = run_trials_robust<Trial>(
+    auto trials = run_trials<Trial>(
         options.pool, static_cast<std::size_t>(options.trials),
         point_seed(options.seed, pi, 1),
-        [&](std::size_t, Rng& rng, int, lp::Basis* warm) -> StatusOr<Trial> {
+        [&](std::size_t, Rng& rng) -> StatusOr<Trial> {
           auto own =
               cps::Ownership::random(net.num_edges(), n_actors, rng);
           cps::ImpactOptions impact = options.impact;
-          impact.warm_start = *warm;
+          impact.warm_start = {};  // every trial's matrix starts cold
           auto im = cps::compute_impact_matrix(net, own, impact);
           if (!im.is_ok()) return im.status();
-          *warm = std::move(im->base_basis);
           Trial t;
           t.gain = im->matrix.aggregate_gain();
           t.loss = im->matrix.aggregate_loss();
           t.net = t.gain + t.loss;
           return t;
-        },
-        options.robust);
+        });
     RunningStats gain, loss, netv;
     for (const auto& trial : trials.results) {
       if (!trial.has_value()) continue;
@@ -53,7 +53,7 @@ std::vector<GainLossPoint> experiment_gain_loss(
     }
     out.push_back({n_actors, gain.mean(), loss.mean(), netv.mean(),
                    gain.std_error(), loss.std_error(),
-                   static_cast<int>(trials.failed + trials.skipped)});
+                   static_cast<int>(trials.failures.size())});
   }
   return out;
 }
@@ -74,19 +74,16 @@ std::vector<AdversaryNoisePoint> experiment_adversary_noise(
       std::vector<double> anticipated;
       std::vector<double> observed;
     };
-    auto trials = run_trials_robust<Trial>(
+    auto trials = run_trials<Trial>(
         options.pool, static_cast<std::size_t>(options.trials),
         point_seed(options.seed, ai, 2),
-        [&](std::size_t, Rng& rng, int, lp::Basis* warm) -> StatusOr<Trial> {
+        [&](std::size_t, Rng& rng) -> StatusOr<Trial> {
           auto own =
               cps::Ownership::random(net.num_edges(), n_actors, rng);
           cps::ImpactOptions impact = options.impact;
-          impact.warm_start = *warm;
+          impact.warm_start = {};  // the truth matrix starts cold
           auto truth = cps::compute_impact_matrix(net, own, impact);
           if (!truth.is_ok()) return truth.status();
-          // A retry of this trial (a believed solve below may fail
-          // numerically) restarts the truth solve from this basis.
-          *warm = truth->base_basis;
           impact.warm_start = truth->base_basis;
           Trial t;
           for (double sigma : config.sigmas) {
@@ -108,8 +105,7 @@ std::vector<AdversaryNoisePoint> experiment_adversary_noise(
                 core::realized_return(truth->matrix, plan, sa_cfg));
           }
           return t;
-        },
-        options.robust);
+        });
     for (std::size_t si = 0; si < config.sigmas.size(); ++si) {
       RunningStats ant, obs;
       for (const auto& trial : trials.results) {
@@ -119,7 +115,7 @@ std::vector<AdversaryNoisePoint> experiment_adversary_noise(
       }
       out.push_back({n_actors, config.sigmas[si], ant.mean(), obs.mean(),
                      ant.std_error(), obs.std_error(),
-                     static_cast<int>(trials.failed + trials.skipped)});
+                     static_cast<int>(trials.failures.size())});
     }
   }
   return out;
@@ -158,18 +154,17 @@ std::vector<DefensePoint> experiment_defense(
       // Salt is independent of the collaborative flag so individual and
       // collaborative sweeps see identical ownerships and noise draws —
       // their difference is then a paired comparison.
-      auto trials = run_trials_robust<Trial>(
+      auto trials = run_trials<Trial>(
           options.pool, static_cast<std::size_t>(options.trials),
           point_seed(options.seed, ai * 1000 + si, 3),
-          [&](std::size_t, Rng& rng, int) -> StatusOr<Trial> {
+          [&](std::size_t, Rng& rng) -> StatusOr<Trial> {
             auto own =
                 cps::Ownership::random(net.num_edges(), n_actors, rng);
             auto outcome = core::play_defense_game(net, own, game, rng);
             if (!outcome.is_ok()) return outcome.status();
             return Trial{outcome->defense_effectiveness,
                          outcome->adversary_gain_undefended};
-          },
-          options.robust);
+          });
       RunningStats eff, gain, rel;
       for (const auto& trial : trials.results) {
         if (!trial.has_value()) continue;
@@ -182,7 +177,7 @@ std::vector<DefensePoint> experiment_defense(
       out.push_back({n_actors, sigma, config.collaborative, eff.mean(),
                      eff.std_error(), gain.mean(), rel.mean(),
                      rel.std_error(),
-                     static_cast<int>(trials.failed + trials.skipped)});
+                     static_cast<int>(trials.failures.size())});
     }
   }
   return out;

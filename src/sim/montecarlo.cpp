@@ -1,22 +1,8 @@
 #include "gridsec/sim/montecarlo.hpp"
 
-#include <map>
-#include <sstream>
-
 #include "gridsec/obs/log.hpp"
 
-namespace gridsec::sim {
-
-RunningStats run_scalar_trials(
-    ThreadPool* pool, std::size_t n, std::uint64_t seed,
-    const std::function<double(std::size_t, Rng&)>& fn) {
-  const std::vector<double> values = run_trials<double>(pool, n, seed, fn);
-  RunningStats stats;
-  for (double v : values) stats.add(v);
-  return stats;
-}
-
-namespace detail {
+namespace gridsec::sim::detail {
 
 void note_trial_failure(const Status& status, std::size_t trial,
                         std::uint64_t seed) {
@@ -37,64 +23,4 @@ void note_trial_failure(const Status& status, std::size_t trial,
       .message(status.message());
 }
 
-void note_trial_retries(std::size_t retries) {
-  if (retries == 0) return;
-  static obs::Counter& c_retries =
-      obs::default_registry().counter("sim.montecarlo.retries");
-  c_retries.add(static_cast<std::int64_t>(retries));
-}
-
-std::string summarize_failures(std::size_t n,
-                               const std::vector<TrialFailure>& failures,
-                               std::size_t skipped, std::size_t retries) {
-  std::ostringstream os;
-  if (failures.empty() && skipped == 0) {
-    os << "all " << n << " trials succeeded";
-    if (retries > 0) os << " (" << retries << " retries)";
-    return os.str();
-  }
-  os << failures.size() << "/" << n << " trials failed";
-  if (!failures.empty()) {
-    std::map<std::string, int> by_code;
-    for (const TrialFailure& f : failures) {
-      ++by_code[std::string(to_string(f.status.code()))];
-    }
-    os << " (";
-    bool first = true;
-    for (const auto& [code, count] : by_code) {
-      if (!first) os << ", ";
-      os << code << " x" << count;
-      first = false;
-    }
-    os << ")";
-  }
-  if (skipped > 0) os << ", " << skipped << " skipped";
-  if (retries > 0) os << ", " << retries << " retries";
-  return os.str();
-}
-
-}  // namespace detail
-
-std::string RobustScalarResults::summary() const {
-  return detail::summarize_failures(trials, failures, skipped, retries);
-}
-
-RobustScalarResults run_scalar_trials_robust(
-    ThreadPool* pool, std::size_t n, std::uint64_t seed,
-    const std::function<StatusOr<double>(std::size_t, Rng&, int)>& fn,
-    const RobustTrialOptions& options) {
-  const RobustTrialResults<double> raw =
-      run_trials_robust<double>(pool, n, seed, fn, options);
-  RobustScalarResults out;
-  out.trials = n;
-  out.failed = raw.failed;
-  out.skipped = raw.skipped;
-  out.retries = raw.retries;
-  out.failures = raw.failures;
-  for (const std::optional<double>& v : raw.results) {
-    if (v.has_value()) out.stats.add(*v);
-  }
-  return out;
-}
-
-}  // namespace gridsec::sim
+}  // namespace gridsec::sim::detail

@@ -73,25 +73,12 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> pt(std::move(task));
-  auto fut = pt.get_future();
-  {
-    std::lock_guard lock(mutex_);
-    GRIDSEC_ASSERT_MSG(!stop_, "submit after shutdown");
-    queue_.push_back(Task{nullptr, nullptr, std::move(pt)});
-    pool_metrics().submitted.add();
-  }
-  cv_.notify_one();
-  return fut;
-}
-
 void ThreadPool::submit_raw(void (*fn)(void*), void* ctx, std::size_t count) {
   {
     std::lock_guard lock(mutex_);
     GRIDSEC_ASSERT_MSG(!stop_, "submit after shutdown");
     for (std::size_t i = 0; i < count; ++i) {
-      queue_.push_back(Task{fn, ctx, {}});
+      queue_.push_back(Task{fn, ctx});
     }
     pool_metrics().submitted.add(static_cast<std::int64_t>(count));
   }
@@ -118,7 +105,7 @@ std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
 }
 
 void ThreadPool::worker_loop(std::size_t worker) {
-  // The worker's scratch (arena + typed slots, e.g. its solver workspace)
+  // The worker's scratch (typed slots, e.g. its solver workspace)
   // lives on this stack frame: born before the first task, destroyed only
   // when the pool joins, reused by every task in between.
   WorkerScratch scratch;
@@ -138,14 +125,13 @@ void ThreadPool::worker_loop(std::size_t worker) {
         t_worker_scratch = nullptr;
         return;
       }
-      task = std::move(queue_.front());
+      task = queue_.front();
       queue_.pop_front();
       ++active_;
     }
     const std::uint64_t busy_start = mono_ns();
-    // Raw tasks own their error signalling; packaged tasks capture
-    // exceptions in their future.
-    task.run();
+    // Tasks own their error signalling (parallel_for's control block).
+    task.fn(task.ctx);
     const auto busy = static_cast<std::int64_t>(mono_ns() - busy_start);
     // Fold this worker's allocation counts into the process totals at the
     // task boundary — the hooks themselves only touch thread_locals.

@@ -355,9 +355,9 @@ TEST(ArmedAudit, FaultInjectedMonteCarloAutoDumpsBundle) {
   // 6 seeded trials; even trials get a NaN cost injected, so their solves
   // end in kNumericalError and the armed hook dumps a bundle.
   constexpr std::uint64_t kSweepSeed = 0xC0FFEE;
-  const auto results = gridsec::sim::run_trials_robust<double>(
+  const auto results = gridsec::sim::run_trials<double>(
       /*pool=*/nullptr, /*n=*/6, kSweepSeed,
-      [](std::size_t trial, gridsec::Rng& rng, int) -> gridsec::StatusOr<double> {
+      [](std::size_t trial, gridsec::Rng& rng) -> gridsec::StatusOr<double> {
         lp::Problem p = small_lp();
         if (trial % 2 == 0) {
           gridsec::robust::FaultInjector injector(rng.next());
@@ -368,8 +368,10 @@ TEST(ArmedAudit, FaultInjectedMonteCarloAutoDumpsBundle) {
         return sol.objective;
       });
 
-  EXPECT_EQ(results.failed, 3u);
-  EXPECT_EQ(results.succeeded(), 3u);
+  EXPECT_EQ(results.failures.size(), 3u);
+  for (std::size_t i = 0; i < results.results.size(); ++i) {
+    EXPECT_EQ(results.results[i].has_value(), i % 2 == 1) << i;
+  }
   EXPECT_GE(obs::audit_dump_count(), 1u);
 
   std::size_t parseable = 0;

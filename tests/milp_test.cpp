@@ -105,6 +105,7 @@ TEST(Milp, MixedContinuousAndBinary) {
   ASSERT_EQ(sol.status, SolveStatus::kOptimal);
   EXPECT_NEAR(sol.objective, 14.0, kTol);  // 24 - 10
   EXPECT_NEAR(sol.x[static_cast<std::size_t>(open)], 1.0, kTol);
+  EXPECT_TRUE(sol.duals.empty());  // a MILP answer carries no LP duals
 }
 
 TEST(Milp, NodeBudgetReportsIterationLimit) {
@@ -190,34 +191,6 @@ TEST(Milp, DivingSeedsIncumbentUnderTinyNodeBudget) {
   EXPECT_EQ(sol.status, SolveStatus::kIterationLimit);
   EXPECT_FALSE(sol.x.empty());  // the dive's incumbent is reported
   EXPECT_TRUE(p.is_feasible(sol.x, 1e-6));
-}
-
-TEST(Milp, FixedIntegerDualsRecovered) {
-  // Facility problem: after fixing open=1, the LP duals price the linking
-  // constraint like any continuous model.
-  Problem p(Objective::kMaximize);
-  int open = p.add_binary("open", -10.0);
-  // Loose variable bound so the linking row is the unique binder (avoids a
-  // degenerate dual split between the row and the bound).
-  int flow = p.add_variable("flow", 0.0, 20.0, 3.0);
-  p.add_constraint("link", LinearExpr().add(flow, 1.0).add(open, -8.0),
-                   Sense::kLessEqual, 0.0);
-  auto plain = solve_milp(p);
-  auto with_duals = solve_milp_with_duals(p);
-  ASSERT_EQ(with_duals.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(with_duals.objective, plain.objective, 1e-6);
-  ASSERT_EQ(with_duals.duals.size(), 1u);
-  // With open fixed at 1, the link row is flow <= 8, binding with dual 3.
-  EXPECT_NEAR(with_duals.duals[0], 3.0, 1e-6);
-  EXPECT_TRUE(plain.duals.empty());  // the plain MILP clears duals
-}
-
-TEST(Milp, FixedIntegerDualsInfeasiblePassesThrough) {
-  Problem p(Objective::kMinimize);
-  int x = p.add_variable("x", 0.0, 1.0, 1.0, VarType::kInteger);
-  p.add_constraint("odd", LinearExpr().add(x, 2.0), Sense::kEqual, 3.0);
-  auto sol = solve_milp_with_duals(p);
-  EXPECT_EQ(sol.status, SolveStatus::kInfeasible);
 }
 
 // Brute-force cross-check: random binary knapsacks with <= 12 items,

@@ -1,10 +1,11 @@
-// Tests for the Monte-Carlo harness: determinism across thread counts and
-// the degrade-don't-die robust variant (partial results, retries,
-// fail-fast, failure metrics).
+// Tests for the Monte-Carlo harness: determinism across thread counts,
+// per-trial streams, and degrade-don't-die failure handling (partial
+// results, failure metrics, exceptions, no redraws).
 #include "gridsec/sim/montecarlo.hpp"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,95 +15,77 @@
 namespace gridsec::sim {
 namespace {
 
-double trial_value(std::size_t i, Rng& rng) {
+StatusOr<double> trial_value(std::size_t i, Rng& rng) {
   // Depends on both the index and the per-trial stream.
   return static_cast<double>(i) + rng.uniform();
 }
 
 TEST(MonteCarlo, ResultsInTrialOrder) {
-  auto out = run_trials<double>(nullptr, 8, 1,
-                                [](std::size_t i, Rng&) {
-                                  return static_cast<double>(i) * 2.0;
-                                });
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_DOUBLE_EQ(out[i], static_cast<double>(i) * 2.0);
+  const auto out = run_trials<double>(
+      nullptr, 8, 1, [](std::size_t i, Rng&) -> StatusOr<double> {
+        return static_cast<double>(i) * 2.0;
+      });
+  ASSERT_EQ(out.results.size(), 8u);
+  EXPECT_TRUE(out.failures.empty());
+  for (std::size_t i = 0; i < out.results.size(); ++i) {
+    ASSERT_TRUE(out.results[i].has_value());
+    EXPECT_DOUBLE_EQ(*out.results[i], static_cast<double>(i) * 2.0);
   }
 }
 
 TEST(MonteCarlo, IdenticalAcrossThreadCounts) {
   ThreadPool pool1(1), pool4(4);
-  auto serial = run_trials<double>(nullptr, 64, 42, trial_value);
-  auto one = run_trials<double>(&pool1, 64, 42, trial_value);
-  auto four = run_trials<double>(&pool4, 64, 42, trial_value);
-  EXPECT_EQ(serial, one);
-  EXPECT_EQ(serial, four);
+  const auto serial = run_trials<double>(nullptr, 64, 42, trial_value);
+  const auto one = run_trials<double>(&pool1, 64, 42, trial_value);
+  const auto four = run_trials<double>(&pool4, 64, 42, trial_value);
+  EXPECT_EQ(serial.results, one.results);
+  EXPECT_EQ(serial.results, four.results);
 }
 
 TEST(MonteCarlo, SeedChangesResults) {
-  auto a = run_trials<double>(nullptr, 16, 1, trial_value);
-  auto b = run_trials<double>(nullptr, 16, 2, trial_value);
-  EXPECT_NE(a, b);
+  const auto a = run_trials<double>(nullptr, 16, 1, trial_value);
+  const auto b = run_trials<double>(nullptr, 16, 2, trial_value);
+  EXPECT_NE(a.results, b.results);
 }
 
 TEST(MonteCarlo, TrialsAreIndependentStreams) {
   // Two trials with the same body must see different random values.
-  auto out = run_trials<double>(nullptr, 2, 3,
-                                [](std::size_t, Rng& rng) {
-                                  return rng.uniform();
-                                });
-  EXPECT_NE(out[0], out[1]);
-}
-
-TEST(MonteCarlo, ScalarTrialsAggregate) {
-  ThreadPool pool(2);
-  auto stats = run_scalar_trials(&pool, 100, 7,
-                                 [](std::size_t, Rng& rng) {
-                                   return rng.uniform();
-                                 });
-  EXPECT_EQ(stats.count(), 100u);
-  EXPECT_GT(stats.mean(), 0.3);
-  EXPECT_LT(stats.mean(), 0.7);
+  const auto out = run_trials<double>(
+      nullptr, 2, 3,
+      [](std::size_t, Rng& rng) -> StatusOr<double> { return rng.uniform(); });
+  ASSERT_TRUE(out.results[0].has_value());
+  ASSERT_TRUE(out.results[1].has_value());
+  EXPECT_NE(*out.results[0], *out.results[1]);
 }
 
 TEST(MonteCarlo, ZeroTrials) {
-  auto out = run_trials<int>(nullptr, 0, 1,
-                             [](std::size_t, Rng&) { return 1; });
-  EXPECT_TRUE(out.empty());
+  const auto out = run_trials<int>(
+      nullptr, 0, 1, [](std::size_t, Rng&) -> StatusOr<int> { return 1; });
+  EXPECT_TRUE(out.results.empty());
+  EXPECT_TRUE(out.failures.empty());
 }
 
 // ---------------------------------------------------------------------------
-// run_trials_robust: the degrade-don't-die harness.
-
-TEST(MonteCarloRobust, MatchesPlainHarnessWhenAllTrialsSucceed) {
-  // Attempt 0 carries the canonical per-trial stream, so a fully
-  // successful robust sweep is bit-identical to run_trials.
-  const auto plain = run_trials<double>(nullptr, 32, 42, trial_value);
-  const auto robust = run_trials_robust<double>(
-      nullptr, 32, 42,
-      [](std::size_t i, Rng& rng, int) -> StatusOr<double> {
-        return trial_value(i, rng);
-      });
-  EXPECT_TRUE(robust.all_ok());
-  EXPECT_EQ(robust.succeeded(), 32u);
-  ASSERT_EQ(robust.results.size(), plain.size());
-  for (std::size_t i = 0; i < plain.size(); ++i) {
-    ASSERT_TRUE(robust.results[i].has_value());
-    EXPECT_EQ(*robust.results[i], plain[i]);  // bit-identical
-  }
-}
+// Degrade-don't-die: failed trials are recorded, not fatal.
 
 TEST(MonteCarloRobust, IdenticalAcrossThreadCounts) {
-  auto run = [](ThreadPool* pool) {
-    return run_trials_robust<double>(
-        pool, 64, 7,
-        [](std::size_t i, Rng& rng, int) -> StatusOr<double> {
-          return trial_value(i, rng);
-        });
+  // Which trials fail, and with what, does not depend on the pool either.
+  const auto fn = [](std::size_t i, Rng& rng) -> StatusOr<double> {
+    const double draw = rng.uniform();
+    if (draw < 0.3) return Status::numerical_error("trial " + std::to_string(i));
+    return draw;
   };
   ThreadPool pool4(4);
-  const auto serial = run(nullptr);
-  const auto four = run(&pool4);
+  const auto serial = run_trials<double>(nullptr, 64, 7, fn);
+  const auto four = run_trials<double>(&pool4, 64, 7, fn);
   EXPECT_EQ(serial.results, four.results);
+  ASSERT_FALSE(serial.failures.empty());
+  ASSERT_EQ(serial.failures.size(), four.failures.size());
+  for (std::size_t k = 0; k < serial.failures.size(); ++k) {
+    EXPECT_EQ(serial.failures[k].trial, four.failures[k].trial);
+    EXPECT_EQ(serial.failures[k].status.message(),
+              four.failures[k].status.message());
+  }
 }
 
 TEST(MonteCarloRobust, RecordsPartialResultsAndFailures) {
@@ -113,19 +96,14 @@ TEST(MonteCarloRobust, RecordsPartialResultsAndFailures) {
   const auto failed_before = c_failed.value();
   const auto invalid_before = c_invalid.value();
 
-  const auto out = run_trials_robust<double>(
-      nullptr, 10, 5,
-      [](std::size_t i, Rng&, int) -> StatusOr<double> {
+  const auto out = run_trials<double>(
+      nullptr, 10, 5, [](std::size_t i, Rng&) -> StatusOr<double> {
         if (i % 3 == 0) {
           return Status::invalid_argument("trial " + std::to_string(i));
         }
         return static_cast<double>(i);
       });
-  EXPECT_FALSE(out.all_ok());
-  EXPECT_EQ(out.failed, 4u);  // trials 0, 3, 6, 9
-  EXPECT_EQ(out.skipped, 0u);
-  EXPECT_EQ(out.succeeded(), 6u);
-  ASSERT_EQ(out.failures.size(), 4u);
+  ASSERT_EQ(out.failures.size(), 4u);  // trials 0, 3, 6, 9
   EXPECT_EQ(out.failures[0].trial, 0u);
   EXPECT_EQ(out.failures[1].trial, 3u);
   EXPECT_EQ(out.failures[0].status.code(), ErrorCode::kInvalidArgument);
@@ -142,121 +120,36 @@ TEST(MonteCarloRobust, RecordsPartialResultsAndFailures) {
   EXPECT_EQ(c_invalid.value(), invalid_before + 4);
 }
 
-TEST(MonteCarloRobust, RetriesNumericalFailures) {
-  RobustTrialOptions opt;
-  opt.max_attempts = 3;
-  const auto out = run_trials_robust<double>(
-      nullptr, 8, 9,
-      [](std::size_t i, Rng&, int attempt) -> StatusOr<double> {
-        if (attempt == 0) return Status::numerical_error("wedged");
-        return static_cast<double>(i);
-      },
-      opt);
-  EXPECT_TRUE(out.all_ok());
-  EXPECT_EQ(out.succeeded(), 8u);
-  EXPECT_EQ(out.retries, 8u);  // one retry per trial
-}
-
-TEST(MonteCarloRobust, RetryStreamsAreIndependent) {
-  RobustTrialOptions opt;
-  opt.max_attempts = 2;
-  std::vector<double> attempt0(4, 0.0);
-  std::vector<double> attempt1(4, 0.0);
-  (void)run_trials_robust<double>(
-      nullptr, 4, 11,
-      [&](std::size_t i, Rng& rng, int attempt) -> StatusOr<double> {
-        const double draw = rng.uniform();
-        if (attempt == 0) {
-          attempt0[i] = draw;
-          return Status::numerical_error("retry me");
-        }
-        attempt1[i] = draw;
-        return draw;
-      },
-      opt);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NE(attempt0[i], attempt1[i]);
-  }
-}
-
 TEST(MonteCarloRobust, NoRetryForNonNumericalFailures) {
-  RobustTrialOptions opt;
-  opt.max_attempts = 3;
-  int calls = 0;
-  const auto out = run_trials_robust<double>(
-      nullptr, 1, 13,
-      [&](std::size_t, Rng&, int) -> StatusOr<double> {
-        ++calls;
-        return Status::infeasible("hard failure");
-      },
-      opt);
-  EXPECT_EQ(calls, 1);  // kInfeasible is final; retries are for numerics
-  EXPECT_EQ(out.failed, 1u);
-  EXPECT_EQ(out.retries, 0u);
-}
-
-TEST(MonteCarloRobust, FailFastSkipsRemainingTrials) {
-  RobustTrialOptions opt;
-  opt.fail_fast = true;
-  // Serial execution (null pool) makes the skip set deterministic.
-  const auto out = run_trials_robust<double>(
-      nullptr, 10, 17,
-      [](std::size_t i, Rng&, int) -> StatusOr<double> {
-        if (i == 2) return Status::internal("abort here");
-        return static_cast<double>(i);
-      },
-      opt);
-  EXPECT_EQ(out.failed, 1u);
-  EXPECT_EQ(out.skipped, 7u);  // trials 3..9 never ran
-  EXPECT_EQ(out.succeeded(), 2u);
-  EXPECT_TRUE(out.results[0].has_value());
-  EXPECT_TRUE(out.results[1].has_value());
-  for (std::size_t i = 2; i < 10; ++i) {
-    EXPECT_FALSE(out.results[i].has_value());
-  }
+  // A failed trial is dropped, never redrawn, whatever its code: a redraw
+  // would bias the point's mean.
+  std::vector<int> calls(4, 0);
+  const auto out = run_trials<double>(
+      nullptr, 4, 13, [&](std::size_t i, Rng&) -> StatusOr<double> {
+        ++calls[i];
+        if (i == 0) return Status::infeasible("hard failure");
+        if (i == 1) return Status::numerical_error("wedged");
+        return 1.0;
+      });
+  EXPECT_EQ(calls, (std::vector<int>{1, 1, 1, 1}));
+  ASSERT_EQ(out.failures.size(), 2u);
+  EXPECT_EQ(out.failures[0].status.code(), ErrorCode::kInfeasible);
+  EXPECT_EQ(out.failures[1].status.code(), ErrorCode::kNumericalError);
 }
 
 TEST(MonteCarloRobust, ExceptionsBecomeInternalStatus) {
-  const auto out = run_trials_robust<double>(
-      nullptr, 3, 19,
-      [](std::size_t i, Rng&, int) -> StatusOr<double> {
+  const auto out = run_trials<double>(
+      nullptr, 3, 19, [](std::size_t i, Rng&) -> StatusOr<double> {
         if (i == 1) throw std::runtime_error("kaboom");
         return 1.0;
       });
-  EXPECT_EQ(out.failed, 1u);
   ASSERT_EQ(out.failures.size(), 1u);
+  EXPECT_EQ(out.failures[0].trial, 1u);
   EXPECT_EQ(out.failures[0].status.code(), ErrorCode::kInternal);
   EXPECT_NE(out.failures[0].status.message().find("kaboom"),
             std::string::npos);
-}
-
-TEST(MonteCarloRobust, ScalarSweepReportsPartialStatistics) {
-  const auto out = run_scalar_trials_robust(
-      nullptr, 10, 23,
-      [](std::size_t i, Rng&, int) -> StatusOr<double> {
-        if (i % 2 == 1) return Status::invalid_argument("odd trial");
-        return static_cast<double>(i);
-      });
-  EXPECT_EQ(out.trials, 10u);
-  EXPECT_EQ(out.failed, 5u);
-  EXPECT_EQ(out.stats.count(), 5u);          // 0, 2, 4, 6, 8
-  EXPECT_DOUBLE_EQ(out.stats.mean(), 4.0);
-  EXPECT_FALSE(out.all_ok());
-  const std::string summary = out.summary();
-  EXPECT_NE(summary.find("5/10"), std::string::npos);
-  EXPECT_NE(summary.find("INVALID_ARGUMENT"), std::string::npos);
-}
-
-TEST(MonteCarloRobust, ScalarSweepCleanSummary) {
-  const auto out = run_scalar_trials_robust(
-      nullptr, 4, 29,
-      [](std::size_t, Rng& rng, int) -> StatusOr<double> {
-        return rng.uniform();
-      });
-  EXPECT_TRUE(out.all_ok());
-  EXPECT_EQ(out.stats.count(), 4u);
-  EXPECT_NE(out.summary().find("all 4 trials succeeded"),
-            std::string::npos);
+  EXPECT_TRUE(out.results[0].has_value());
+  EXPECT_TRUE(out.results[2].has_value());
 }
 
 }  // namespace

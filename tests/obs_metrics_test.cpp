@@ -28,14 +28,9 @@ TEST(MetricRegistry, CounterConcurrentHammerExactTotal) {
   constexpr int kTasks = 64;
   constexpr int kAddsPerTask = 10000;
   ThreadPool pool(8);
-  std::vector<std::future<void>> futs;
-  futs.reserve(kTasks);
-  for (int t = 0; t < kTasks; ++t) {
-    futs.push_back(pool.submit([&c] {
-      for (int i = 0; i < kAddsPerTask; ++i) c.add();
-    }));
-  }
-  for (auto& f : futs) f.get();
+  parallel_for(&pool, kTasks, [&c](std::size_t) {
+    for (int i = 0; i < kAddsPerTask; ++i) c.add();
+  });
   EXPECT_EQ(c.value(), static_cast<std::int64_t>(kTasks) * kAddsPerTask);
 }
 
@@ -45,18 +40,14 @@ TEST(MetricRegistry, ConcurrentFindOrCreateSingleInstrument) {
   ThreadPool pool(8);
   std::atomic<Counter*> first{nullptr};
   std::atomic<int> mismatches{0};
-  std::vector<std::future<void>> futs;
-  for (int t = 0; t < kTasks; ++t) {
-    futs.push_back(pool.submit([&] {
-      Counter& c = reg.counter("race.count");
-      c.add();
-      Counter* expected = nullptr;
-      if (!first.compare_exchange_strong(expected, &c) && expected != &c) {
-        mismatches.fetch_add(1);
-      }
-    }));
-  }
-  for (auto& f : futs) f.get();
+  parallel_for(&pool, kTasks, [&](std::size_t) {
+    Counter& c = reg.counter("race.count");
+    c.add();
+    Counter* expected = nullptr;
+    if (!first.compare_exchange_strong(expected, &c) && expected != &c) {
+      mismatches.fetch_add(1);
+    }
+  });
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(reg.counter("race.count").value(), kTasks);
 }

@@ -1,7 +1,8 @@
 // Tests for the numerical-resilience layer: input magnitude gating,
 // factorization hygiene, Ruiz equilibration round trips, the recovery
 // ladder (explicit and hook-installed), trail persistence in audit
-// bundles, and the ill-conditioned LP corpus under tests/data/illcond.
+// bundles, and the ill-conditioned LP corpus (audit bundles under
+// tests/data/illcond).
 //
 // The RecoveryConcurrency suite runs under TSan in CI: install /
 // uninstall and the hook itself are process-global and must stay
@@ -22,11 +23,9 @@
 
 #include "gridsec/lp/basis.hpp"
 #include "gridsec/lp/equilibrate.hpp"
-#include "gridsec/lp/lp_io.hpp"
 #include "gridsec/lp/problem.hpp"
 #include "gridsec/lp/simplex.hpp"
 #include "gridsec/obs/audit.hpp"
-#include "gridsec/util/matrix.hpp"
 
 namespace gridsec::robust {
 namespace {
@@ -150,7 +149,7 @@ std::vector<std::string> illcond_corpus() {
   std::vector<std::string> files;
   for (const auto& entry :
        std::filesystem::directory_iterator(GRIDSEC_ILLCOND_DIR)) {
-    if (entry.path().extension() == ".lp") {
+    if (entry.path().extension() == ".json") {
       files.push_back(entry.path().string());
     }
   }
@@ -167,9 +166,9 @@ TEST(IllConditionedCorpus, LadderRecoversEveryInstance) {
   lp::ScopedSolveHookSuppress no_audit;
   std::set<std::string> adopted_rungs;
   for (const std::string& file : files) {
-    auto parsed = lp::read_lp_file(file);
+    auto parsed = obs::read_audit_bundle_file(file);
     ASSERT_TRUE(parsed.is_ok()) << file << ": " << parsed.status().message();
-    const lp::Problem p = std::move(parsed.value());
+    const lp::Problem p = parsed->problem;
     // certified_optimum at 1e-9 below is the ladder's own adoption bar.
     const lp::Equilibrated eq = lp::equilibrate(p);
 
@@ -201,9 +200,10 @@ TEST(IllConditionedCorpus, LadderRecoversEveryInstance) {
 }
 
 TEST(IllConditionedCorpus, WarmAnswerTrailNamesNoColdAttempt) {
-  auto parsed = lp::read_lp_file(GRIDSEC_ILLCOND_DIR "/stress_0015.lp");
+  auto parsed =
+      obs::read_audit_bundle_file(GRIDSEC_ILLCOND_DIR "/stress_0015.json");
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
-  const lp::Problem p = std::move(parsed.value());
+  const lp::Problem p = parsed->problem;
   lp::ScopedSolveHookSuppress no_audit;
 
   // A stale all-slack warm basis the plain solve finishes from: its
@@ -243,9 +243,9 @@ TEST_F(HookSandbox, HookRecoversPlainSolverCalls) {
   so.time_limit_ms = 5000.0;
   int hook_recoveries = 0;
   for (const std::string& file : files) {
-    auto parsed = lp::read_lp_file(file);
+    auto parsed = obs::read_audit_bundle_file(file);
     ASSERT_TRUE(parsed.is_ok()) << file;
-    const lp::Problem p = std::move(parsed.value());
+    const lp::Problem p = parsed->problem;
     // Plain SimplexSolver call — no robust:: API in sight. The installed
     // hook fires on kNumericalError and escalates in place.
     const lp::Solution sol = lp::SimplexSolver(so).solve(p);
@@ -258,9 +258,9 @@ TEST_F(HookSandbox, HookRecoversPlainSolverCalls) {
 TEST_F(HookSandbox, ScopedDisableIsThreadLocal) {
   const std::vector<std::string> files = illcond_corpus();
   ASSERT_FALSE(files.empty());
-  auto parsed = lp::read_lp_file(files.front());
+  auto parsed = obs::read_audit_bundle_file(files.front());
   ASSERT_TRUE(parsed.is_ok());
-  const lp::Problem p = std::move(parsed.value());
+  const lp::Problem p = parsed->problem;
   lp::ScopedSolveHookSuppress no_audit;
   install_recovery();
   lp::SimplexOptions so;
@@ -305,33 +305,6 @@ TEST(AuditTrail, RecoveryTrailRoundTripsThroughBundles) {
   EXPECT_TRUE(trail[2].certified);
 }
 
-TEST(LpIo, CorpusFilesRoundTripExactly) {
-  const std::vector<std::string> files = illcond_corpus();
-  ASSERT_FALSE(files.empty());
-  for (const std::string& file : files) {
-    auto parsed = lp::read_lp_file(file);
-    ASSERT_TRUE(parsed.is_ok()) << file;
-    // write -> parse must be a fixpoint: bit-identical numbers
-    // (precision-17 output) and identical structure.
-    const std::string text = lp::to_lp_format(parsed.value());
-    auto reparsed = lp::parse_lp_format(text);
-    ASSERT_TRUE(reparsed.is_ok()) << file;
-    EXPECT_EQ(text, lp::to_lp_format(reparsed.value())) << file;
-  }
-}
-
-TEST(LpIo, ReadMissingFileIsNotFound) {
-  auto parsed = lp::read_lp_file("/nonexistent/no_such.lp");
-  ASSERT_FALSE(parsed.is_ok());
-  EXPECT_EQ(parsed.status().code(), ErrorCode::kNotFound);
-}
-
-TEST(LpIo, MalformedTextIsInvalidArgument) {
-  auto parsed = lp::parse_lp_format("Minimize\n obj: 2 zebra\nEnd\n");
-  ASSERT_FALSE(parsed.is_ok());
-  EXPECT_EQ(parsed.status().code(), ErrorCode::kInvalidArgument);
-}
-
 TEST(BlandFromFirstPivot, MatchesDefaultPricingOnCleanInstance) {
   lp::SimplexOptions bland;
   bland.bland = true;
@@ -352,9 +325,9 @@ TEST(RecoveryConcurrency, ConcurrentSolvesWithInstalledHook) {
   ASSERT_FALSE(files.empty());
   std::vector<lp::Problem> corpus;
   for (const std::string& file : files) {
-    auto parsed = lp::read_lp_file(file);
+    auto parsed = obs::read_audit_bundle_file(file);
     ASSERT_TRUE(parsed.is_ok());
-    corpus.push_back(std::move(parsed.value()));
+    corpus.push_back(parsed->problem);
   }
   std::atomic<int> recovered{0};
   std::vector<std::thread> threads;
@@ -387,9 +360,9 @@ TEST(RecoveryConcurrency, InstallToggleRacesSolves) {
   lp::ScopedSolveHookSuppress no_audit;
   const std::vector<std::string> files = illcond_corpus();
   ASSERT_FALSE(files.empty());
-  auto parsed = lp::read_lp_file(files.front());
+  auto parsed = obs::read_audit_bundle_file(files.front());
   ASSERT_TRUE(parsed.is_ok());
-  const lp::Problem p = std::move(parsed.value());
+  const lp::Problem p = parsed->problem;
   std::atomic<bool> stop{false};
   std::thread toggler([&stop] {
     while (!stop.load(std::memory_order_relaxed)) {

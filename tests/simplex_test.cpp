@@ -5,7 +5,6 @@
 
 #include <cmath>
 
-#include "gridsec/lp/lp_io.hpp"
 #include "gridsec/util/rng.hpp"
 
 namespace gridsec::lp {
@@ -324,6 +323,65 @@ TEST(Simplex, DuplicateAndCancellingTermsSolveAsMergedRow) {
   }
 }
 
+Problem zero_pivot_resume_lp() {
+  Problem p(Objective::kMinimize);
+  const int x0 = p.add_variable("x0", 0.0, kInfinity, 269386.64135952841);
+  const int x1 = p.add_variable("x1", 0.0, 62.85176277095011,
+                                1.2860611493368993e-09);
+  const int x2 = p.add_variable("x2", 0.0, kInfinity, 2865895246.5976706);
+  const int x3 = p.add_variable("x3", 0.0, 573540.00273006177,
+                                -1.174021490475024e-13);
+  const int x4 = p.add_variable("x4", -47733.673651687779, 314451.86771464482,
+                                -593217.15476275783);
+  const int x5 = p.add_variable("x5", 0.0, 231718.00663156554,
+                                -5.0277105409106152e-13);
+  const int x6 = p.add_variable("x6", 0.0, 2577271.0408545686,
+                                -7702.5471955688845);
+  p.add_constraint("c0",
+                   LinearExpr()
+                       .add(x3, 0.4113938047074801)
+                       .add(x4, 0.81910192584759223),
+                   Sense::kGreaterEqual, -36974.904356267471);
+  p.add_constraint("c1",
+                   LinearExpr()
+                       .add(x0, -2.0094893656203387e-05)
+                       .add(x1, 0.59844455444874312)
+                       .add(x2, -0.32502505631652245)
+                       .add(x3, 1.9837164848446979e-05)
+                       .add(x5, -9.3360697385911593e-05),
+                   Sense::kLessEqual, -3.9603819683105179);
+  p.add_constraint("c2",
+                   LinearExpr()
+                       .add(x0, 0.86625044472953716)
+                       .add(x3, 0.76470687298425988)
+                       .add(x4, 0.59340021390676867)
+                       .add(x5, -0.54634812860633186)
+                       .add(x6, 0.53614083052594652),
+                   Sense::kEqual, -38641.763061577803);
+  p.add_constraint("c3",
+                   LinearExpr()
+                       .add(x2, -1.0068878902727367)
+                       .add(x6, -3.1621650245408205e-06),
+                   Sense::kLessEqual, 9.1284524783042684);
+  p.add_constraint("d2",
+                   LinearExpr()
+                       .add(x0, 0.86625044472963486)
+                       .add(x3, 0.76470687298484463)
+                       .add(x4, 0.59340021390704789)
+                       .add(x5, -0.54634812860669724)
+                       .add(x6, 0.53614083052596084),
+                   Sense::kEqual, -38641.763061615202);
+  p.add_constraint("d1",
+                   LinearExpr()
+                       .add(x0, -2.0094893656199189e-05)
+                       .add(x1, 0.59844455444870726)
+                       .add(x2, -0.3250250563167158)
+                       .add(x3, 1.9837164848433505e-05)
+                       .add(x5, -9.336069738584917e-05),
+                   Sense::kLessEqual, -3.9603819683115478);
+  return p;
+}
+
 // Rows d2 and d1 are drifted copies of c2 and c1, so the optimal basis is
 // near-singular and refinement moves its duals by ~1e15. Under Bland's rule
 // from the first pivot, the post-solve sweep's refined duals then flag a
@@ -331,27 +389,7 @@ TEST(Simplex, DuplicateAndCancellingTermsSolveAsMergedRow) {
 // pivots nothing. The solve must still ship the refined duals that its
 // gates checked and that the reduced costs were computed from.
 TEST(Simplex, ZeroPivotResumeShipsTheCheckedDuals) {
-  auto parsed = parse_lp_format(R"(Minimize
- obj: 269386.64135952841 x0 + 1.2860611493368993e-09 x1 + 2865895246.5976706 x2 - 1.174021490475024e-13 x3 - 593217.15476275783 x4 - 5.0277105409106152e-13 x5 - 7702.5471955688845 x6
-Subject To
- c0: 0.4113938047074801 x3 + 0.81910192584759223 x4 >= -36974.904356267471
- c1: - 2.0094893656203387e-05 x0 + 0.59844455444874312 x1 - 0.32502505631652245 x2 + 1.9837164848446979e-05 x3 - 9.3360697385911593e-05 x5 <= -3.9603819683105179
- c2: 0.86625044472953716 x0 + 0.76470687298425988 x3 + 0.59340021390676867 x4 - 0.54634812860633186 x5 + 0.53614083052594652 x6 = -38641.763061577803
- c3: - 1.0068878902727367 x2 - 3.1621650245408205e-06 x6 <= 9.1284524783042684
- d2: 0.86625044472963486 x0 + 0.76470687298484463 x3 + 0.59340021390704789 x4 - 0.54634812860669724 x5 + 0.53614083052596084 x6 = -38641.763061615202
- d1: - 2.0094893656199189e-05 x0 + 0.59844455444870726 x1 - 0.3250250563167158 x2 + 1.9837164848433505e-05 x3 - 9.336069738584917e-05 x5 <= -3.9603819683115478
-Bounds
- 0 <= x0
- 0 <= x1 <= 62.85176277095011
- 0 <= x2
- 0 <= x3 <= 573540.00273006177
- -47733.673651687779 <= x4 <= 314451.86771464482
- 0 <= x5 <= 231718.00663156554
- 0 <= x6 <= 2577271.0408545686
-End
-)");
-  ASSERT_TRUE(parsed.is_ok()) << parsed.status().message();
-  const Problem p = std::move(parsed.value());
+  const Problem p = zero_pivot_resume_lp();
   SimplexOptions so;
   so.bland = true;
   const Solution sol = solve_lp(p, so);
@@ -441,31 +479,6 @@ TEST_P(SimplexRandomized, RandomTransportationFeasibleAndBounded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexRandomized, ::testing::Range(0, 25));
-
-TEST(LpIo, SanitizesAwkwardNames) {
-  Problem p(Objective::kMinimize);
-  int x = p.add_variable("2nd stage", 0.0, 1.0, 1.0);  // leading digit
-  p.add_constraint("", LinearExpr().add(x, -1.0), Sense::kGreaterEqual,
-                   -0.5);  // unnamed row, negative leading coefficient
-  const std::string text = to_lp_format(p);
-  EXPECT_NE(text.find("_2nd_stage"), std::string::npos);
-  EXPECT_NE(text.find("c0:"), std::string::npos);
-  EXPECT_NE(text.find("- "), std::string::npos);
-}
-
-TEST(LpIo, WritesReadableModel) {
-  Problem p(Objective::kMaximize);
-  int x = p.add_variable("flow rate", 0.0, 10.0, 2.5);
-  p.add_binary("pick", 1.0);
-  p.add_constraint("cap limit", LinearExpr().add(x, 1.0), Sense::kLessEqual,
-                   7.0);
-  const std::string text = to_lp_format(p);
-  EXPECT_NE(text.find("Maximize"), std::string::npos);
-  EXPECT_NE(text.find("flow_rate"), std::string::npos);
-  EXPECT_NE(text.find("cap_limit"), std::string::npos);
-  EXPECT_NE(text.find("General"), std::string::npos);
-  EXPECT_NE(text.find("End"), std::string::npos);
-}
 
 }  // namespace
 }  // namespace gridsec::lp

@@ -16,19 +16,27 @@ namespace gridsec {
 namespace {
 
 TEST(ThreadPool, WorkerStatsAccountBusyTimePerTask) {
-  ThreadPool pool(1);
+  // parallel_for enqueues one pump task per worker (a one-worker pool runs
+  // serially on the caller), so three sweeps on two workers are 6 tasks.
+  ThreadPool pool(2);
   for (int i = 0; i < 3; ++i) {
-    pool.submit([] {
+    parallel_for(&pool, 2, [](std::size_t) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     });
   }
   pool.wait_idle();
   const auto stats = pool.worker_stats();
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].tasks, 3);
-  // 3 x 5ms of sleeping inside task bodies; allow generous slack for
+  ASSERT_EQ(stats.size(), 2u);
+  std::int64_t tasks = 0;
+  std::int64_t busy_ns = 0;
+  for (const auto& s : stats) {
+    tasks += s.tasks;
+    busy_ns += s.busy_ns;
+  }
+  EXPECT_EQ(tasks, 6);
+  // 6 x 5ms of sleeping inside task bodies; allow generous slack for
   // coarse schedulers but busy time must clearly register.
-  EXPECT_GE(stats[0].busy_ns, 10'000'000);
+  EXPECT_GE(busy_ns, 20'000'000);
 }
 
 TEST(ThreadPool, WorkerStatsIncludeLiveIdleForParkedWorkers) {
@@ -53,11 +61,9 @@ TEST(ThreadPool, BusyAndIdleFlowIntoRegistryCounters) {
       registry.counter("util.threadpool.idle_ns").value();
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 4; ++i) {
-      pool.submit([] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      });
-    }
+    parallel_for(&pool, 4, [](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    });
     pool.wait_idle();
   }  // destructor joins the workers, flushing their final idle waits
   EXPECT_GE(registry.counter("util.threadpool.busy_ns").value(),
@@ -99,17 +105,6 @@ TEST(ThreadPool, WorkerStatsUnderConcurrentLoadCoverEveryWorker) {
   EXPECT_GT(total_busy, 0);
 }
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 100; ++i) {
-    futs.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
-
 TEST(ThreadPool, SizeReflectsWorkerCount) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3u);
@@ -121,19 +116,18 @@ TEST(ThreadPool, DefaultUsesHardwareConcurrency) {
 }
 
 TEST(ThreadPool, WaitIdleBlocksUntilDone) {
+  // parallel_for returns once every item ran; wait_idle also waits for the
+  // workers to finish their bookkeeping, so the task counts are final.
   ThreadPool pool(2);
   std::atomic<int> done{0};
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&done] { done.fetch_add(1); });
+  for (int sweep = 0; sweep < 8; ++sweep) {
+    parallel_for(&pool, 16, [&done](std::size_t) { done.fetch_add(1); });
   }
   pool.wait_idle();
-  EXPECT_EQ(done.load(), 16);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(1);
-  auto fut = pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(fut.get(), std::runtime_error);
+  EXPECT_EQ(done.load(), 128);
+  std::int64_t tasks = 0;
+  for (const auto& s : pool.worker_stats()) tasks += s.tasks;
+  EXPECT_EQ(tasks, 16);  // one pump task per worker per sweep
 }
 
 TEST(ParallelFor, CoversAllIndicesExactlyOnce) {

@@ -23,10 +23,10 @@
 #include <gtest/gtest.h>
 
 #include "gridsec/flow/social_welfare.hpp"
-#include "gridsec/lp/lp_io.hpp"
 #include "gridsec/lp/milp.hpp"
 #include "gridsec/lp/problem.hpp"
 #include "gridsec/lp/simplex.hpp"
+#include "gridsec/obs/audit.hpp"
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/robust/recovery.hpp"
 #include "gridsec/sim/western_us.hpp"
@@ -515,17 +515,17 @@ TEST(SolverWorkspaceTest, RecoveryLadderReuseBitIdentical) {
   std::vector<std::string> files;
   for (const auto& entry :
        std::filesystem::directory_iterator(GRIDSEC_ILLCOND_DIR)) {
-    if (entry.path().extension() == ".lp") {
+    if (entry.path().extension() == ".json") {
       files.push_back(entry.path().string());
     }
   }
   ASSERT_FALSE(files.empty());
   std::sort(files.begin(), files.end());
-  auto parsed = lp::read_lp_file(files.front());
+  auto parsed = obs::read_audit_bundle_file(files.front());
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
 
-  const lp::Solution a = robust::solve_with_recovery(parsed.value());
-  const lp::Solution b = robust::solve_with_recovery(parsed.value());
+  const lp::Solution a = robust::solve_with_recovery(parsed->problem);
+  const lp::Solution b = robust::solve_with_recovery(parsed->problem);
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.objective, b.objective);
   ASSERT_EQ(a.x.size(), b.x.size());

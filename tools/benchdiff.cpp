@@ -86,8 +86,8 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-/// True for metrics whose values are byte totals (obs.alloc.bytes,
-/// obs.alloc.peak_bytes, and any future *.bytes counter).
+/// True for metrics whose values are byte totals (obs.alloc.bytes and any
+/// other counter whose name ends in "bytes").
 bool is_byte_metric(const std::string& quantity) {
   const std::string suffix = "bytes";
   return quantity.size() >= suffix.size() &&
