@@ -102,6 +102,13 @@ struct ImpactResult {
   lp::Basis base_basis;
 };
 
+/// Computes IM as ImpactResult describes. The base model is always
+/// solved. The target re-solves do not depend on the ownership, so a sweep
+/// this thread has solved twice under the same network data, base basis
+/// and options is served from a per-thread memo instead, with
+/// bit-identical results (docs/solvers.md, "The target-sweep memo";
+/// counter cps.impact.reused_targets). The memo stands aside while a solve
+/// hook is installed, under a time limit and with warm starts off.
 StatusOr<ImpactResult> compute_impact_matrix(
     const flow::Network& net, const Ownership& ownership,
     const ImpactOptions& options = {});

@@ -79,6 +79,14 @@ AllocationResult allocate_profits(const Network& net,
                                   int num_actors,
                                   const AllocationOptions& options = {});
 
+/// Each actor's profit: out[a] sums edge_profit[e] over the edges e with
+/// owners[e] == a, in edge order. allocate_profits fills actor_profit with
+/// it, and an impact sweep rebuilds a reused target's actor row with it,
+/// so the two agree to the bit.
+std::vector<double> actor_profits(std::span<const double> edge_profit,
+                                  std::span<const int> owners,
+                                  int num_actors);
+
 /// Computes per-edge profits from an existing flow solution and price
 /// vector (shared by both allocators; exposed for tests).
 std::vector<double> edge_profits_from_prices(

@@ -114,9 +114,9 @@ class Profiler {
 };
 
 /// Process-wide allocation totals. They always accumulate (cheap
-/// per-thread increments, folded into the process totals at thread-pool
-/// task boundaries and whenever totals are read). Other threads' traffic
-/// is included as of their last flush point.
+/// per-thread increments, folded into the process totals when a
+/// parallel_for worker finishes its share and whenever totals are read).
+/// Other threads' traffic is included as of their last flush point.
 [[nodiscard]] AllocTotals alloc_totals();
 
 /// Publishes allocation totals into default_registry() as monotonic
@@ -130,8 +130,9 @@ namespace prof_detail {
 void frame_push(const char* name);
 void frame_pop();
 /// Folds the calling thread's pending allocation counts into the process
-/// totals. The thread pool calls this after every task so worker traffic
-/// is visible to alloc_totals() without per-allocation atomics.
+/// totals. Each parallel_for worker calls this before it signals its share
+/// done, so worker traffic is visible to alloc_totals() once parallel_for
+/// returns, without per-allocation atomics.
 void flush_thread_allocs() noexcept;
 }  // namespace prof_detail
 

@@ -98,7 +98,7 @@ class ThreadPool {
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
   /// Blocks until every task submitted so far has finished, including the
-  /// workers' bookkeeping after it (worker_stats, allocation flushes).
+  /// workers' bookkeeping after it (worker_stats, util.threadpool.busy_ns).
   void wait_idle();
 
   /// The scratch slot of the pool worker executing the current thread, or
@@ -140,9 +140,10 @@ class ThreadPool {
 };
 
 /// Runs fn(i) for i in [0, n), distributing chunks over `pool`. Blocks until
-/// all iterations complete. fn must be safe to call concurrently for
-/// distinct i. With a null pool, runs serially. Performs no heap allocation
-/// on the dispatch path (see the header comment).
+/// all iterations complete and every worker that ran a share has folded its
+/// allocation counts into obs::alloc_totals(). fn must be safe to call
+/// concurrently for distinct i. With a null pool, runs serially. Performs
+/// no heap allocation on the dispatch path (see the header comment).
 void parallel_for(ThreadPool* pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 

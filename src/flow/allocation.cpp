@@ -7,6 +7,20 @@
 
 namespace gridsec::flow {
 
+std::vector<double> actor_profits(std::span<const double> edge_profit,
+                                  std::span<const int> owners,
+                                  int num_actors) {
+  GRIDSEC_ASSERT(owners.size() == edge_profit.size());
+  GRIDSEC_ASSERT(num_actors > 0);
+  std::vector<double> profit(static_cast<std::size_t>(num_actors), 0.0);
+  for (std::size_t e = 0; e < owners.size(); ++e) {
+    const int a = owners[e];
+    GRIDSEC_ASSERT_MSG(a >= 0 && a < num_actors, "owner out of range");
+    profit[static_cast<std::size_t>(a)] += edge_profit[e];
+  }
+  return profit;
+}
+
 std::vector<double> edge_profits_from_prices(
     const Network& net, std::span<const double> flow,
     std::span<const double> node_price) {
@@ -132,13 +146,7 @@ AllocationResult allocate_profits(const Network& net,
 
   if (!owners.empty()) {
     GRIDSEC_ASSERT(owners.size() == static_cast<std::size_t>(net.num_edges()));
-    GRIDSEC_ASSERT(num_actors > 0);
-    out.actor_profit.assign(static_cast<std::size_t>(num_actors), 0.0);
-    for (std::size_t e = 0; e < owners.size(); ++e) {
-      const int a = owners[e];
-      GRIDSEC_ASSERT_MSG(a >= 0 && a < num_actors, "owner out of range");
-      out.actor_profit[static_cast<std::size_t>(a)] += out.edge_profit[e];
-    }
+    out.actor_profit = actor_profits(out.edge_profit, owners, num_actors);
   }
   return out;
 }

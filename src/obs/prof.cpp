@@ -75,8 +75,8 @@ std::vector<ProfileRow> flatten_profile(const Profile& profile) {
 //
 // The hot path is kept to plain TLS arithmetic, the same whether or not
 // the profiler records: per-thread counts fold into the global atomics
-// only at flush points (thread-pool task boundaries, alloc_totals() reads,
-// frame push/pop).
+// only at flush points (the end of a parallel_for worker's share,
+// alloc_totals() reads, frame push/pop).
 // ---------------------------------------------------------------------------
 
 namespace {

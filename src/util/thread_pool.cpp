@@ -20,9 +20,11 @@ int next_scratch_type_id() {
 namespace {
 
 /// Pool counters live in the default registry and are written under the
-/// pool mutex the code already holds. busy_ns/idle_ns are cumulative time:
-/// busy accrues once per completed task, idle once per condition-variable
-/// wait.
+/// pool mutex the code already holds, except tasks_completed, which a task
+/// counts itself before parallel_for's completion signal so that the count
+/// is whole when parallel_for returns. busy_ns/idle_ns are cumulative
+/// time: busy accrues once per completed task, idle once per
+/// condition-variable wait.
 struct PoolMetrics {
   obs::Counter& submitted =
       obs::default_registry().counter("util.threadpool.tasks_submitted");
@@ -130,19 +132,16 @@ void ThreadPool::worker_loop(std::size_t worker) {
       ++active_;
     }
     const std::uint64_t busy_start = mono_ns();
-    // Tasks own their error signalling (parallel_for's control block).
+    // Tasks own their error signalling and their allocation flush
+    // (parallel_for's control block).
     task.fn(task.ctx);
     const auto busy = static_cast<std::int64_t>(mono_ns() - busy_start);
-    // Fold this worker's allocation counts into the process totals at the
-    // task boundary — the hooks themselves only touch thread_locals.
-    obs::prof_detail::flush_thread_allocs();
     {
       std::lock_guard lock(mutex_);
       stats_[worker].busy_ns += busy;
       stats_[worker].tasks += 1;
       pool_metrics().busy_ns.add(busy);
       --active_;
-      pool_metrics().completed.add();
       if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
     }
   }
@@ -181,6 +180,12 @@ void parallel_for_task(void* p) {
       if (!ctl->first_error) ctl->first_error = std::current_exception();
     }
   }
+  // Count the task and fold this worker's allocation counts into the
+  // process totals before signalling (the hooks themselves only touch
+  // thread_locals), so a caller that reads them once parallel_for returns
+  // sees this share's.
+  pool_metrics().completed.add();
+  obs::prof_detail::flush_thread_allocs();
   // Signal under the mutex so the caller cannot observe pending == 0 and
   // destroy the control block while this thread still holds a reference.
   std::lock_guard lock(ctl->mutex);

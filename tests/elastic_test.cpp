@@ -55,7 +55,9 @@ TEST(LinearDemandCurve, TiersDescendAndCoverQuantity) {
   double total = 0.0;
   for (std::size_t i = 0; i < tiers.size(); ++i) {
     total += tiers[i].quantity;
-    if (i > 0) EXPECT_LT(tiers[i].price, tiers[i - 1].price);
+    if (i > 0) {
+      EXPECT_LT(tiers[i].price, tiers[i - 1].price);
+    }
   }
   EXPECT_NEAR(total, 60.0, kTol);
   EXPECT_NEAR(tiers[0].price, 87.5, kTol);   // midpoint of [100, 75]

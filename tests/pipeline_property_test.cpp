@@ -24,7 +24,7 @@ constexpr double kTol = 1e-5;
 struct Pipeline {
   flow::Network net;
   cps::Ownership own{std::vector<int>{0}, 1};
-  cps::ImpactResult impact{cps::ImpactMatrix(1, 1), {}, 0.0, 0};
+  cps::ImpactResult impact{cps::ImpactMatrix(1, 1), {}, 0.0, 0, {}};
 };
 
 Pipeline make_pipeline(std::uint64_t seed, int n_actors) {

@@ -188,7 +188,9 @@ TEST_F(ProfilerTest, SnapshotIsCallableWhileRecording) {
   // The open frame has not completed, so it contributes no count yet; the
   // call must simply not deadlock or crash.
   const ProfileNode* open = p.root.find("prof.test.still_open");
-  if (open != nullptr) EXPECT_EQ(open->count, 0);
+  if (open != nullptr) {
+    EXPECT_EQ(open->count, 0);
+  }
 }
 
 TEST_F(ProfilerTest, AllocTotalsTrackCountBytesLiveAndPeak) {
