@@ -156,8 +156,8 @@ class Harness {
   template <typename Fn>
   auto run_case(const std::string& name, Fn&& fn, int default_reps = 1,
                 int default_warmup = 0) {
-    const int reps = args_.reps > 0 ? args_.reps : default_reps;
-    const int warmup = args_.warmup >= 0 ? args_.warmup : default_warmup;
+    const int reps = reps_of(default_reps);
+    const int warmup = warmup_of(default_warmup);
     for (int i = 0; i < warmup; ++i) static_cast<void>(fn());
     // Publish heap-traffic totals so the counter deltas below include
     // obs.alloc.count/bytes for the measured reps (see obs/prof.hpp).
@@ -187,6 +187,12 @@ class Harness {
     }
   }
 
+  /// How many times run_case calls `fn` (warmup and measured reps) for
+  /// these defaults, so a case can draw one input per call beforehand.
+  [[nodiscard]] int calls(int default_reps, int default_warmup) const {
+    return reps_of(default_reps) + warmup_of(default_warmup);
+  }
+
   /// Writes the BENCH_*.json report when --json (or --profile) was given,
   /// with the profiler's call tree under --profile. Call once, after every
   /// case ran. A file that cannot be opened exits 1, as in gridsec_cli, so
@@ -211,6 +217,13 @@ class Harness {
   [[nodiscard]] const obs::RunReport& report() const { return report_; }
 
  private:
+  [[nodiscard]] int reps_of(int default_reps) const {
+    return args_.reps > 0 ? args_.reps : default_reps;
+  }
+  [[nodiscard]] int warmup_of(int default_warmup) const {
+    return args_.warmup >= 0 ? args_.warmup : default_warmup;
+  }
+
   static double elapsed_seconds(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                          t0)

@@ -69,8 +69,7 @@ lp::Problem build_social_welfare_lp(const Network& net);
 /// changes no loss keeps the Problem's rows_id, so the solver's resident A
 /// (see lp/workspace.hpp) survives a sweep of capacity and cost changes.
 ///
-/// Not thread-safe; give each worker its own model (see
-/// util::WorkerScratch::slot).
+/// Not thread-safe; give each thread its own model.
 class SocialWelfareModel {
  public:
   /// Builds or refreshes the cached LP for `net` (see class comment).

@@ -63,8 +63,8 @@ struct SimplexOptions {
   Basis warm_start;
   /// Workspace carrying all per-solve solver state (see workspace.hpp).
   /// nullptr (the default) uses the calling thread's workspace — the right
-  /// choice for every ordinary solve. Set it only when the solver state
-  /// must outlive the solve or live somewhere specific.
+  /// choice for every ordinary solve. Set it only to keep a problem's
+  /// resident A and warm checkpoint apart from the thread's.
   SolverWorkspace* workspace = nullptr;
 };
 

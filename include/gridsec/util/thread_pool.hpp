@@ -7,10 +7,11 @@
 // Hot-path allocation contract: parallel_for keeps its whole control block
 // (claim cursor, failure latch, completion latch) on the caller's stack and
 // enqueues raw function-pointer tasks, so dispatching a sweep performs no
-// heap allocation beyond the queue's amortized deque storage. Per-worker
-// solver state (solver workspaces with their warm bases) lives in the
-// worker's WorkerScratch slot — reused across every task the worker runs —
-// rather than being reallocated per trial.
+// heap allocation beyond the queue's amortized deque storage. Per-thread
+// solver state (lp::thread_solver_workspace, cps's target-sweep memo) is a
+// thread_local: a worker's lives from its first use to the pool's join,
+// reused across every task the worker runs rather than reallocated per
+// trial.
 #pragma once
 
 #include <condition_variable>
@@ -23,57 +24,6 @@
 #include <vector>
 
 namespace gridsec {
-
-namespace detail {
-int next_scratch_type_id();
-template <typename T>
-int scratch_type_id() {
-  static const int id = next_scratch_type_id();
-  return id;
-}
-}  // namespace detail
-
-/// Per-worker scratch state: lazily-created typed slots (one instance of
-/// each requested T per worker). A WorkerScratch belongs to exactly one
-/// thread; nothing here is synchronized. Pool workers own one for their
-/// lifetime; code running on a worker reaches it through
-/// ThreadPool::current_scratch().
-class WorkerScratch {
- public:
-  WorkerScratch() = default;
-  ~WorkerScratch() {
-    for (auto it = slots_.rbegin(); it != slots_.rend(); ++it) {
-      if (it->ptr != nullptr) it->destroy(it->ptr);
-    }
-  }
-
-  WorkerScratch(const WorkerScratch&) = delete;
-  WorkerScratch& operator=(const WorkerScratch&) = delete;
-
-  /// Lazily default-constructs (once per worker) and returns this worker's
-  /// instance of T — e.g. a solver workspace that then persists across all
-  /// tasks the worker runs. Destroyed with the worker.
-  template <typename T>
-  T& slot() {
-    const auto id =
-        static_cast<std::size_t>(detail::scratch_type_id<T>());
-    if (id >= slots_.size()) slots_.resize(id + 1);
-    Slot& s = slots_[id];
-    if (s.ptr == nullptr) {
-      s.ptr = new T();
-      s.destroy = [](void* p) { delete static_cast<T*>(p); };
-    }
-    return *static_cast<T*>(s.ptr);
-  }
-
- private:
-  struct Slot {
-    void* ptr = nullptr;
-    void (*destroy)(void*) = nullptr;
-  };
-
-  std::vector<Slot> slots_;
-};
 
 class ThreadPool {
  public:
@@ -100,11 +50,6 @@ class ThreadPool {
   /// Blocks until every task submitted so far has finished, including the
   /// workers' bookkeeping after it (worker_stats, util.threadpool.busy_ns).
   void wait_idle();
-
-  /// The scratch slot of the pool worker executing the current thread, or
-  /// nullptr when the calling thread is not a pool worker. Thread-local;
-  /// valid for the duration of the current task.
-  [[nodiscard]] static WorkerScratch* current_scratch();
 
   /// Snapshot of per-worker busy/idle totals, one entry per worker. The
   /// same totals flow into the util.threadpool.busy_ns / idle_ns registry

@@ -13,7 +13,6 @@
 #include "gridsec/lp/problem.hpp"
 #include "gridsec/obs/metrics.hpp"
 #include "gridsec/obs/trace.hpp"
-#include "gridsec/util/thread_pool.hpp"
 
 namespace gridsec::cps {
 
@@ -222,12 +221,9 @@ class SweepMemo {
 static_assert(sizeof(SweepMemo) + 2 * KeptSweep::kCapacity * sizeof(double) <=
               64 * 1024);
 
-/// The calling thread's memo: next to the solver workspace in a pool
-/// worker's scratch, a plain thread_local off the pool.
+/// The calling thread's memo, a thread_local like the solver workspace:
+/// made on first use, destroyed when the thread exits.
 SweepMemo& thread_sweep_memo() {
-  if (WorkerScratch* scratch = ThreadPool::current_scratch()) {
-    return scratch->slot<SweepMemo>();
-  }
   thread_local SweepMemo memo;
   return memo;
 }

@@ -18,8 +18,8 @@ namespace gridsec::lp {
 namespace {
 
 // The working Tableau and all per-solve scratch live in a SolverWorkspace
-// (see workspace.hpp / workspace_internal.hpp): spans carved from one
-// arena, re-bound per solve, zero steady-state heap traffic.
+// (see workspace.hpp / workspace_internal.hpp): capacity-reused vectors,
+// re-bound per solve, zero steady-state heap traffic.
 using detail::Tableau;
 using detail::VarState;
 using detail::WorkspaceImpl;
@@ -1003,9 +1003,7 @@ bool start_warm(const Problem& problem, Tableau& t, WorkspaceImpl& ws,
 }
 
 /// Full solve; when `final_tableau` is non-null and the solve is optimal,
-/// the final tableau *view* is copied out for post-optimal analysis — it
-/// stays valid only while `ws` remains bound (analyze_sensitivity passes
-/// a function-local workspace for exactly this reason).
+/// the final tableau is copied out for post-optimal analysis.
 Solution solve_impl_inner(const Problem& problem,
                           const SimplexOptions& options,
                           Tableau* final_tableau,
@@ -1030,8 +1028,8 @@ Solution solve_impl_inner(const Problem& problem,
     }
     if (!resident) {
       // Count slacks and the terms that bound A's nonzeros, bind the
-      // workspace to this shape (one arena rewind, spans carved;
-      // artificials allocated per row, used lazily) and build A into it.
+      // workspace to this shape (its vectors resized; artificials
+      // allocated per row, used lazily) and build A into it.
       int n_slack = 0;
       std::size_t n_terms = 0;
       for (const auto& con : problem.constraints()) {
@@ -1456,15 +1454,8 @@ constexpr double kRangeEps = 1e-11;
 SensitivityReport analyze_sensitivity(const Problem& problem,
                                       const SimplexOptions& options) {
   SensitivityReport report;
-  // The final tableau is a *view* into solver-workspace memory; ranging
-  // reads it long after the solve returns, so back it with a local
-  // workspace whose lifetime covers this whole function (the thread
-  // workspace could be re-bound underneath us by any nested solve).
-  SolverWorkspace sensitivity_ws;
-  SimplexOptions opt = options;
-  opt.workspace = &sensitivity_ws;
   Tableau t;
-  report.solution = solve_impl(problem, opt, &t);
+  report.solution = solve_impl(problem, options, &t);
   if (report.solution.status != SolveStatus::kOptimal) return report;
 
   const bool maximize = problem.objective() == Objective::kMaximize;

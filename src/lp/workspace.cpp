@@ -1,7 +1,6 @@
 #include "gridsec/lp/workspace.hpp"
 
 #include "gridsec/util/error.hpp"
-#include "gridsec/util/thread_pool.hpp"
 #include "workspace_internal.hpp"
 
 namespace gridsec::lp {
@@ -10,30 +9,27 @@ namespace detail {
 
 void WorkspaceImpl::bind(int m, int n_struct, int n_total,
                          std::size_t nnz) {
-  arena.reset();
   ++binds;
   const auto ms = static_cast<std::size_t>(m);
   const auto ns = static_cast<std::size_t>(n_total);
-
-  // Carved widest alignment first, so no padding separates the spans.
-  t.a.entries = arena.allocate_span<ColumnEntry>(nnz);
-  t.b = arena.allocate_span<double>(ms);
-  t.lower = arena.allocate_span<double>(ns);
-  t.upper = arena.allocate_span<double>(ns);
-  t.cost = arena.allocate_span<double>(ns);
-  t.x = arena.allocate_span<double>(ns);
-  y = arena.allocate_span<double>(ms);
-  w = arena.allocate_span<double>(ms);
-  xb = arena.allocate_span<double>(ms);
-  t.a.start = arena.allocate_span<int>(ns + 1);
-  t.basis = arena.allocate_span<int>(ms);
-  col_fill = arena.allocate_span<int>(static_cast<std::size_t>(n_struct));
-  slack_of_row = arena.allocate_span<int>(ms);
-  row_basic_col = arena.allocate_span<int>(ms);
-  candidates = arena.allocate_span<int>(ns + ms);
-  t.state = arena.allocate_span<VarState>(ns);
-  artificial_used = arena.allocate_span<unsigned char>(ms);
-  used_row = arena.allocate_span<unsigned char>(ms);
+  t.a.entries.resize(nnz);
+  t.a.start.resize(ns + 1);
+  t.b.resize(ms);
+  t.lower.resize(ns);
+  t.upper.resize(ns);
+  t.cost.resize(ns);
+  t.x.resize(ns);
+  t.basis.resize(ms);
+  t.state.resize(ns);
+  col_fill.resize(static_cast<std::size_t>(n_struct));
+  y.resize(ms);
+  w.resize(ms);
+  xb.resize(ms);
+  slack_of_row.resize(ms);
+  row_basic_col.resize(ms);
+  candidates.resize(ns + ms);
+  artificial_used.resize(ms);
+  used_row.resize(ms);
   warm.valid = false;
   rows_id = 0;
   t.m = m;
@@ -71,27 +67,11 @@ SolverWorkspace::SolverWorkspace()
 
 SolverWorkspace::~SolverWorkspace() = default;
 
-void SolverWorkspace::reset() {
-  GRIDSEC_ASSERT_MSG(!impl_->in_use, "reset during an active solve");
-  const std::size_t binds = impl_->binds;
-  impl_ = std::make_unique<detail::WorkspaceImpl>();
-  impl_->binds = binds;
-}
-
 SolverWorkspace::Stats SolverWorkspace::stats() const {
-  const util::Arena::Stats a = impl_->arena.stats();
-  return Stats{a.capacity, a.high_water, impl_->binds};
+  return Stats{impl_->binds};
 }
-
-util::Arena& SolverWorkspace::arena() { return impl_->arena; }
 
 SolverWorkspace& thread_solver_workspace() {
-  // On a pool worker the workspace must die with the worker (its arena may
-  // be large), so it lives in the worker's scratch slot. Off-pool threads
-  // get an ordinary thread_local.
-  if (WorkerScratch* scratch = ThreadPool::current_scratch()) {
-    return scratch->slot<SolverWorkspace>();
-  }
   thread_local SolverWorkspace ws;
   return ws;
 }

@@ -1,11 +1,10 @@
 // Internal solver-facing view of lp::SolverWorkspace (see workspace.hpp
 // for the ownership rules). The tableau and the per-solve scratch are
-// carved from the workspace arena at bind() time: the simplex works on
-// spans into one contiguous buffer, and a re-bind is an arena rewind plus
-// pointer carving — no heap traffic once the arena has grown to the
-// problem's high-water mark. A solve on the rows the workspace last built
-// skips the bind, and a warm solve whose crash it already holds skips
-// that too (WarmCheckpoint).
+// capacity-reused vectors that bind() resizes to the problem's shape — no
+// heap traffic once each has grown to the largest shape the workspace has
+// seen. A solve on the rows the workspace last built skips the bind, and
+// a warm solve whose crash it already holds skips that too
+// (WarmCheckpoint).
 #pragma once
 
 #include <cstddef>
@@ -15,23 +14,22 @@
 
 #include "gridsec/lp/basis.hpp"
 #include "gridsec/lp/workspace.hpp"
-#include "gridsec/util/arena.hpp"
 
 namespace gridsec::lp::detail {
 
 enum class VarState : unsigned char { kBasic, kAtLower, kAtUpper };
 
-/// Column-sparse (CSC) view over arena memory: the tableau's A matrix.
+/// Column-sparse (CSC) storage: the tableau's A matrix.
 /// Column j's nonzeros are entries[start[j] .. start[j+1]), rows
 /// ascending. Slack and artificial columns hold exactly one signed entry;
 /// an artificial's coefficient is 0 until its row installs it.
 struct SparseColumns {
-  std::span<int> start;            // n_total + 1
-  std::span<ColumnEntry> entries;  // nnz
+  std::vector<int> start;            // n_total + 1
+  std::vector<ColumnEntry> entries;  // nnz
 
   [[nodiscard]] std::span<const ColumnEntry> column(int j) const {
     const auto js = static_cast<std::size_t>(j);
-    return entries.subspan(
+    return std::span<const ColumnEntry>(entries).subspan(
         static_cast<std::size_t>(start[js]),
         static_cast<std::size_t>(start[js + 1] - start[js]));
   }
@@ -47,17 +45,17 @@ struct SparseColumns {
 };
 
 /// The working standard-form tableau: A x = b with per-column bounds,
-/// columns ordered [structural | slack | artificial]. All storage is
-/// arena-backed; copying a Tableau copies the *view*, not the data.
+/// columns ordered [structural | slack | artificial]. A Tableau owns its
+/// storage, so a copy outlives the workspace it was taken from.
 struct Tableau {
-  SparseColumns a;              // m x n_total
-  std::span<double> b;          // m
-  std::span<double> lower;      // n_total
-  std::span<double> upper;      // n_total
-  std::span<double> cost;       // n_total, phase-dependent
-  std::span<double> x;          // n_total, current point
-  std::span<int> basis;         // m, column basic in each row
-  std::span<VarState> state;    // n_total
+  SparseColumns a;                // m x n_total
+  std::vector<double> b;          // m
+  std::vector<double> lower;      // n_total
+  std::vector<double> upper;      // n_total
+  std::vector<double> cost;       // n_total, phase-dependent
+  std::vector<double> x;          // n_total, current point
+  std::vector<int> basis;         // m, column basic in each row
+  std::vector<VarState> state;    // n_total
   int n_struct = 0;
   int n_total = 0;
   int m = 0;
@@ -69,9 +67,8 @@ struct Tableau {
 /// those are the key, with A the workspace's resident A. The value is what
 /// the crash leaves, the LU of its basis and the dual-feasible start's
 /// reduced costs, which also depend on the phase-2 costs they sit beside.
-/// Only warm solves use it, so it lives in capacity-reused vectors sized
-/// by WorkspaceImpl::size_warm rather than in the arena every bind carves;
-/// bind() clears `valid`, since a new A is a new key.
+/// Only warm solves use it, so WorkspaceImpl::size_warm sizes it rather
+/// than every bind; bind() clears `valid`, since a new A is a new key.
 struct WarmCheckpoint {
   bool valid = false;
   Basis warm;
@@ -87,31 +84,30 @@ struct WarmCheckpoint {
   std::vector<double> d;             // n_total: reduced costs, 0 on basics
 };
 
-/// The whole per-solve state block. bind() carves every span below from
-/// the arena; the simplex fills and then mutates them in place. `factor`,
-/// `crash_work`, `alpha` and `warm` sit outside the arena but
-/// reuse their own heap capacity across binds.
+/// The whole per-solve state block. bind() sizes the tableau and the
+/// scratch vectors below; the simplex fills and then mutates them in
+/// place. Every vector here, and in `factor` and `warm`, keeps its
+/// capacity across binds.
 ///
 /// A solve binds only when its Problem's rows_id differs from `rows_id`,
 /// the id A was last built from; otherwise t.a (apart from the artificial
 /// coefficients, which every solve sets), t.b and slack_of_row are still
 /// that problem's.
 struct WorkspaceImpl {
-  util::Arena arena;
   BasisFactorization factor;
   std::vector<double> crash_work;  // warm-start crash elimination, m×k
 
   Tableau t;
 
-  std::span<int> col_fill;  // n_struct: A-builder cursor per column
-  std::span<double> y;   // simplex multipliers (pricing)
-  std::span<double> w;   // entering-column ftran image (ratio test)
-  std::span<double> xb;  // recomputed basic values; cold-start residuals
-  std::span<int> slack_of_row;    // m; -1 = equality row
-  std::span<int> row_basic_col;   // warm start: basic column chosen per row
-  std::span<int> candidates;      // warm start: crash candidate columns
-  std::span<unsigned char> artificial_used;  // m flags
-  std::span<unsigned char> used_row;         // warm start: crash row flags
+  std::vector<int> col_fill;  // n_struct: A-builder cursor per column
+  std::vector<double> y;   // simplex multipliers (pricing)
+  std::vector<double> w;   // entering-column ftran image (ratio test)
+  std::vector<double> xb;  // recomputed basic values; cold-start residuals
+  std::vector<int> slack_of_row;    // m; -1 = equality row
+  std::vector<int> row_basic_col;   // warm start: basic column chosen per row
+  std::vector<int> candidates;      // warm start: crash candidate columns
+  std::vector<unsigned char> artificial_used;  // m flags
+  std::vector<unsigned char> used_row;         // warm start: crash row flags
 
   std::vector<double> alpha;  // n_total: the dual simplex's ρᵀA_j
   WarmCheckpoint warm;
@@ -120,9 +116,9 @@ struct WorkspaceImpl {
   bool in_use = false;     // leased by a running solve
   std::size_t binds = 0;
 
-  /// Rewinds the arena and carves all of the above for an m-row problem
-  /// with n_struct structural and n_total total columns and room for
-  /// `nnz` entries of A. Forgets the resident A and the checkpoint.
+  /// Sizes the tableau and the scratch above for an m-row problem with
+  /// n_struct structural and n_total total columns and room for `nnz`
+  /// entries of A. Forgets the resident A and the checkpoint.
   void bind(int m, int n_struct, int n_total, std::size_t nnz);
   /// Sizes `alpha` and the checkpoint's vectors to the bound shape. They
   /// keep their capacity, so this allocates only when a workspace first

@@ -10,13 +10,6 @@
 
 namespace gridsec {
 
-namespace detail {
-int next_scratch_type_id() {
-  static std::atomic<int> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace detail
-
 namespace {
 
 /// Pool counters live in the default registry and are written under the
@@ -48,11 +41,7 @@ std::uint64_t mono_ns() {
           .count());
 }
 
-thread_local WorkerScratch* t_worker_scratch = nullptr;
-
 }  // namespace
-
-WorkerScratch* ThreadPool::current_scratch() { return t_worker_scratch; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -107,11 +96,6 @@ std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
 }
 
 void ThreadPool::worker_loop(std::size_t worker) {
-  // The worker's scratch (typed slots, e.g. its solver workspace)
-  // lives on this stack frame: born before the first task, destroyed only
-  // when the pool joins, reused by every task in between.
-  WorkerScratch scratch;
-  t_worker_scratch = &scratch;
   for (;;) {
     Task task;
     {
@@ -123,10 +107,7 @@ void ThreadPool::worker_loop(std::size_t worker) {
       const auto idle = static_cast<std::int64_t>(mono_ns() - wait_start);
       stats_[worker].idle_ns += idle;
       pool_metrics().idle_ns.add(idle);
-      if (stop_ && queue_.empty()) {
-        t_worker_scratch = nullptr;
-        return;
-      }
+      if (stop_ && queue_.empty()) return;
       task = queue_.front();
       queue_.pop_front();
       ++active_;

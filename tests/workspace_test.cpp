@@ -1,22 +1,25 @@
-// Tests for the allocation-free hot path: util::Arena (bump allocation,
-// high-water recycling, GRIDSEC_ARENA_POISON), lp::SolverWorkspace
-// (solve → reset → solve bit-identical reuse across the simplex, MILP
-// branch-and-bound, and the numerical-recovery ladder; a nested lease
-// asserts), the resident A and the warm checkpoint (what invalidates
-// them, and bit-identical answers against fresh workspaces), and
-// per-worker workspace isolation on the thread pool.
+// Tests for the allocation-free hot path: lp::SolverWorkspace (reuse
+// across problem shapes bit-identical to a fresh workspace across the
+// simplex, MILP branch-and-bound, and the numerical-recovery ladder;
+// steady-state binds allocate nothing; a nested lease asserts), the
+// resident A and the warm checkpoint (what invalidates them, and
+// bit-identical answers against fresh workspaces), and per-worker
+// workspace isolation on the thread pool.
 //
 // The WorkspaceConcurrency suite runs under TSan in CI: thread-pool
-// workers each own a scratch-slot workspace, and concurrent solves must
+// workers each own a thread_local workspace, and concurrent solves must
 // never share one.
 #include "gridsec/lp/workspace.hpp"
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
+#include <map>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -28,9 +31,9 @@
 #include "gridsec/lp/simplex.hpp"
 #include "gridsec/obs/audit.hpp"
 #include "gridsec/obs/metrics.hpp"
+#include "gridsec/obs/prof.hpp"
 #include "gridsec/robust/recovery.hpp"
 #include "gridsec/sim/western_us.hpp"
-#include "gridsec/util/arena.hpp"
 #include "gridsec/util/thread_pool.hpp"
 #include "lp/workspace_internal.hpp"
 
@@ -38,171 +41,12 @@
 #define GRIDSEC_ILLCOND_DIR "tests/data/illcond"
 #endif
 
-#if defined(__SANITIZE_ADDRESS__)
-#define GRIDSEC_TEST_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define GRIDSEC_TEST_ASAN 1
-#endif
-#endif
-
 namespace gridsec {
 namespace {
 
-// Arm the poison mode before main() — the flag is read once per process,
-// on the first arena operation, so a static initializer is early enough.
-const bool g_poison_armed = [] {
-#ifdef _WIN32
-  _putenv_s("GRIDSEC_ARENA_POISON", "1");
-#else
-  setenv("GRIDSEC_ARENA_POISON", "1", 1);
-#endif
-  return true;
-}();
-
 // ---------------------------------------------------------------------------
-// Arena
-
-TEST(ArenaTest, BumpAllocationAndAlignment) {
-  util::Arena arena;
-  auto* a = arena.allocate(3, 1);
-  auto* b = arena.allocate(8, 8);
-  auto* c = arena.allocate(64, 64);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 64, 0u);
-  const auto s = arena.stats();
-  EXPECT_GE(s.used, 3u + 8u + 64u);
-  EXPECT_GE(s.capacity, s.used);
-}
-
-TEST(ArenaTest, ResetConsolidatesToOneHighWaterBlock) {
-  util::Arena arena;
-  // Force several growth blocks.
-  for (int i = 0; i < 40; ++i) arena.allocate(1024);
-  const auto grown = arena.stats();
-  EXPECT_GE(grown.blocks, 2u);
-  EXPECT_EQ(grown.high_water, grown.used);
-
-  arena.reset();
-  const auto recycled = arena.stats();
-  EXPECT_EQ(recycled.blocks, 1u);
-  EXPECT_EQ(recycled.used, 0u);
-  EXPECT_GE(recycled.capacity, grown.high_water);
-
-  // Steady state: the same allocation pattern fits the one block — no new
-  // heap blocks, ever again.
-  const std::size_t block_allocs = recycled.block_allocations;
-  for (int cycle = 0; cycle < 3; ++cycle) {
-    for (int i = 0; i < 40; ++i) arena.allocate(1024);
-    arena.reset();
-  }
-  const auto steady = arena.stats();
-  EXPECT_EQ(steady.block_allocations, block_allocs);
-  EXPECT_EQ(steady.blocks, 1u);
-}
-
-// A first cycle that spills into a second block skips the alignment
-// padding at the first block's end; the consolidated block must still
-// hold a contiguous replay of the cycle, padding included, so the arena
-// settles into rewinding one block instead of re-growing on every reset.
-TEST(ArenaTest, ResetConvergesWhenPaddingStraddlesBlocks) {
-  using Cycle = void (*)(util::Arena&);
-  const Cycle cycles[] = {
-      // 4093 bytes, then a double: a contiguous replay needs 4104 bytes.
-      [](util::Arena& a) {
-        a.allocate_span<unsigned char>(4093);
-        a.allocate_span<double>(1);
-      },
-      // The same straddle when GRIDSEC_ARENA_POISON rounds sizes to 8.
-      [](util::Arena& a) {
-        a.allocate_span<unsigned char>(4088);
-        a.allocate(8, 16);
-      },
-      // An over-aligned request past the block alignment.
-      [](util::Arena& a) {
-        a.allocate_span<unsigned char>(4000);
-        a.allocate(64, 64);
-      },
-  };
-  for (const Cycle cycle : cycles) {
-    util::Arena arena;
-    arena.reset();
-    cycle(arena);
-    arena.reset();
-    cycle(arena);
-    const std::size_t settled = arena.stats().block_allocations;
-    for (int i = 0; i < 4; ++i) {
-      arena.reset();
-      cycle(arena);
-    }
-    const auto s = arena.stats();
-    EXPECT_EQ(s.block_allocations, settled);
-    EXPECT_EQ(s.blocks, 1u);
-    EXPECT_GE(s.capacity, s.high_water);
-  }
-}
-
-TEST(ArenaTest, ReleaseDropsAllCapacity) {
-  util::Arena arena;
-  arena.allocate(4096);
-  arena.release();
-  const auto s = arena.stats();
-  EXPECT_EQ(s.capacity, 0u);
-  EXPECT_EQ(s.blocks, 0u);
-  // And the arena is reusable afterwards.
-  EXPECT_NE(arena.allocate(16), nullptr);
-}
-
-TEST(ArenaTest, AllocateSpanCarvesTypedElements) {
-  util::Arena arena;
-  auto ints = arena.allocate_span<int>(100);
-  ASSERT_EQ(ints.size(), 100u);
-  for (std::size_t i = 0; i < ints.size(); ++i) {
-    ints[i] = static_cast<int>(i);
-  }
-  auto doubles = arena.allocate_span<double>(50);
-  ASSERT_EQ(doubles.size(), 50u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(doubles.data()) %
-                alignof(double),
-            0u);
-  // The int span is untouched by the later carve.
-  for (std::size_t i = 0; i < ints.size(); ++i) {
-    EXPECT_EQ(ints[i], static_cast<int>(i));
-  }
-  EXPECT_TRUE(arena.allocate_span<char>(0).empty());
-}
-
-TEST(ArenaTest, ArenaAllocatorBacksStlContainers) {
-  util::Arena arena;
-  std::vector<int, util::ArenaAllocator<int>> v{
-      util::ArenaAllocator<int>(arena)};
-  for (int i = 0; i < 1000; ++i) v.push_back(i);
-  EXPECT_EQ(v[999], 999);
-  EXPECT_GE(arena.stats().used, 1000u * sizeof(int));
-}
-
-TEST(ArenaTest, PoisonModeFillsRecycledMemory) {
-  ASSERT_TRUE(g_poison_armed);
-  ASSERT_TRUE(util::Arena::poison_enabled());
-  util::Arena arena;
-  auto span = arena.allocate_span<unsigned char>(64);
-  std::memset(span.data(), 0xFF, span.size());
-  arena.reset();
-#ifndef GRIDSEC_TEST_ASAN
-  // Without ASan the recycled bytes are readable and must carry the 0xA5
-  // fill; under ASan the region is poisoned and reading it would (rightly)
-  // abort, which is the stronger version of this assertion.
-  auto again = arena.allocate_span<unsigned char>(64);
-  for (const unsigned char b : again) {
-    ASSERT_EQ(b, 0xA5);
-  }
-#endif
-}
-
-// ---------------------------------------------------------------------------
-// Workspace reuse: solve → reset → solve must be bit-identical to a fresh
-// workspace (the determinism contract of the arena refactor).
+// Workspace reuse: a workspace that solved a problem of another shape must
+// answer bit for bit as a fresh workspace does.
 
 // Dense-enough LP to force a non-trivial pivot sequence.
 lp::Problem pivoty_lp() {
@@ -222,6 +66,35 @@ lp::Problem pivoty_lp() {
                      i % 2 == 0 ? 20.0 + i : -5.0 - i);
   }
   return p;
+}
+
+// A larger LP with an equality row: solved first, it leaves a workspace's
+// vectors sized, and filled, for another shape.
+lp::Problem other_shape_lp() {
+  lp::Problem p(lp::Objective::kMaximize);
+  for (int j = 0; j < 12; ++j) {
+    p.add_variable("z", 0.0, 5.0, 1.0 + 0.5 * (j % 4));
+  }
+  for (int i = 0; i < 8; ++i) {
+    lp::LinearExpr row;
+    for (int j = 0; j < 12; ++j) row.add(j, ((i * j) % 5) + 0.5);
+    p.add_constraint("c", std::move(row), lp::Sense::kLessEqual,
+                     40.0 + 3.0 * i);
+  }
+  lp::LinearExpr balance;
+  balance.add(0, 1.0);
+  balance.add(1, 1.0);
+  balance.add(2, -1.0);
+  p.add_constraint("balance", std::move(balance), lp::Sense::kEqual, 1.0);
+  return p;
+}
+
+/// Solves other_shape_lp() on `ws`.
+void solve_other_shape(lp::SolverWorkspace& ws) {
+  lp::SimplexOptions opt;
+  opt.workspace = &ws;
+  ASSERT_EQ(lp::solve_lp(other_shape_lp(), opt).status,
+            lp::SolveStatus::kOptimal);
 }
 
 void expect_bit_identical(const lp::Solution& a, const lp::Solution& b) {
@@ -253,13 +126,13 @@ TEST(SolverWorkspaceTest, SolveResetSolveBitIdenticalToFreshWorkspace) {
   lp::SolverWorkspace reused;
   opt.workspace = &reused;
   const lp::Solution first = lp::solve_lp(p, opt);
-  reused.reset();
-  const lp::Solution after_reset = lp::solve_lp(p, opt);
-  const lp::Solution warm_reuse = lp::solve_lp(p, opt);  // no reset at all
+  solve_other_shape(reused);
+  const lp::Solution after_other = lp::solve_lp(p, opt);  // rebinds
+  const lp::Solution resident = lp::solve_lp(p, opt);     // no rebind
 
   expect_bit_identical(reference, first);
-  expect_bit_identical(reference, after_reset);
-  expect_bit_identical(reference, warm_reuse);
+  expect_bit_identical(reference, after_other);
+  expect_bit_identical(reference, resident);
 }
 
 // The counters that trace a solve's pivot path. Equal per-solve deltas on
@@ -297,46 +170,87 @@ TEST(SolverWorkspaceTest, PivotPathIdenticalAcrossReuse) {
 
   lp::SolverWorkspace reused;
   (void)run(&reused);
-  reused.reset();
+  solve_other_shape(reused);
   const auto [replay, replay_delta] = run(&reused);
 
   expect_bit_identical(reference, replay);
   EXPECT_EQ(reference_delta, replay_delta);
 }
 
-TEST(SolverWorkspaceTest, SteadyStateBindsWithoutGrowingTheArena) {
+#ifndef GRIDSEC_NO_OBS
+/// The first node named `name` under `node`, depth first; a copy, so it
+/// outlives the profile it was found in.
+obs::ProfileNode find_phase(const obs::ProfileNode& node,
+                            const std::string& name) {
+  if (node.name == name) return node;
+  for (const obs::ProfileNode& child : node.children) {
+    obs::ProfileNode found = find_phase(child, name);
+    if (found.name == name) return found;
+  }
+  return {};
+}
+#endif
+
+TEST(SolverWorkspaceTest, SteadyStateBindsAllocateNothing) {
   // A workspace binds only for a rows_id it did not build A from: bound
-  // and cost changes re-solve on the resident A, a changed row rebinds,
-  // and once the arena has seen the shape no bind grows it.
+  // and cost changes re-solve on the resident A and a changed row
+  // rebinds. Once it has bound two shapes, binds that alternate between
+  // them allocate nothing.
   lp::Problem p = pivoty_lp();
   lp::SolverWorkspace ws;
   lp::SimplexOptions opt;
   opt.workspace = &ws;
-  const auto solve = [&] {
-    ASSERT_EQ(lp::solve_lp(p, opt).status, lp::SolveStatus::kOptimal);
+  const auto solve = [&opt](const lp::Problem& problem) {
+    ASSERT_EQ(lp::solve_lp(problem, opt).status, lp::SolveStatus::kOptimal);
   };
 
-  solve();
+  solve(p);
   EXPECT_EQ(ws.stats().binds, 1u);
   p.set_rhs(0, p.constraint(0).rhs + 1.0);
-  solve();
-  const auto warm = ws.stats();
-  EXPECT_EQ(warm.binds, 2u);
+  solve(p);
+  const std::size_t warm = ws.stats().binds;
+  EXPECT_EQ(warm, 2u);
   for (int i = 0; i < 5; ++i) {
     p.set_bounds(1, 0.0, 4.0 + i);
     p.set_objective_coef(2, 1.0 + 0.5 * i);
-    solve();
+    solve(p);
   }
-  EXPECT_EQ(ws.stats().binds, warm.binds);
+  EXPECT_EQ(ws.stats().binds, warm);
   for (int i = 0; i < 5; ++i) {
     p.set_rhs(0, p.constraint(0).rhs + 1.0);
-    solve();
+    solve(p);
   }
-  const auto steady = ws.stats();
-  EXPECT_EQ(steady.binds, warm.binds + 5);
-  // The arena stopped growing once it saw the problem shape.
-  EXPECT_EQ(steady.arena_capacity, warm.arena_capacity);
-  EXPECT_EQ(steady.arena_high_water, warm.arena_high_water);
+  EXPECT_EQ(ws.stats().binds, warm + 5);
+
+#ifdef GRIDSEC_NO_OBS
+  GTEST_SKIP() << "allocation accounting is compiled out";
+#else
+  const lp::Problem other = other_shape_lp();
+  solve(other);
+  obs::Profiler::stop();
+  obs::Profiler::reset();
+  obs::Profiler::start();
+  // The profiler's first frames of a phase allocate its tree nodes, so
+  // one alternation runs before the count is read.
+  solve(p);
+  solve(other);
+  const obs::ProfileNode before =
+      find_phase(obs::Profiler::snapshot().root, "lp.simplex.setup");
+  const std::size_t binds = ws.stats().binds;
+  for (int i = 0; i < 4; ++i) {
+    solve(p);
+    solve(other);
+  }
+  const obs::ProfileNode after =
+      find_phase(obs::Profiler::snapshot().root, "lp.simplex.setup");
+  obs::Profiler::stop();
+  obs::Profiler::reset();
+  EXPECT_EQ(ws.stats().binds, binds + 8);
+  EXPECT_EQ(after.count - before.count, 8);
+  // Validation allocates only on error, and each bind resizes within the
+  // capacity the two shapes left.
+  EXPECT_EQ(after.alloc_count - before.alloc_count, 0);
+#endif
 }
 
 TEST(SolverWorkspaceTest, RowChangesInvalidateResidentA) {
@@ -489,14 +403,15 @@ TEST(SolverWorkspaceTest, MilpReuseBitIdenticalAcrossReset) {
   p.add_constraint("capacity", std::move(knap), lp::Sense::kLessEqual, 7.5);
 
   lp::BranchAndBoundOptions options;
-  lp::SolverWorkspace ws;
-  options.lp_options.workspace = &ws;
-
+  lp::SolverWorkspace fresh;
+  options.lp_options.workspace = &fresh;
   const lp::Solution reference = lp::BranchAndBoundSolver(options).solve(p);
   ASSERT_EQ(reference.status, lp::SolveStatus::kOptimal);
   ASSERT_GT(reference.bnb.lp_solves, 1);
 
-  ws.reset();
+  lp::SolverWorkspace reused;
+  solve_other_shape(reused);
+  options.lp_options.workspace = &reused;
   const lp::Solution replay = lp::BranchAndBoundSolver(options).solve(p);
   ASSERT_EQ(replay.status, lp::SolveStatus::kOptimal);
   EXPECT_EQ(reference.objective, replay.objective);
@@ -562,13 +477,43 @@ TEST(WorkspaceConcurrency, PoolWorkersSolveOnPrivateWorkspaces) {
   ThreadPool pool(4);
   std::vector<lp::Solution> results(64);
   parallel_for(&pool, results.size(), [&](std::size_t i) {
-    // Workers resolve thread_solver_workspace() to their scratch slot;
-    // the off-pool caller (serial fallback) uses its thread_local.
+    // Each worker solves on its own thread_solver_workspace().
     results[i] = lp::solve_lp(p);
   });
   for (const lp::Solution& sol : results) {
     expect_bit_identical(reference, sol);
   }
+}
+
+TEST(WorkspaceConcurrency, EachPoolWorkerKeepsOneThreadWorkspace) {
+  // A worker's thread_solver_workspace() is the same object in every
+  // parallel_for it serves, and another worker's is another object.
+  constexpr std::size_t kWorkers = 4;
+  ThreadPool pool(kWorkers);
+  const auto workspace_per_thread = [&pool] {
+    std::mutex mutex;
+    std::condition_variable arrived;
+    std::map<std::thread::id, const lp::SolverWorkspace*> seen;
+    parallel_for(&pool, 4 * kWorkers, [&](std::size_t i) {
+      std::unique_lock lock(mutex);
+      seen.emplace(std::this_thread::get_id(),
+                   &lp::thread_solver_workspace());
+      // The first kWorkers items land one per worker (each worker's task
+      // blocks in its first item here), so every worker takes part.
+      if (i < kWorkers) {
+        arrived.notify_all();
+        arrived.wait(lock, [&seen] { return seen.size() == kWorkers; });
+      }
+    });
+    return seen;
+  };
+  const auto first = workspace_per_thread();
+  const auto second = workspace_per_thread();
+  ASSERT_EQ(first.size(), kWorkers);
+  EXPECT_EQ(first, second);
+  std::set<const lp::SolverWorkspace*> distinct;
+  for (const auto& [thread, ws] : first) distinct.insert(ws);
+  EXPECT_EQ(distinct.size(), kWorkers);
 }
 
 TEST(WorkspaceConcurrency, WarmSweepsOnPoolWorkersMatchFreshWorkspaces) {
@@ -621,8 +566,8 @@ TEST(WorkspaceConcurrency, ExplicitWorkspacesSolveConcurrently) {
     lp::SimplexOptions opt;
     opt.workspace = &workspaces[i];
     for (int rep = 0; rep < 4; ++rep) {
+      solve_other_shape(workspaces[i]);
       results[i] = lp::solve_lp(p, opt);
-      workspaces[i].reset();
     }
   });
   for (const lp::Solution& sol : results) {
