@@ -44,11 +44,12 @@ struct AllocationOptions {
   lp::Basis warm_start;
   /// Optional shared welfare model: when set, the base welfare solve
   /// refreshes this model in place instead of rebuilding the LP (identical
-  /// results; see SocialWelfareModel). Sweep loops that call
-  /// allocate_profits per scenario on one topology point this at a model
-  /// that outlives the loop. The perturbation allocator's probe solves
-  /// never touch it (each probe is a different topology). Not owned; the
-  /// caller keeps it alive and does not share it across threads.
+  /// results; see SocialWelfareModel), and solves into its scratch. Sweep
+  /// loops that call allocate_profits per scenario on one topology point
+  /// this at a model that outlives the loop. The perturbation allocator's
+  /// probe solves never touch it (each probe is a different topology). Not
+  /// owned; the caller keeps it alive and does not share it across
+  /// threads.
   SocialWelfareModel* model = nullptr;
 };
 
@@ -79,6 +80,16 @@ AllocationResult allocate_profits(const Network& net,
                                   int num_actors,
                                   const AllocationOptions& options = {});
 
+/// The same division into the caller's `out`: every field is reset first
+/// and its vectors keep their capacity, so a sweep that divides into one
+/// result stops allocating them once they have grown. Both allocators
+/// divide a base welfare solve made on options.model (or on a model made
+/// for the call) into its scratch. The value form returns what this
+/// writes.
+void allocate_profits(const Network& net, std::span<const int> owners,
+                      int num_actors, const AllocationOptions& options,
+                      AllocationResult& out);
+
 /// Each actor's profit: out[a] sums edge_profit[e] over the edges e with
 /// owners[e] == a, in edge order. allocate_profits fills actor_profit with
 /// it, and an impact sweep rebuilds a reused target's actor row with it,
@@ -86,12 +97,22 @@ AllocationResult allocate_profits(const Network& net,
 std::vector<double> actor_profits(std::span<const double> edge_profit,
                                   std::span<const int> owners,
                                   int num_actors);
+/// The same into `out`, reusing its capacity.
+void actor_profits(std::span<const double> edge_profit,
+                   std::span<const int> owners, int num_actors,
+                   std::vector<double>& out);
 
 /// Computes per-edge profits from an existing flow solution and price
 /// vector (shared by both allocators; exposed for tests).
 std::vector<double> edge_profits_from_prices(
     const Network& net, std::span<const double> flow,
     std::span<const double> node_price);
+/// The same into `out`, reusing its capacity, with each edge's endpoint
+/// prices read through `layout` (of `net`).
+void edge_profits_from_prices(const Network& net, const WelfareLayout& layout,
+                              std::span<const double> flow,
+                              std::span<const double> node_price,
+                              std::vector<double>& out);
 
 /// Numerically estimates hub prices by free-injection probing (the
 /// perturbation allocator's core). Returns one λ per node (0 at terminals).

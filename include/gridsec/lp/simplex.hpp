@@ -95,6 +95,14 @@ Solution solve_lp(const Problem& problem);
 /// the form hot loops (B&B nodes, recovery rungs, model re-solves) use.
 Solution solve_lp(const Problem& problem, const SimplexOptions& options);
 
+/// The same solve into the caller's `out`: every field is reset first and
+/// its vectors keep their capacity, so a loop that re-solves into one
+/// Solution stops allocating them once they have grown. Every other solve
+/// entry point returns what this writes. A non-optimal result has empty
+/// x, duals, reduced_costs and basis.
+void solve_lp(const Problem& problem, const SimplexOptions& options,
+              Solution& out);
+
 /// A closed interval; ±infinity for unbounded sides.
 struct SensitivityRange {
   double lo = -kInfinity;

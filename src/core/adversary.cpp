@@ -210,8 +210,8 @@ AttackPlan StrategicAdversary::plan_milp(const cps::ImpactMatrix& im) const {
   // T(i): attack target i (Eq 9). Objective carries -Catk(i).
   std::vector<int> tvar(static_cast<std::size_t>(nt));
   for (int i = 0; i < nt; ++i) {
-    tvar[static_cast<std::size_t>(i)] =
-        p.add_binary("T" + std::to_string(i), -cost_of(config_, i));
+    tvar[static_cast<std::size_t>(i)] = p.add_binary(
+        std::string("T").append(std::to_string(i)), -cost_of(config_, i));
   }
   // A(j) as a continuous gate in [0,1] (integrality is implied; see header)
   // and u_j = the SA's take from actor j's swing.
@@ -226,10 +226,10 @@ AttackPlan StrategicAdversary::plan_milp(const cps::ImpactMatrix& im) const {
       if (c < 0.0) b_neg += -c;
     }
     avar[static_cast<std::size_t>(j)] =
-        p.add_binary("A" + std::to_string(j), 0.0);
+        p.add_binary(std::string("A").append(std::to_string(j)), 0.0);
     uvar[static_cast<std::size_t>(j)] =
-        p.add_variable("u" + std::to_string(j), 0.0, std::max(b_pos, 0.0),
-                       1.0);
+        p.add_variable(std::string("u").append(std::to_string(j)), 0.0,
+                       std::max(b_pos, 0.0), 1.0);
     // u_j <= B_j * A_j.
     p.add_constraint("gate" + std::to_string(j),
                      lp::LinearExpr()

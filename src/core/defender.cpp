@@ -97,7 +97,7 @@ DefensePlan defend_individual(
       baseline += exposure;
       // Defending removes the exposure and incurs the cost:
       // coefficient of D(t) in Eq 12 is (-exposure - Cd(t)).
-      dvar.push_back(p.add_binary("D" + std::to_string(t),
+      dvar.push_back(p.add_binary(std::string("D").append(std::to_string(t)),
                                   -exposure - config.defense_cost[ts]));
       budget_row.add(dvar.back(), config.defense_cost[ts]);
     }
@@ -172,9 +172,8 @@ DefensePlan defend_collaborative(
                   ps_of(config, t) * im.at(j, t);
     }
     baseline += exposure;
-    dvar[ts] = p.add_binary(
-        "D" + std::to_string(t),
-        -exposure - config.defense_cost[ts]);
+    dvar[ts] = p.add_binary(std::string("D").append(std::to_string(t)),
+                            -exposure - config.defense_cost[ts]);
   }
   // Per-actor budgets on the cost shares (Eq 18).
   for (int a = 0; a < na; ++a) {

@@ -366,8 +366,12 @@ StatusOr<ImpactResult> compute_impact_matrix(const flow::Network& net,
 
   // One scratch network reused across targets: apply the attack, solve,
   // then restore the edge — instead of deep-copying the whole network per
-  // target. A fully served sweep never copies it.
+  // target. A fully served sweep never copies it. Each target divides into
+  // the one `after` (and a served one sums its actor row into `served`),
+  // whose vectors keep their capacity from target to target.
   std::optional<flow::Network> scratch;
+  flow::AllocationResult after;
+  std::vector<double> served;
   std::size_t cursor = 0;
   bool clean = true;
   GRIDSEC_TRACE_SPAN("cps.impact.target_solves");
@@ -376,22 +380,23 @@ StatusOr<ImpactResult> compute_impact_matrix(const flow::Network& net,
     if (kept != nullptr) {
       if (const double* record = kept->record(t, &cursor)) {
         c_reused.add();
-        set_column(t, record[0],
-                   flow::actor_profits(
-                       {record + 1, static_cast<std::size_t>(n_targets)},
-                       ownership.owners(), n_actors));
+        flow::actor_profits({record + 1, static_cast<std::size_t>(n_targets)},
+                            ownership.owners(), n_actors, served);
+        set_column(t, record[0], served);
         continue;
       }
     }
     if (!scratch) scratch.emplace(net);
-    const flow::Edge saved = scratch->edge(t);
+    const double capacity = scratch->edge(t).capacity;
+    const double cost = scratch->edge(t).cost;
+    const double loss = scratch->edge(t).loss;
     apply_attack(*scratch,
                  {t, options.attack_type, options.attack_magnitude});
-    flow::AllocationResult after =
-        flow::allocate_profits(*scratch, ownership.owners(), n_actors, alloc);
-    scratch->set_capacity(t, saved.capacity);
-    scratch->set_cost(t, saved.cost);
-    scratch->set_loss(t, saved.loss);
+    flow::allocate_profits(*scratch, ownership.owners(), n_actors, alloc,
+                           after);
+    scratch->set_capacity(t, capacity);
+    scratch->set_cost(t, cost);
+    scratch->set_loss(t, loss);
     if (!after.optimal()) {
       ++out.failed_targets;
       clean = false;

@@ -101,13 +101,14 @@ LayeredDefensePlan defend_layered(const ImpactMatrix& im,
       for (int j = 1; j <= config.max_layers_per_target; ++j) {
         const double avoided =
             pa[ts] * harm * ps_now * std::pow(decay, j - 1) * (1.0 - decay);
-        const int u = p.add_binary(
-            "u" + std::to_string(t) + "_" + std::to_string(j),
-            avoided - config.layer_cost);
+        const std::string layer =
+            std::to_string(t).append("_").append(std::to_string(j));
+        const int u = p.add_binary(std::string("u").append(layer),
+                                   avoided - config.layer_cost);
         budget_row.add(u, config.layer_cost);
         // Ordering: the j-th layer only after the (j-1)-th.
         if (prev >= 0) {
-          p.add_constraint("ord" + std::to_string(t) + "_" + std::to_string(j),
+          p.add_constraint(std::string("ord").append(layer),
                            lp::LinearExpr().add(u, 1.0).add(prev, -1.0),
                            lp::Sense::kLessEqual, 0.0);
         }

@@ -2,48 +2,80 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "gridsec/obs/trace.hpp"
 
 namespace gridsec::flow {
 
-std::vector<double> actor_profits(std::span<const double> edge_profit,
-                                  std::span<const int> owners,
-                                  int num_actors) {
+namespace {
+
+void reset(AllocationResult& out) {
+  out.status = AllocationResult{}.status;
+  out.welfare = 0.0;
+  out.flow.clear();
+  out.node_price.clear();
+  out.edge_profit.clear();
+  out.actor_profit.clear();
+  out.basis.variables.clear();
+  out.basis.rows.clear();
+  out.recovered = false;
+}
+
+}  // namespace
+
+void actor_profits(std::span<const double> edge_profit,
+                   std::span<const int> owners, int num_actors,
+                   std::vector<double>& out) {
   GRIDSEC_ASSERT(owners.size() == edge_profit.size());
   GRIDSEC_ASSERT(num_actors > 0);
-  std::vector<double> profit(static_cast<std::size_t>(num_actors), 0.0);
+  out.assign(static_cast<std::size_t>(num_actors), 0.0);
   for (std::size_t e = 0; e < owners.size(); ++e) {
     const int a = owners[e];
     GRIDSEC_ASSERT_MSG(a >= 0 && a < num_actors, "owner out of range");
-    profit[static_cast<std::size_t>(a)] += edge_profit[e];
+    out[static_cast<std::size_t>(a)] += edge_profit[e];
   }
+}
+
+std::vector<double> actor_profits(std::span<const double> edge_profit,
+                                  std::span<const int> owners,
+                                  int num_actors) {
+  std::vector<double> profit;
+  actor_profits(edge_profit, owners, num_actors, profit);
   return profit;
 }
 
-std::vector<double> edge_profits_from_prices(
-    const Network& net, std::span<const double> flow,
-    std::span<const double> node_price) {
+void edge_profits_from_prices(const Network& net, const WelfareLayout& layout,
+                              std::span<const double> flow,
+                              std::span<const double> node_price,
+                              std::vector<double>& out) {
   GRIDSEC_ASSERT(flow.size() == static_cast<std::size_t>(net.num_edges()));
   GRIDSEC_ASSERT(node_price.size() ==
                  static_cast<std::size_t>(net.num_nodes()));
-  std::vector<double> profit(flow.size(), 0.0);
+  GRIDSEC_ASSERT(layout.from_hub.size() == flow.size());
+  out.assign(flow.size(), 0.0);
+  const auto price_at = [&node_price](NodeId hub) {
+    return hub >= 0 ? node_price[static_cast<std::size_t>(hub)] : 0.0;
+  };
   for (int e = 0; e < net.num_edges(); ++e) {
     const Edge& edge = net.edge(e);
     const auto es = static_cast<std::size_t>(e);
     const double f = flow[es];
     if (f <= 0.0) continue;
-    const double price_to =
-        net.node(edge.to).kind == NodeKind::kHub
-            ? node_price[static_cast<std::size_t>(edge.to)]
-            : 0.0;
-    const double price_from =
-        net.node(edge.from).kind == NodeKind::kHub
-            ? node_price[static_cast<std::size_t>(edge.from)]
-            : 0.0;
-    profit[es] =
+    const double price_to = price_at(layout.to_hub[es]);
+    const double price_from = price_at(layout.from_hub[es]);
+    out[es] =
         price_to * f - price_from * f / (1.0 - edge.loss) - edge.cost * f;
   }
+}
+
+std::vector<double> edge_profits_from_prices(
+    const Network& net, std::span<const double> flow,
+    std::span<const double> node_price) {
+  WelfareLayout layout;
+  layout.build(net);
+  std::vector<double> profit;
+  edge_profits_from_prices(net, layout, flow, node_price, profit);
   return profit;
 }
 
@@ -66,6 +98,12 @@ StatusOr<std::vector<double>> probe_node_prices(
   mean_flow = positive ? mean_flow / positive : 1.0;
   const double delta = std::max(1e-6, probe_fraction * mean_flow);
 
+  // The probe LP is the base LP plus one column (the injection edge adds
+  // a variable but no hub row), so the base basis warm-starts it: a warm
+  // basis may cover a prefix of the columns.
+  SocialWelfareOptions probe_options = options;
+  probe_options.simplex.warm_start = base.basis;
+  FlowSolution sol;
   std::vector<double> price(static_cast<std::size_t>(net.num_nodes()), 0.0);
   for (int n = 0; n < net.num_nodes(); ++n) {
     if (net.node(n).kind != NodeKind::kHub) continue;
@@ -73,14 +111,9 @@ StatusOr<std::vector<double>> probe_node_prices(
     // Free injection of `delta` at hub n: a zero-cost supply edge. The
     // welfare gain per unit is the price of energy at that hub — the
     // paper's "price of the alternative" at that point in the system.
-    // The probe LP is the base LP plus one column (the injection edge
-    // adds a variable but no hub row), so the base basis warm-starts it:
-    // a warm basis may cover a prefix of the columns.
     Network probe = net;
     probe.add_supply("probe.injection", n, delta, 0.0);
-    SocialWelfareOptions probe_options = options;
-    probe_options.simplex.warm_start = base.basis;
-    FlowSolution sol = solve_social_welfare(probe, probe_options);
+    solve_social_welfare(probe, probe_options, sol);
     if (!sol.optimal()) {
       return Status::internal("probe_node_prices: probe LP failed at hub " +
                               net.node(n).name);
@@ -94,8 +127,16 @@ AllocationResult allocate_profits(const Network& net,
                                   std::span<const int> owners,
                                   int num_actors,
                                   const AllocationOptions& options) {
-  GRIDSEC_TRACE_SPAN("flow.allocation.profits");
   AllocationResult out;
+  allocate_profits(net, owners, num_actors, options, out);
+  return out;
+}
+
+void allocate_profits(const Network& net, std::span<const int> owners,
+                      int num_actors, const AllocationOptions& options,
+                      AllocationResult& out) {
+  GRIDSEC_TRACE_SPAN("flow.allocation.profits");
+  reset(out);
   // The welfare options are used in place; only a separate warm basis
   // needs a copy to carry it.
   SocialWelfareOptions warm_options;
@@ -105,21 +146,25 @@ AllocationResult allocate_profits(const Network& net,
     warm_options.simplex.warm_start = options.warm_start;
     welfare_options = &warm_options;
   }
-  FlowSolution base =
-      options.model != nullptr
-          ? solve_social_welfare(net, *options.model, *welfare_options)
-          : solve_social_welfare(net, *welfare_options);
+  // Without a caller's model, one made for the call: it builds the LP a
+  // one-shot solve would, and the layout the edge profits read.
+  std::optional<SocialWelfareModel> own_model;
+  SocialWelfareModel& model =
+      options.model != nullptr ? *options.model : own_model.emplace();
+  FlowSolution& base = model.scratch().flow;
+  solve_social_welfare(net, model, *welfare_options, base);
   out.status = base.status;
   out.recovered = base.recovered;
-  if (!base.optimal()) return out;
+  if (!base.optimal()) return;
   out.welfare = base.welfare;
 
   if (options.kind == AllocatorKind::kLmp) {
-    out.basis = std::move(base.basis);
-    out.node_price = std::move(base.node_price);
+    out.basis.variables.swap(base.basis.variables);
+    out.basis.rows.swap(base.basis.rows);
+    out.node_price.swap(base.node_price);
   } else {
     // The probe solves below warm-start from base.basis, so it must stay
-    // put; copy rather than move.
+    // put; copy rather than swap.
     out.basis = base.basis;
     auto probed =
         probe_node_prices(net, base, options.probe_fraction, options.welfare);
@@ -136,19 +181,19 @@ AllocationResult allocate_profits(const Network& net,
         default:
           out.status = lp::SolveStatus::kIterationLimit;
       }
-      return out;
+      return;
     }
     out.node_price = std::move(probed.value());
   }
 
-  out.edge_profit = edge_profits_from_prices(net, base.flow, out.node_price);
-  out.flow = std::move(base.flow);
+  edge_profits_from_prices(net, model.layout(), base.flow, out.node_price,
+                           out.edge_profit);
+  out.flow.swap(base.flow);
 
   if (!owners.empty()) {
     GRIDSEC_ASSERT(owners.size() == static_cast<std::size_t>(net.num_edges()));
-    out.actor_profit = actor_profits(out.edge_profit, owners, num_actors);
+    actor_profits(out.edge_profit, owners, num_actors, out.actor_profit);
   }
-  return out;
 }
 
 }  // namespace gridsec::flow

@@ -331,7 +331,9 @@ IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
 /// Flushes per-solve pivot totals into the default metric registry on every
 /// exit path. Registry handles are resolved once per process (function-local
 /// statics), so the steady-state cost is a handful of relaxed atomic adds
-/// per *solve* — never per iteration.
+/// per *solve* — never per iteration. A zero delta is skipped: it leaves the
+/// counter as it is, and each add is a locked read-modify-write on a line
+/// every solving thread shares.
 struct SimplexMetricsGuard {
   long pivots = 0;
   long degenerate = 0;
@@ -370,17 +372,20 @@ struct SimplexMetricsGuard {
     static obs::Counter& c_refines = reg.counter("lp.basis.refine_steps");
     static obs::Counter& c_stability =
         reg.counter("lp.basis.residual_refactorizations");
+    const auto add_nonzero = [](obs::Counter& c, long delta) {
+      if (delta != 0) c.add(delta);
+    };
     solves.add();
-    c_pivots.add(pivots);
-    c_degen.add(degenerate);
-    c_flips.add(bound_flips);
-    c_bland.add(bland);
-    c_cycles.add(cycle_fallbacks);
-    c_refactor.add(refactorizations);
-    c_etas.add(eta_updates);
-    c_repairs.add(basis_repairs);
-    c_refines.add(refine_steps);
-    c_stability.add(residual_refactorizations);
+    add_nonzero(c_pivots, pivots);
+    add_nonzero(c_degen, degenerate);
+    add_nonzero(c_flips, bound_flips);
+    add_nonzero(c_bland, bland);
+    add_nonzero(c_cycles, cycle_fallbacks);
+    add_nonzero(c_refactor, refactorizations);
+    add_nonzero(c_etas, eta_updates);
+    add_nonzero(c_repairs, basis_repairs);
+    add_nonzero(c_refines, refine_steps);
+    add_nonzero(c_stability, residual_refactorizations);
     if (warm_started) c_warm.add();
     if (warm_rejected) c_warm_rejects.add();
     if (status != SolveStatus::kOptimal) c_failed.add();
@@ -558,18 +563,10 @@ void apply_warm_start(Tableau& t, WorkspaceImpl& ws, const Basis& warm,
   }
 }
 
-/// Installs the phase-2 costs: the objective on the structural columns
-/// (negated for maximization; internal = minimize), zero elsewhere.
-void install_phase2_costs(const Problem& problem, Tableau& t) {
-  const bool maximize = problem.objective() == Objective::kMaximize;
-  for (int j = 0; j < t.n_total; ++j) {
-    double c = 0.0;
-    if (j < t.n_struct) {
-      c = problem.variable(j).objective;
-      if (maximize) c = -c;
-    }
-    t.cost[static_cast<std::size_t>(j)] = c;
-  }
+/// Installs the phase-2 costs that install_cold_columns or restore_crash
+/// loaded into ws.phase2_cost this solve.
+void install_phase2_costs(Tableau& t, const WorkspaceImpl& ws) {
+  std::copy(ws.phase2_cost.begin(), ws.phase2_cost.end(), t.cost.begin());
 }
 
 /// Fixes every artificial column at [0, 0]; nonbasic ones also take the
@@ -617,10 +614,9 @@ void dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
   // ρᵀA_j of every priced column, from the ratio test; the dual step and
   // the dual-ray bound reuse them.
   const std::span<double> alpha = ws.alpha;
-  // Columns the dual pivots price: nonbasic and not fixed.
-  const auto priced = [&t](std::size_t js) {
-    return t.state[js] != VarState::kBasic && !is_fixed(t, js);
-  };
+  // The columns the ratio test priced (nonbasic and not fixed), in column
+  // order: the dual step and the dual-ray bound walk this list.
+  const std::span<int> priced = ws.priced;
 
   for (long iter = 0; iter < max_iters; ++iter) {
     if (deadline.expired()) {
@@ -662,9 +658,11 @@ void dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
     int entering = -1;
     double alpha_q = 0.0;
     double best_ratio = kInfinity;
+    std::size_t n_priced = 0;
     for (int j = 0; j < t.n_total; ++j) {
       const auto js = static_cast<std::size_t>(j);
-      if (!priced(js)) continue;
+      if (t.state[js] == VarState::kBasic || is_fixed(t, js)) continue;
+      priced[n_priced++] = j;
       const double a = pivot_row_entry(t, rho, j);
       alpha[js] = a;
       const bool at_lower = t.state[js] == VarState::kAtLower;
@@ -691,9 +689,8 @@ void dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
       compute_basic_values(t, factor, ws.xb, out.refine_steps);
       const double xp = ws.xb[rs];
       double miss = to_upper ? xp - t.upper[p] : t.lower[p] - xp;
-      for (int j = 0; j < t.n_total; ++j) {
-        const auto js = static_cast<std::size_t>(j);
-        if (!priced(js)) continue;
+      for (std::size_t k = 0; k < n_priced; ++k) {
+        const auto js = static_cast<std::size_t>(priced[k]);
         const double a = toward * alpha[js];
         if (t.state[js] == VarState::kAtLower ? a > 0.0 : a < 0.0) {
           miss -= std::fabs(a) * (t.upper[js] - t.lower[js]);
@@ -730,9 +727,9 @@ void dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
     // Dual step: d_j −= theta·ρᵀA_j zeroes the entering reduced cost and
     // leaves x_p nonbasic with reduced cost −theta.
     const double theta = d[eq] / alpha_q;
-    for (int j = 0; j < t.n_total; ++j) {
-      const auto js = static_cast<std::size_t>(j);
-      if (priced(js)) d[js] -= theta * alpha[js];
+    for (std::size_t k = 0; k < n_priced; ++k) {
+      const auto js = static_cast<std::size_t>(priced[k]);
+      d[js] -= theta * alpha[js];
     }
     d[eq] = 0.0;
     d[p] = -theta;
@@ -820,34 +817,48 @@ void build_columns(const Problem& problem, Tableau& t,
   a.start[static_cast<std::size_t>(col)] = nnz;
 }
 
+/// Loads column j's bounds into t and its phase-2 cost into
+/// ws.phase2_cost, reading its Variable once: a structural takes the
+/// variable's bounds and objective (negated for maximization; internal =
+/// minimize), a slack [0, inf) and cost 0, an artificial [0, 0] and cost 0.
+void load_column(const Problem& problem, bool maximize, Tableau& t,
+                 WorkspaceImpl& ws, int j) {
+  const auto js = static_cast<std::size_t>(j);
+  double lower = 0.0;
+  double upper = 0.0;
+  double cost = 0.0;
+  if (j < t.n_struct) {
+    const Variable& v = problem.variable(j);
+    lower = v.lower;
+    upper = v.upper;
+    cost = maximize ? -v.objective : v.objective;
+  } else if (j < t.n_total - t.m) {
+    upper = kInfinity;
+  }
+  t.lower[js] = lower;
+  t.upper[js] = upper;
+  ws.phase2_cost[js] = cost;
+}
+
 /// Installs the cold-start column state: structural columns at their
 /// lower bound, slacks in [0, inf) at zero, every artificial unused (fixed
-/// at zero, coefficient 0), zero costs and no basis. The crash starts from
-/// it, and so does the cold start basis, also after a warm start the dual
-/// simplex could not finish.
+/// at zero, coefficient 0), zero costs and no basis, and loads the phase-2
+/// costs. The crash starts from it, and so does the cold start basis, also
+/// after a warm start the dual simplex could not finish.
 void install_cold_columns(const Problem& problem, Tableau& t,
-                          std::span<unsigned char> artificial_used) {
+                          WorkspaceImpl& ws) {
+  const bool maximize = problem.objective() == Objective::kMaximize;
   const int art_base = t.n_total - t.m;
   for (int j = 0; j < t.n_total; ++j) {
     const auto js = static_cast<std::size_t>(j);
-    double lower = 0.0;
-    double upper = 0.0;
-    if (j < t.n_struct) {
-      lower = problem.variable(j).lower;
-      upper = problem.variable(j).upper;
-    } else if (j < art_base) {
-      upper = kInfinity;
-    } else {
-      t.a.single(j) = 0.0;
-    }
-    t.lower[js] = lower;
-    t.upper[js] = upper;
-    t.x[js] = lower;
+    load_column(problem, maximize, t, ws, j);
+    if (j >= art_base) t.a.single(j) = 0.0;
+    t.x[js] = t.lower[js];
     t.state[js] = VarState::kAtLower;
     t.cost[js] = 0.0;
   }
   std::fill(t.basis.begin(), t.basis.end(), -1);
-  std::fill(artificial_used.begin(), artificial_used.end(),
+  std::fill(ws.artificial_used.begin(), ws.artificial_used.end(),
             static_cast<unsigned char>(0));
 }
 
@@ -895,27 +906,22 @@ void save_crash(const Problem& problem, const Tableau& t, WorkspaceImpl& ws,
 }
 
 /// Puts the checkpoint's crash back. The tableau then holds what
-/// install_cold_columns, apply_warm_start and fix_artificials would leave
-/// for this problem's bounds, and ws.factor the LU of its basis, bit for
-/// bit: the crash and the elimination read nothing the key leaves open.
+/// install_cold_columns, apply_warm_start, fix_artificials and
+/// install_phase2_costs would leave for this problem's bounds and costs,
+/// and ws.factor the LU of its basis, bit for bit: the crash and the
+/// elimination read nothing the key leaves open. Each column's bounds and
+/// cost are loaded in the same pass (artificials stay fixed at zero).
 void restore_crash(const Problem& problem, Tableau& t, WorkspaceImpl& ws,
                    long& repairs) {
   const detail::WarmCheckpoint& ck = ws.warm;
+  const bool maximize = problem.objective() == Objective::kMaximize;
   const int art_base = t.n_total - t.m;
   for (int j = 0; j < t.n_total; ++j) {
     const auto js = static_cast<std::size_t>(j);
-    double lower = 0.0;
-    double upper = 0.0;  // artificials stay fixed at zero
-    if (j < t.n_struct) {
-      lower = problem.variable(j).lower;
-      upper = problem.variable(j).upper;
-    } else if (j < art_base) {
-      upper = kInfinity;
-    }
-    t.lower[js] = lower;
-    t.upper[js] = upper;
+    load_column(problem, maximize, t, ws, j);
     t.state[js] = ck.state[js];
-    t.x[js] = ck.state[js] == VarState::kAtUpper ? upper : lower;
+    t.x[js] = ck.state[js] == VarState::kAtUpper ? t.upper[js] : t.lower[js];
+    t.cost[js] = ws.phase2_cost[js];
   }
   std::copy(ck.basis.begin(), ck.basis.end(), t.basis.begin());
   std::copy(ck.artificial_used.begin(), ck.artificial_used.end(),
@@ -966,15 +972,14 @@ bool start_warm(const Problem& problem, Tableau& t, WorkspaceImpl& ws,
   const int art_base = t.n_total - t.m;
   if (checkpoint_matches(ws.warm, problem, warm)) {
     restore_crash(problem, t, ws, repairs);
-    install_phase2_costs(problem, t);
   } else {
     ws.warm.valid = false;
-    install_cold_columns(problem, t, ws.artificial_used);
+    install_cold_columns(problem, t, ws);
     long crash_repairs = 0;
     apply_warm_start(t, ws, warm, art_base, crash_repairs);
     repairs += crash_repairs;
     fix_artificials(t);
-    install_phase2_costs(problem, t);
+    install_phase2_costs(t, ws);
     ++out.refactorizations;
     if (!ws.factor.refactorize(t.a.start, t.a.entries, t.basis)) return false;
     save_crash(problem, t, ws, warm, crash_repairs);
@@ -1002,14 +1007,29 @@ bool start_warm(const Problem& problem, Tableau& t, WorkspaceImpl& ws,
   return true;
 }
 
-/// Full solve; when `final_tableau` is non-null and the solve is optimal,
-/// the final tableau is copied out for post-optimal analysis.
-Solution solve_impl_inner(const Problem& problem,
-                          const SimplexOptions& options,
-                          Tableau* final_tableau,
-                          SimplexMetricsGuard& metrics,
-                          WorkspaceImpl& ws) {
-  Solution sol;
+/// Resets every field of `sol` to a default Solution's, keeping the
+/// capacity of its vectors.
+void reset_solution(Solution& sol) {
+  sol.status = Solution{}.status;
+  sol.objective = 0.0;
+  sol.x.clear();
+  sol.duals.clear();
+  sol.reduced_costs.clear();
+  sol.iterations = 0;
+  sol.bnb = BranchAndBoundStats{};
+  sol.basis.variables.clear();
+  sol.basis.rows.clear();
+  sol.warm_started = false;
+  sol.recovery_trail.clear();
+}
+
+/// Full solve into `sol`, which it resets first; when `final_tableau` is
+/// non-null and the solve is optimal, the final tableau is copied out for
+/// post-optimal analysis.
+void solve_impl_inner(const Problem& problem, const SimplexOptions& options,
+                      Tableau* final_tableau, SimplexMetricsGuard& metrics,
+                      WorkspaceImpl& ws, Solution& sol) {
+  reset_solution(sol);
   const Deadline deadline = Deadline::in_ms(options.time_limit_ms);
   const int n = problem.num_variables();
   const int m = problem.num_constraints();
@@ -1024,7 +1044,7 @@ Solution solve_impl_inner(const Problem& problem,
     if (!(resident ? validate_variables(problem) : validate_problem(problem))
              .is_ok()) {
       sol.status = SolveStatus::kNumericalError;
-      return sol;
+      return;
     }
     if (!resident) {
       // Count slacks and the terms that bound A's nonzeros, bind the
@@ -1087,7 +1107,7 @@ Solution solve_impl_inner(const Problem& problem,
           sol.warm_started = true;
           sol.status = dual.status;
           sol.iterations = total_iters;
-          return sol;
+          return;
         }
       }
     } else {
@@ -1105,7 +1125,7 @@ Solution solve_impl_inner(const Problem& problem,
       // residual. Row residuals b − A_S x_S at the structural start point
       // are summed column by column: each row still subtracts its terms in
       // ascending column order.
-      install_cold_columns(problem, t, artificial_used);
+      install_cold_columns(problem, t, ws);
       const std::span<double> residuals = ws.xb;
       std::copy(t.b.begin(), t.b.end(), residuals.begin());
       for (int j = 0; j < n; ++j) {
@@ -1145,7 +1165,7 @@ Solution solve_impl_inner(const Problem& problem,
       ++metrics.refactorizations;
       if (!factor.refactorize(t.a.start, t.a.entries, t.basis)) {
         sol.status = SolveStatus::kNumericalError;
-        return sol;
+        return;
       }
 
       // Phase 1: drive the artificials to zero.
@@ -1164,14 +1184,14 @@ Solution solve_impl_inner(const Problem& problem,
             phase1.status == SolveStatus::kNumericalError) {
           sol.status = phase1.status;
           sol.iterations = total_iters;
-          return sol;
+          return;
         }
         if (phase1.status == SolveStatus::kUnbounded) {
           // Phase 1 minimizes a sum of nonnegative artificials: an
           // "unbounded" verdict can only come from numerical breakdown.
           sol.status = SolveStatus::kNumericalError;
           sol.iterations = total_iters;
-          return sol;
+          return;
         }
         double phase1_obj = 0.0;
         for (int i = 0; i < m; ++i) {
@@ -1182,7 +1202,7 @@ Solution solve_impl_inner(const Problem& problem,
         if (phase1_obj > kFeasibilityTol) {
           sol.status = SolveStatus::kInfeasible;
           sol.iterations = total_iters;
-          return sol;
+          return;
         }
         fix_artificials(t);  // frozen at zero for phase 2
       }
@@ -1190,14 +1210,14 @@ Solution solve_impl_inner(const Problem& problem,
 
     // Phase 2: the original costs (replacing the dual simplex's reduced
     // costs on a warm start) from a primal feasible basis.
-    install_phase2_costs(problem, t);
+    install_phase2_costs(t, ws);
     outcome = iterate(t, ws, options, max_iters, bland_after, deadline);
     total_iters += outcome.iterations;
     metrics.absorb(outcome);
     sol.iterations = total_iters;
     if (outcome.status != SolveStatus::kOptimal) {
       sol.status = outcome.status;
-      return sol;
+      return;
     }
   }
 
@@ -1248,7 +1268,7 @@ Solution solve_impl_inner(const Problem& problem,
         ++metrics.refactorizations;
         if (!factor.refactorize(t.a.start, t.a.entries, t.basis)) {
           fail(SolveStatus::kNumericalError);
-          return sol;
+          return;
         }
       }
       recompute_basics(t, factor, ws.xb, metrics.refine_steps);
@@ -1307,7 +1327,7 @@ Solution solve_impl_inner(const Problem& problem,
         fail(outcome.status == SolveStatus::kTimeLimit
                  ? SolveStatus::kTimeLimit
                  : SolveStatus::kNumericalError);
-        return sol;
+        return;
       }
       if (outcome.iterations == 0) {
         // The sweep's refined duals found an attractive column that the pivot
@@ -1321,24 +1341,32 @@ Solution solve_impl_inner(const Problem& problem,
     }
     if (breakdown) {
       fail(SolveStatus::kNumericalError);
-      return sol;
+      return;
     }
   }
 
   GRIDSEC_TRACE_SPAN("lp.simplex.extract");
   sol.status = SolveStatus::kOptimal;
+  // The structural bounds and costs as loaded this solve: nothing after the
+  // load moves a structural bound, so these are the Variables' own values.
   sol.x.resize(static_cast<std::size_t>(n));
+  double objective = 0.0;
   for (int j = 0; j < n; ++j) {
-    double xj = t.x[static_cast<std::size_t>(j)];
+    const auto js = static_cast<std::size_t>(j);
+    double xj = t.x[js];
     // Snap to bounds to remove O(tol) noise.
-    const auto& v = problem.variable(j);
-    if (std::fabs(xj - v.lower) < kFeasibilityTol) xj = v.lower;
-    if (std::isfinite(v.upper) && std::fabs(xj - v.upper) < kFeasibilityTol) {
-      xj = v.upper;
+    const double lower = t.lower[js];
+    const double upper = t.upper[js];
+    if (std::fabs(xj - lower) < kFeasibilityTol) xj = lower;
+    if (std::isfinite(upper) && std::fabs(xj - upper) < kFeasibilityTol) {
+      xj = upper;
     }
-    sol.x[static_cast<std::size_t>(j)] = xj;
+    sol.x[js] = xj;
+    // Problem::objective_value's sum, in its order.
+    const double c = ws.phase2_cost[js];
+    objective += (maximize ? -c : c) * xj;
   }
-  sol.objective = problem.objective_value(sol.x);
+  sol.objective = objective;
 
   // Duals from the final basis, in the problem's own sense.
   sol.duals.resize(static_cast<std::size_t>(m));
@@ -1368,15 +1396,13 @@ Solution solve_impl_inner(const Problem& problem,
   }
 
   if (final_tableau != nullptr) *final_tableau = t;
-  return sol;
 }
 
-}  // namespace
-
-Solution solve_impl(const Problem& problem, const SimplexOptions& options,
-                    Tableau* final_tableau) {
+/// Every solve entry point: the solve, its warm→cold retry, the recovery
+/// ladder, the log record and the solve hook, into `sol`.
+void solve_impl(const Problem& problem, const SimplexOptions& options,
+                Tableau* final_tableau, Solution& sol) {
   GRIDSEC_TRACE_SPAN("lp.simplex.solve");
-  Solution sol;
   {
     // Lease the workspace for the solve (plus the built-in warm→cold
     // retry, which re-binds the same workspace). Released before the
@@ -1385,8 +1411,8 @@ Solution solve_impl(const Problem& problem, const SimplexOptions& options,
     WorkspaceLease lease(options.workspace);
     {
       SimplexMetricsGuard metrics;
-      sol = solve_impl_inner(problem, options, final_tableau, metrics,
-                             lease.impl());
+      solve_impl_inner(problem, options, final_tableau, metrics, lease.impl(),
+                       sol);
       metrics.status = sol.status;
       if (sol.warm_started && sol.status == SolveStatus::kNumericalError) {
         metrics.warm_rejected = true;
@@ -1406,8 +1432,8 @@ Solution solve_impl(const Problem& problem, const SimplexOptions& options,
       SimplexOptions cold = options;
       cold.warm_start = Basis{};
       SimplexMetricsGuard metrics;
-      sol = solve_impl_inner(problem, cold, final_tableau, metrics,
-                             lease.impl());
+      solve_impl_inner(problem, cold, final_tableau, metrics, lease.impl(),
+                       sol);
       metrics.status = sol.status;
     }
   }
@@ -1442,10 +1468,7 @@ Solution solve_impl(const Problem& problem, const SimplexOptions& options,
   if (const SolveHook hook = solve_hook(); hook != nullptr) {
     hook(problem, sol, "lp.simplex");
   }
-  return sol;
 }
-
-namespace {
 
 constexpr double kRangeEps = 1e-11;
 
@@ -1455,7 +1478,7 @@ SensitivityReport analyze_sensitivity(const Problem& problem,
                                       const SimplexOptions& options) {
   SensitivityReport report;
   Tableau t;
-  report.solution = solve_impl(problem, options, &t);
+  solve_impl(problem, options, &t, report.solution);
   if (report.solution.status != SolveStatus::kOptimal) return report;
 
   const bool maximize = problem.objective() == Objective::kMaximize;
@@ -1570,16 +1593,23 @@ SensitivityReport analyze_sensitivity(const Problem& problem,
   return report;
 }
 
+void solve_lp(const Problem& problem, const SimplexOptions& options,
+              Solution& out) {
+  solve_impl(problem, options, nullptr, out);
+}
+
 Solution SimplexSolver::solve(const Problem& problem) const {
-  return solve_impl(problem, options_, nullptr);
+  return solve_lp(problem, options_);
 }
 
 Solution solve_lp(const Problem& problem) {
-  return solve_impl(problem, SimplexOptions{}, nullptr);
+  return solve_lp(problem, SimplexOptions{});
 }
 
 Solution solve_lp(const Problem& problem, const SimplexOptions& options) {
-  return solve_impl(problem, options, nullptr);
+  Solution sol;
+  solve_lp(problem, options, sol);
+  return sol;
 }
 
 }  // namespace gridsec::lp

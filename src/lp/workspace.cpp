@@ -30,6 +30,7 @@ void WorkspaceImpl::bind(int m, int n_struct, int n_total,
   candidates.resize(ns + ms);
   artificial_used.resize(ms);
   used_row.resize(ms);
+  phase2_cost.resize(ns);
   warm.valid = false;
   rows_id = 0;
   t.m = m;
@@ -41,6 +42,7 @@ void WorkspaceImpl::size_warm() {
   const auto ms = static_cast<std::size_t>(t.m);
   const auto ns = static_cast<std::size_t>(t.n_total);
   alpha.resize(ns);
+  priced.resize(ns);
   warm.stale_upper.resize(static_cast<std::size_t>(t.n_struct));
   warm.state.resize(ns);
   warm.basis.resize(ms);

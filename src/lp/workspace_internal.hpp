@@ -108,8 +108,12 @@ struct WorkspaceImpl {
   std::vector<int> candidates;      // warm start: crash candidate columns
   std::vector<unsigned char> artificial_used;  // m flags
   std::vector<unsigned char> used_row;         // warm start: crash row flags
+  /// n_total: the phase-2 costs (objective, negated to minimize; 0 off the
+  /// structurals), loaded with the bounds once per solve.
+  std::vector<double> phase2_cost;
 
   std::vector<double> alpha;  // n_total: the dual simplex's ρᵀA_j
+  std::vector<int> priced;    // n_total: the columns its ratio test priced
   WarmCheckpoint warm;
 
   std::uint64_t rows_id = 0;  // Problem::rows_id A was built from; 0 = none
@@ -120,9 +124,10 @@ struct WorkspaceImpl {
   /// n_struct structural and n_total total columns and room for `nnz`
   /// entries of A. Forgets the resident A and the checkpoint.
   void bind(int m, int n_struct, int n_total, std::size_t nnz);
-  /// Sizes `alpha` and the checkpoint's vectors to the bound shape. They
-  /// keep their capacity, so this allocates only when a workspace first
-  /// solves warm at a larger shape; cold-only workloads never pay for them.
+  /// Sizes `alpha`, `priced` and the checkpoint's vectors to the bound
+  /// shape. They keep their capacity, so this allocates only when a
+  /// workspace first solves warm at a larger shape; cold-only workloads
+  /// never pay for them.
   void size_warm();
 };
 

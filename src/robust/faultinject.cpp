@@ -340,7 +340,7 @@ lp::Problem make_random_lp(Rng& rng) {
     const double lower = rng.bernoulli(0.7) ? 0.0 : rng.uniform(-5.0, 0.0);
     const double upper =
         rng.bernoulli(0.2) ? lp::kInfinity : lower + rng.uniform(0.0, 30.0);
-    p.add_variable("x" + std::to_string(j), lower, upper,
+    p.add_variable(std::string("x").append(std::to_string(j)), lower, upper,
                    rng.uniform(-10.0, 10.0));
   }
   for (int i = 0; i < nc; ++i) {
@@ -352,8 +352,8 @@ lp::Problem make_random_lp(Rng& rng) {
     const lp::Sense sense = rng.bernoulli(0.4)   ? lp::Sense::kLessEqual
                             : rng.bernoulli(0.5) ? lp::Sense::kGreaterEqual
                                                  : lp::Sense::kEqual;
-    p.add_constraint("c" + std::to_string(i), std::move(expr), sense,
-                     rng.uniform(-20.0, 20.0));
+    p.add_constraint(std::string("c").append(std::to_string(i)),
+                     std::move(expr), sense, rng.uniform(-20.0, 20.0));
   }
   return p;
 }

@@ -40,7 +40,7 @@ flow::Network make_random_grid(const RandomGridOptions& options, Rng& rng) {
   flow::Network net;
   std::vector<flow::NodeId> hubs;
   for (int i = 0; i < options.hubs; ++i) {
-    hubs.push_back(net.add_hub("h" + std::to_string(i)));
+    hubs.push_back(net.add_hub(std::string("h").append(std::to_string(i))));
   }
   const auto cap = [&] {
     return rng.uniform(options.capacity_min, options.capacity_max);

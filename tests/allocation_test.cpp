@@ -138,7 +138,7 @@ TEST_P(AllocationProperty, ProfitsPartitionWelfare) {
   const int n_hubs = 3 + static_cast<int>(rng.uniform_index(3));
   std::vector<NodeId> hubs;
   for (int i = 0; i < n_hubs; ++i) {
-    hubs.push_back(net.add_hub("h" + std::to_string(i)));
+    hubs.push_back(net.add_hub(std::string("h").append(std::to_string(i))));
   }
   for (int i = 0; i < n_hubs; ++i) {
     net.add_supply("gen" + std::to_string(i), hubs[static_cast<std::size_t>(i)],

@@ -166,7 +166,9 @@ TEST(ExtractSeriesChain, EndToEndEqualSplitOnNetworkChain) {
   // Full pipeline: network -> chain -> negotiation -> ~1/N shares.
   Network net;
   std::vector<NodeId> hubs;
-  for (int i = 0; i < 4; ++i) hubs.push_back(net.add_hub("h" + std::to_string(i)));
+  for (int i = 0; i < 4; ++i) {
+    hubs.push_back(net.add_hub(std::string("h").append(std::to_string(i))));
+  }
   net.add_supply("gen", hubs[0], 100.0, 10.0);
   for (int i = 0; i < 3; ++i) {
     net.add_edge("seg" + std::to_string(i), EdgeKind::kTransmission,

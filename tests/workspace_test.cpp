@@ -52,7 +52,7 @@ namespace {
 lp::Problem pivoty_lp() {
   lp::Problem p(lp::Objective::kMinimize);
   for (int j = 0; j < 8; ++j) {
-    p.add_variable("x" + std::to_string(j), 0.0, 10.0 + j,
+    p.add_variable(std::string("x").append(std::to_string(j)), 0.0, 10.0 + j,
                    (j % 3 == 0 ? -1.0 : 1.0) * (1.0 + 0.25 * j));
   }
   for (int i = 0; i < 6; ++i) {
@@ -60,7 +60,7 @@ lp::Problem pivoty_lp() {
     for (int j = 0; j < 8; ++j) {
       row.add(j, ((i + j) % 4) - 1.5);
     }
-    p.add_constraint("r" + std::to_string(i), std::move(row),
+    p.add_constraint(std::string("r").append(std::to_string(i)), std::move(row),
                      i % 2 == 0 ? lp::Sense::kLessEqual
                                 : lp::Sense::kGreaterEqual,
                      i % 2 == 0 ? 20.0 + i : -5.0 - i);
@@ -397,7 +397,7 @@ TEST(SolverWorkspaceTest, MilpReuseBitIdenticalAcrossReset) {
   const double weights[] = {2.0, 3.0, 1.0, 4.0, 2.0, 3.0};
   lp::LinearExpr knap;
   for (int j = 0; j < 6; ++j) {
-    p.add_binary("b" + std::to_string(j), values[j]);
+    p.add_binary(std::string("b").append(std::to_string(j)), values[j]);
     knap.add(j, weights[j]);
   }
   p.add_constraint("capacity", std::move(knap), lp::Sense::kLessEqual, 7.5);
