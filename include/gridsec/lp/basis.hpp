@@ -98,16 +98,26 @@ struct ColumnEntry {
 /// capacity, so a factorization reused across solves of the same shape
 /// performs no heap allocation after its first cycle. The scratch makes
 /// even const solves non-reentrant: an instance belongs to one thread /
-/// one solver workspace and must not be shared.
+/// one solver workspace and must not be shared. The m x m elimination
+/// scratch is a separate Scratch, which factorizations of one workspace
+/// share (refactorize's four-argument form).
 class BasisFactorization {
  public:
+  class Scratch;
+
   /// Factorizes the m x m basis matrix B, m = columns.size(), whose
   /// column i is column columns[i] of the column-sparse matrix
   /// (start, entries): column j's nonzeros are entries[start[j] ..
   /// start[j+1]), rows ascending and below m. Discards any eta chain.
   /// Returns false when B is singular (pivot below kPivotTol); the object
   /// is then cleanly invalid — not half-factorized — until the next
-  /// successful refactorize.
+  /// successful refactorize. The elimination runs in `scratch`, which
+  /// every refactorize leaves as it found it, so several factorizations
+  /// used by one thread may share one; the three-argument form uses this
+  /// object's own.
+  bool refactorize(std::span<const int> start,
+                   std::span<const ColumnEntry> entries,
+                   std::span<const int> columns, Scratch& scratch);
   bool refactorize(std::span<const int> start,
                    std::span<const ColumnEntry> entries,
                    std::span<const int> columns);
@@ -132,15 +142,10 @@ class BasisFactorization {
   int btran_refined(std::span<double> y,
                     double* residual_out = nullptr) const;
 
-  class Snapshot;
-  /// Copies the factor data of the last refactorize (permutation, L and U
-  /// by row and by column, B by column, and the growth it measured) into
-  /// `out`. The eta chain and the solve scratch are not part of it.
-  /// Requires valid() with no etas applied.
-  void save(Snapshot& out) const;
-  /// Puts back a saved factorization, with an empty eta chain: afterwards
-  /// every solve gives the bits it gave right after that refactorize.
-  void restore(const Snapshot& in);
+  /// Drops the eta chain and puts pivot_growth() back to the growth the
+  /// last refactorize measured: afterwards every solve gives the bits it
+  /// gave right after that refactorize. Requires valid().
+  void rewind();
 
   /// Appends the eta for a pivot in position `p` with direction `w`
   /// (= B^{-1} a_entering), copying its nonzeros into the eta chain. Returns
@@ -189,6 +194,27 @@ class BasisFactorization {
     int idx;
     double val;
   };
+
+ public:
+  /// refactorize()'s working storage, capacity-reused. elim holds the
+  /// m x m values by original row (row r at [r*m, r*m + m)) and in_pattern
+  /// flags the entries the elimination has touched; both are all zero
+  /// between calls. Row r's touched columns are row_cols[r*m ..],
+  /// row_len[r] of them, and column c's touched rows col_rows[c*m ..],
+  /// col_len[c] of them.
+  class Scratch {
+   private:
+    friend class BasisFactorization;
+    std::vector<double> elim;
+    std::vector<unsigned char> in_pattern;
+    std::vector<int> row_cols, col_rows;
+    std::vector<std::size_t> row_len, col_len;
+    std::vector<std::size_t> pos;  // inverse of perm_: row → position
+    std::vector<Entry> pivot_row;  // the pivot row's nonzeros past column k
+    std::vector<int> transpose_fill;  // transpose() cursor per output group
+  };
+
+ private:
   /// Nonzeros in groups (the rows or columns of a matrix, or the etas of
   /// the chain): group g is entries[start[g] .. start[g+1]), ascending idx.
   /// clear() keeps capacity.
@@ -211,21 +237,10 @@ class BasisFactorization {
     }
   };
 
- public:
-  /// Factor data kept by save() and put back by restore(); vectors keep
-  /// their capacity, so saving over an older snapshot allocates nothing.
-  class Snapshot {
-   private:
-    friend class BasisFactorization;
-    std::vector<int> perm;
-    SparseGroups l_rows, l_cols, u_rows, u_cols, b_cols;
-    double pivot_growth = 1.0;
-  };
-
- private:
   /// out := `in` regrouped by index (rows ↔ columns of a square matrix);
   /// each output group lists its entries in ascending group order of `in`.
-  void transpose(const SparseGroups& in, SparseGroups& out);
+  static void transpose(const SparseGroups& in, SparseGroups& out,
+                        std::vector<int>& fill);
 
   /// r := rhs − B_new·x (B_new = B · eta chain); returns ‖r‖_∞.
   double residual_ftran(std::span<const double> x,
@@ -249,6 +264,7 @@ class BasisFactorization {
   std::vector<Entry> eta_pivots_;
   bool valid_ = false;
   double pivot_growth_ = 1.0;
+  double lu_growth_ = 1.0;  // the growth the last refactorize measured
   // Per-solve scratch, capacity-reused across calls. Mutable because
   // ftran/btran are logically const; this is what makes const calls
   // non-reentrant (see class comment).
@@ -256,18 +272,7 @@ class BasisFactorization {
   mutable std::vector<double> resid_v_;  // residual_* intermediate product
   mutable std::vector<double> refine_rhs_, refine_r_, refine_d_,
       refine_cand_, refine_r2_;
-  std::vector<int> transpose_fill_;  // transpose() cursor per output group
-  // refactorize() scratch, capacity-reused. elim_ holds the m x m values
-  // by original row (row r at [r*m, r*m + m)) and in_pattern_ flags the
-  // entries the elimination has touched; both are all zero between calls.
-  // Row r's touched columns are row_cols_[r*m ..], row_len_[r] of them,
-  // and column c's touched rows col_rows_[c*m ..], col_len_[c] of them.
-  std::vector<double> elim_;
-  std::vector<unsigned char> in_pattern_;
-  std::vector<int> row_cols_, col_rows_;
-  std::vector<std::size_t> row_len_, col_len_;
-  std::vector<std::size_t> pos_;  // inverse of perm_: row → position
-  std::vector<Entry> pivot_row_;  // the pivot row's nonzeros past column k
+  Scratch scratch_;  // the three-argument refactorize's
 };
 
 }  // namespace gridsec::lp

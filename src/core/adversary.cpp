@@ -33,6 +33,28 @@ void validate_config(const AdversaryConfig& cfg, int n_targets) {
                      static_cast<std::size_t>(n_targets));
 }
 
+/// A target plan() may add, with its standalone worth w_i (see header).
+struct Candidate {
+  int target;
+  double worth;  // w_i
+  double cost;
+  const double* v;  // its weighted row v_·i, one entry per actor
+};
+
+/// plan()'s buffers, kept per thread like the solver workspace and the
+/// target-sweep memo: a plan allocates only the AttackPlan it returns.
+struct PlanScratch {
+  std::vector<double> rows;  // target t's weighted row at [t·na, t·na + na)
+  std::vector<Candidate> cands;
+  std::vector<double> swing;
+  std::vector<int> current;
+};
+
+PlanScratch& thread_plan_scratch() {
+  thread_local PlanScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 bool AttackPlan::attacks(int target) const {
@@ -65,24 +87,35 @@ AttackPlan StrategicAdversary::plan(const cps::ImpactMatrix& im) const {
   validate_config(config_, im.num_targets());
   const int nt = im.num_targets();
   const int na = im.num_actors();
+  const auto nas = static_cast<std::size_t>(na);
+
+  // Each target's weighted column v_ji = IM[j,i]·Ps(i), written once into
+  // one contiguous row: the worths below and every search node read it
+  // there instead of re-multiplying a column IM stores at a stride of nt.
+  // The products and the order of every sum are unchanged, so the search
+  // visits the same nodes and keeps the same incumbents.
+  PlanScratch& scratch = thread_plan_scratch();
+  std::vector<double>& rows = scratch.rows;
+  rows.resize(static_cast<std::size_t>(nt) * nas);
+  for (int i = 0; i < nt; ++i) {
+    const double ps = ps_of(config_, i);
+    double* v = rows.data() + static_cast<std::size_t>(i) * nas;
+    for (int j = 0; j < na; ++j) v[j] = im.at(j, i) * ps;
+  }
 
   // Candidate targets ordered by standalone worth w_i (see header); targets
   // with w_i <= 0 can never improve any plan and are dropped.
-  struct Candidate {
-    int target;
-    double worth;  // w_i
-    double cost;
-  };
-  std::vector<Candidate> cands;
+  std::vector<Candidate>& cands = scratch.cands;
+  cands.clear();
   for (int i = 0; i < nt; ++i) {
+    const double* v = rows.data() + static_cast<std::size_t>(i) * nas;
     double pos = 0.0;
-    for (int j = 0; j < na; ++j) {
-      const double v = im.at(j, i) * ps_of(config_, i);
-      if (v > 0.0) pos += v;
+    for (std::size_t j = 0; j < nas; ++j) {
+      if (v[j] > 0.0) pos += v[j];
     }
     const double w = pos - cost_of(config_, i);
     if (w > kActiveTol && cost_of(config_, i) <= config_.budget) {
-      cands.push_back({i, w, cost_of(config_, i)});
+      cands.push_back({i, w, cost_of(config_, i), v});
     }
   }
   std::sort(cands.begin(), cands.end(),
@@ -100,8 +133,10 @@ AttackPlan StrategicAdversary::plan(const cps::ImpactMatrix& im) const {
   best.status = lp::SolveStatus::kOptimal;
   best.anticipated_return = 0.0;  // the empty attack is always available
 
-  std::vector<double> swing(static_cast<std::size_t>(na), 0.0);
-  std::vector<int> current;
+  std::vector<double>& swing = scratch.swing;
+  swing.assign(nas, 0.0);
+  std::vector<int>& current = scratch.current;
+  current.clear();
   long nodes = 0;
   bool exhausted = false;
   bool timed_out = false;
@@ -146,15 +181,9 @@ AttackPlan StrategicAdversary::plan(const cps::ImpactMatrix& im) const {
       const Candidate& c = cands[k];
       if (spent + c.cost > config_.budget + kActiveTol) continue;
       current.push_back(c.target);
-      for (int j = 0; j < na; ++j) {
-        swing[static_cast<std::size_t>(j)] +=
-            im.at(j, c.target) * ps_of(config_, c.target);
-      }
+      for (std::size_t j = 0; j < nas; ++j) swing[j] += c.v[j];
       self(self, k + 1, spent + c.cost);
-      for (int j = 0; j < na; ++j) {
-        swing[static_cast<std::size_t>(j)] -=
-            im.at(j, c.target) * ps_of(config_, c.target);
-      }
+      for (std::size_t j = 0; j < nas; ++j) swing[j] -= c.v[j];
       current.pop_back();
       if (exhausted) return;
       // After declining the best remaining candidate, re-check the bound

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <ostream>
 #include <utility>
 
@@ -228,6 +227,15 @@ SweepMemo& thread_sweep_memo() {
   return memo;
 }
 
+/// The calling thread's scratch network for target re-solves, also a
+/// thread_local: each sweep that solves a target copy-assigns its network
+/// into it, so a sweep over a network the shape of the last one allocates
+/// nothing.
+flow::Network& thread_scratch_network() {
+  thread_local flow::Network scratch;
+  return scratch;
+}
+
 /// The memo stands aside (every target solved, nothing kept) when an
 /// installed solve hook must see every solve, when a deadline may cut a
 /// solve short, and when warm starts are off.
@@ -364,12 +372,13 @@ StatusOr<ImpactResult> compute_impact_matrix(const flow::Network& net,
     out.matrix.set_system_impact(t, welfare - base.welfare);
   };
 
-  // One scratch network reused across targets: apply the attack, solve,
-  // then restore the edge — instead of deep-copying the whole network per
-  // target. A fully served sweep never copies it. Each target divides into
-  // the one `after` (and a served one sums its actor row into `served`),
-  // whose vectors keep their capacity from target to target.
-  std::optional<flow::Network> scratch;
+  // One scratch network, the thread's, reused across targets: apply the
+  // attack, solve, then restore the edge — instead of deep-copying the
+  // whole network per target. A fully served sweep never copies `net`
+  // into it. Each target divides into the one `after` (and a served one
+  // sums its actor row into `served`), whose vectors keep their capacity
+  // from target to target.
+  flow::Network* scratch = nullptr;
   flow::AllocationResult after;
   std::vector<double> served;
   std::size_t cursor = 0;
@@ -386,7 +395,10 @@ StatusOr<ImpactResult> compute_impact_matrix(const flow::Network& net,
         continue;
       }
     }
-    if (!scratch) scratch.emplace(net);
+    if (scratch == nullptr) {
+      scratch = &thread_scratch_network();
+      *scratch = net;
+    }
     const double capacity = scratch->edge(t).capacity;
     const double cost = scratch->edge(t).cost;
     const double loss = scratch->edge(t).loss;

@@ -84,7 +84,8 @@ StatusOr<Basis> parse_basis(std::string_view text) {
 }
 
 void BasisFactorization::transpose(const SparseGroups& in,
-                                   SparseGroups& out) {
+                                   SparseGroups& out,
+                                   std::vector<int>& fill) {
   const std::size_t m = in.start.size() - 1;
   out.start.assign(m + 1, 0);
   out.entries.reserve(in.entries.capacity());
@@ -93,13 +94,13 @@ void BasisFactorization::transpose(const SparseGroups& in,
     ++out.start[static_cast<std::size_t>(e.idx) + 1];
   }
   for (std::size_t c = 0; c < m; ++c) out.start[c + 1] += out.start[c];
-  transpose_fill_.assign(out.start.begin(), out.start.end() - 1);
+  fill.assign(out.start.begin(), out.start.end() - 1);
   // Groups are scattered in order, so each output group ascends.
   for (std::size_t g = 0; g < m; ++g) {
     for (const Entry& e : in.group(g)) {
-      int& fill = transpose_fill_[static_cast<std::size_t>(e.idx)];
-      out.entries[static_cast<std::size_t>(fill++)] = {static_cast<int>(g),
-                                                       e.val};
+      int& at = fill[static_cast<std::size_t>(e.idx)];
+      out.entries[static_cast<std::size_t>(at++)] = {static_cast<int>(g),
+                                                     e.val};
     }
   }
 }
@@ -107,13 +108,21 @@ void BasisFactorization::transpose(const SparseGroups& in,
 bool BasisFactorization::refactorize(std::span<const int> start,
                                      std::span<const ColumnEntry> entries,
                                      std::span<const int> columns) {
+  return refactorize(start, entries, columns, scratch_);
+}
+
+bool BasisFactorization::refactorize(std::span<const int> start,
+                                     std::span<const ColumnEntry> entries,
+                                     std::span<const int> columns,
+                                     Scratch& scratch) {
   GRIDSEC_TRACE_SPAN("lp.simplex.refactorize");
   const std::size_t m = columns.size();
+  std::vector<std::size_t>& pos = scratch.pos;
   perm_.resize(m);
-  pos_.resize(m);
+  pos.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
     perm_[i] = static_cast<int>(i);
-    pos_[i] = i;
+    pos[i] = i;
   }
   etas_.clear(kRefactorInterval, kRefactorInterval * m);  // capacity kept
   eta_pivots_.clear();
@@ -123,20 +132,27 @@ bool BasisFactorization::refactorize(std::span<const int> start,
 
   // The scratch is all zero, whatever m it last served, so growing it
   // with zeros keeps it so.
-  elim_.resize(m * m);
-  in_pattern_.resize(m * m);
-  row_cols_.resize(m * m);
-  col_rows_.resize(m * m);
-  row_len_.assign(m, 0);
-  col_len_.assign(m, 0);
-  pivot_row_.reserve(m);
+  std::vector<double>& elim = scratch.elim;
+  std::vector<unsigned char>& in_pattern = scratch.in_pattern;
+  std::vector<int>& row_cols = scratch.row_cols;
+  std::vector<int>& col_rows = scratch.col_rows;
+  std::vector<std::size_t>& row_len = scratch.row_len;
+  std::vector<std::size_t>& col_len = scratch.col_len;
+  std::vector<Entry>& pivot_row = scratch.pivot_row;
+  elim.resize(m * m);
+  in_pattern.resize(m * m);
+  row_cols.resize(m * m);
+  col_rows.resize(m * m);
+  row_len.assign(m, 0);
+  col_len.assign(m, 0);
+  pivot_row.reserve(m);
   const auto value = [&](std::size_t r, std::size_t c) -> double& {
-    return elim_[r * m + c];
+    return elim[r * m + c];
   };
   const auto touch = [&](std::size_t r, std::size_t c) {
-    in_pattern_[r * m + c] = 1;
-    row_cols_[r * m + row_len_[r]++] = static_cast<int>(c);
-    col_rows_[c * m + col_len_[c]++] = static_cast<int>(r);
+    in_pattern[r * m + c] = 1;
+    row_cols[r * m + row_len[r]++] = static_cast<int>(c);
+    col_rows[c * m + col_len[c]++] = static_cast<int>(r);
   };
 
   // B's nonzeros by column (for the residuals), max|B|, and the scratch.
@@ -160,11 +176,11 @@ bool BasisFactorization::refactorize(std::span<const int> start,
     // Partial pivoting: of the rows at or below position k, the first in
     // position order with the largest |value| in column k — the row a
     // dense scan from position k would keep.
-    const std::span<const int> rows(&col_rows_[k * m], col_len_[k]);
+    const std::span<const int> rows(&col_rows[k * m], col_len[k]);
     std::size_t pivot = k;
     double best = std::fabs(value(static_cast<std::size_t>(perm_[k]), k));
     for (const int ri : rows) {
-      const std::size_t at = pos_[static_cast<std::size_t>(ri)];
+      const std::size_t at = pos[static_cast<std::size_t>(ri)];
       const double mag = std::fabs(value(static_cast<std::size_t>(ri), k));
       if (at > k && (mag > best || (mag == best && at < pivot))) {
         best = mag;
@@ -177,29 +193,29 @@ bool BasisFactorization::refactorize(std::span<const int> start,
     }
     if (pivot != k) {
       std::swap(perm_[pivot], perm_[k]);
-      pos_[static_cast<std::size_t>(perm_[pivot])] = pivot;
-      pos_[static_cast<std::size_t>(perm_[k])] = k;
+      pos[static_cast<std::size_t>(perm_[pivot])] = pivot;
+      pos[static_cast<std::size_t>(perm_[k])] = k;
     }
     const auto p = static_cast<std::size_t>(perm_[k]);
     const double diag = value(p, k);
-    pivot_row_.clear();
-    for (std::size_t q = 0; q < row_len_[p]; ++q) {
-      const auto c = static_cast<std::size_t>(row_cols_[p * m + q]);
+    pivot_row.clear();
+    for (std::size_t q = 0; q < row_len[p]; ++q) {
+      const auto c = static_cast<std::size_t>(row_cols[p * m + q]);
       if (c > k && value(p, c) != 0.0) {
-        pivot_row_.push_back({static_cast<int>(c), value(p, c)});
+        pivot_row.push_back({static_cast<int>(c), value(p, c)});
       }
     }
     for (const int ri : rows) {
       const auto r = static_cast<std::size_t>(ri);
       // A zero L entry (never filled, or cancelled) has nothing to
       // eliminate.
-      if (pos_[r] <= k || value(r, k) == 0.0) continue;
+      if (pos[r] <= k || value(r, k) == 0.0) continue;
       const double factor = value(r, k) / diag;
       value(r, k) = factor;  // L entry
       if (factor == 0.0) continue;
-      for (const Entry& u : pivot_row_) {
+      for (const Entry& u : pivot_row) {
         const auto c = static_cast<std::size_t>(u.idx);
-        if (in_pattern_[r * m + c] == 0) touch(r, c);
+        if (in_pattern[r * m + c] == 0) touch(r, c);
         value(r, c) -= factor * u.val;
       }
     }
@@ -214,12 +230,12 @@ bool BasisFactorization::refactorize(std::span<const int> start,
   u_rows_.clear(m, m * (m + 1) / 2);
   for (std::size_t i = 0; i < m; ++i) {
     const auto r = static_cast<std::size_t>(perm_[i]);
-    const std::span<int> cols(&row_cols_[r * m], row_len_[r]);
+    const std::span<int> cols(&row_cols[r * m], row_len[r]);
     std::sort(cols.begin(), cols.end());
     for (const int ci : cols) {
       const auto c = static_cast<std::size_t>(ci);
       const double v = std::exchange(value(r, c), 0.0);
-      in_pattern_[r * m + c] = 0;
+      in_pattern[r * m + c] = 0;
       if (v == 0.0) continue;
       if (c < i) {
         l_rows_.push(ci, v);
@@ -238,48 +254,18 @@ bool BasisFactorization::refactorize(std::span<const int> start,
   if (max_b > 0.0) {
     pivot_growth_ = std::max(1.0, max_u / max_b);
   }
-  transpose(l_rows_, l_cols_);
-  transpose(u_rows_, u_cols_);
+  lu_growth_ = pivot_growth_;
+  transpose(l_rows_, l_cols_, scratch.transpose_fill);
+  transpose(u_rows_, u_cols_, scratch.transpose_fill);
   valid_ = true;
   return true;
 }
 
-void BasisFactorization::save(Snapshot& out) const {
-  GRIDSEC_ASSERT(valid_ && eta_pivots_.empty());
-  // Each copy first takes the source's capacity, which refactorize sizes
-  // by m alone: how many nonzeros a basis has then never decides whether
-  // a save allocates.
-  const auto copy = [](const auto& from, auto& to) {
-    to.reserve(from.capacity());
-    to = from;
-  };
-  const auto copy_groups = [&copy](const SparseGroups& from,
-                                   SparseGroups& to) {
-    copy(from.start, to.start);
-    copy(from.entries, to.entries);
-  };
-  copy(perm_, out.perm);
-  copy_groups(l_rows_, out.l_rows);
-  copy_groups(l_cols_, out.l_cols);
-  copy_groups(u_rows_, out.u_rows);
-  copy_groups(u_cols_, out.u_cols);
-  copy_groups(b_cols_, out.b_cols);
-  out.pivot_growth = pivot_growth_;
-}
-
-void BasisFactorization::restore(const Snapshot& in) {
-  perm_ = in.perm;
-  l_rows_ = in.l_rows;
-  l_cols_ = in.l_cols;
-  u_rows_ = in.u_rows;
-  u_cols_ = in.u_cols;
-  b_cols_ = in.b_cols;
-  pivot_growth_ = in.pivot_growth;
-  const std::size_t m = perm_.size();
-  etas_.clear(kRefactorInterval, kRefactorInterval * m);  // as refactorize
+void BasisFactorization::rewind() {
+  GRIDSEC_ASSERT(valid_);
+  etas_.clear(kRefactorInterval, kRefactorInterval * perm_.size());
   eta_pivots_.clear();
-  eta_pivots_.reserve(kRefactorInterval);
-  valid_ = true;
+  pivot_growth_ = lu_growth_;
 }
 
 // The solves below visit stored nonzeros in ascending index order — the

@@ -117,15 +117,15 @@ void compute_multipliers(const Tableau& t, const BasisFactorization& factor,
   factor.btran(y);
 }
 
-/// Keeps ws.factor current after a pivot replaced the basic column in
+/// Keeps ws.lu() current after a pivot replaced the basic column in
 /// `row` (t.basis already names the entering column; `w` is its ftran
 /// image against the old basis): a product-form update, with a
-/// refactorization when the eta chain is long, the update pivot is unsafe,
-/// or the accumulated pivot growth says the chain amplifies rounding.
-/// Returns false when the rebuilt basis is singular.
+/// refactorization into ws.factor when the eta chain is long, the update
+/// pivot is unsafe, or the accumulated pivot growth says the chain
+/// amplifies rounding. Returns false when the rebuilt basis is singular.
 bool update_factorization(Tableau& t, WorkspaceImpl& ws, int row,
                           std::span<const double> w, IterationOutcome& out) {
-  BasisFactorization& factor = ws.factor;
+  BasisFactorization& factor = ws.lu();
   const bool chain_full =
       factor.eta_count() + 1 >= BasisFactorization::kRefactorInterval;
   bool need_refactor = chain_full;
@@ -144,7 +144,7 @@ bool update_factorization(Tableau& t, WorkspaceImpl& ws, int row,
   }
   if (need_refactor) {
     ++out.refactorizations;
-    if (!factor.refactorize(t.a.start, t.a.entries, t.basis)) return false;
+    if (!ws.refactorize()) return false;
     // Drift repair: the pivot loops track x incrementally, so a rebuilt
     // factorization is the cheap moment to compare against the exact
     // x_B = B^{-1}(b - A_N x_N). Adopt the recomputed values only when
@@ -172,7 +172,7 @@ bool update_factorization(Tableau& t, WorkspaceImpl& ws, int row,
 }
 
 /// Runs primal simplex pivots on `t` (= ws.t) with the current cost vector
-/// until optimal / unbounded / iteration budget exhausted. ws.factor must
+/// until optimal / unbounded / iteration budget exhausted. ws.lu() must
 /// be current for t's basis on entry and is kept current across pivots
 /// by update_factorization. Pricing/direction vectors live in the
 /// workspace — zero heap traffic per pivot.
@@ -181,7 +181,6 @@ IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
                          long max_iters, long bland_after,
                          const Deadline& deadline) {
   IterationOutcome out;
-  BasisFactorization& factor = ws.factor;
   const double dtol = kOptimalityTol;
   const double eps = 1e-11;
 
@@ -200,7 +199,7 @@ IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
       return out;
     }
     const bool bland = forced_bland || iter >= bland_after;
-    compute_multipliers(t, factor, ws.y);
+    compute_multipliers(t, ws.lu(), ws.y);
     const std::span<const double> y = ws.y;
 
     // Pricing: pick an entering column.
@@ -238,7 +237,7 @@ IterationOutcome iterate(Tableau& t, WorkspaceImpl& ws,
     for (const ColumnEntry& e : t.a.column(entering)) {
       w[static_cast<std::size_t>(e.row)] = e.val;
     }
-    factor.ftran(w);
+    ws.lu().ftran(w);
 
     const auto eq = static_cast<std::size_t>(entering);
     double t_limit = t.upper[eq] - t.lower[eq];  // bound-flip distance
@@ -604,7 +603,6 @@ double pivot_row_entry(const Tableau& t, std::span<const double> rho, int j) {
 void dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
                   const Deadline& deadline, IterationOutcome& out) {
   GRIDSEC_TRACE_SPAN("lp.simplex.dual");
-  BasisFactorization& factor = ws.factor;
   const double ftol = kFeasibilityTol;
   const double eps = 1e-11;
   // Smallest pivot-row entry a column may enter on: dividing a reduced
@@ -654,7 +652,7 @@ void dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
     const std::span<double> rho = ws.y;
     std::fill(rho.begin(), rho.end(), 0.0);
     rho[rs] = 1.0;
-    factor.btran(rho);
+    ws.lu().btran(rho);
     int entering = -1;
     double alpha_q = 0.0;
     double best_ratio = kInfinity;
@@ -686,7 +684,7 @@ void dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
       // bound takes it; only a miss beyond that proves infeasibility.
       // Anything else (an infinite far bound, a miss within tolerance) is
       // left to the cold solve.
-      compute_basic_values(t, factor, ws.xb, out.refine_steps);
+      compute_basic_values(t, ws.lu(), ws.xb, out.refine_steps);
       const double xp = ws.xb[rs];
       double miss = to_upper ? xp - t.upper[p] : t.lower[p] - xp;
       for (std::size_t k = 0; k < n_priced; ++k) {
@@ -708,7 +706,7 @@ void dual_simplex(Tableau& t, WorkspaceImpl& ws, long max_iters,
     for (const ColumnEntry& e : t.a.column(entering)) {
       w[static_cast<std::size_t>(e.row)] = e.val;
     }
-    factor.ftran(w);
+    ws.lu().ftran(w);
     if (w[rs] * alpha_q <= 0.0) {
       // The column and row images disagree on the pivot's sign: the
       // factorization is too inaccurate to continue on.
@@ -881,9 +879,9 @@ bool checkpoint_matches(const detail::WarmCheckpoint& ck,
   return true;
 }
 
-/// Keeps what apply_warm_start and fix_artificials left in `t`, the crash
-/// repair count and ws.factor (just refactorized for t's basis) in the
-/// workspace's checkpoint, keyed on `warm`.
+/// Keeps what apply_warm_start and fix_artificials left in `t` and the
+/// crash repair count in the workspace's checkpoint, keyed on `warm`,
+/// beside the LU of t's basis that warm.lu already holds.
 void save_crash(const Problem& problem, const Tableau& t, WorkspaceImpl& ws,
                 const Basis& warm, long repairs) {
   detail::WarmCheckpoint& ck = ws.warm;
@@ -900,7 +898,6 @@ void save_crash(const Problem& problem, const Tableau& t, WorkspaceImpl& ws,
     ck.artificial_coef[static_cast<std::size_t>(i)] = t.a.single(art_base + i);
   }
   ck.repairs = repairs;
-  ws.factor.save(ck.lu);
   ck.priced = false;
   ck.valid = true;
 }
@@ -908,8 +905,9 @@ void save_crash(const Problem& problem, const Tableau& t, WorkspaceImpl& ws,
 /// Puts the checkpoint's crash back. The tableau then holds what
 /// install_cold_columns, apply_warm_start, fix_artificials and
 /// install_phase2_costs would leave for this problem's bounds and costs,
-/// and ws.factor the LU of its basis, bit for bit: the crash and the
-/// elimination read nothing the key leaves open. Each column's bounds and
+/// and the rewound warm.lu, which the solve reads, the LU of its basis,
+/// bit for bit: the crash and the elimination read nothing the key leaves
+/// open. Each column's bounds and
 /// cost are loaded in the same pass (artificials stay fixed at zero).
 void restore_crash(const Problem& problem, Tableau& t, WorkspaceImpl& ws,
                    long& repairs) {
@@ -930,7 +928,8 @@ void restore_crash(const Problem& problem, Tableau& t, WorkspaceImpl& ws,
     t.a.single(art_base + i) = ck.artificial_coef[static_cast<std::size_t>(i)];
   }
   repairs += ck.repairs;
-  ws.factor.restore(ck.lu);
+  ws.warm.lu.rewind();
+  ws.on_warm_lu = true;
 }
 
 /// Prices every column once against the phase-2 costs in t.cost:
@@ -945,7 +944,7 @@ void price_dual_start(Tableau& t, WorkspaceImpl& ws) {
     return;
   }
   std::copy(t.cost.begin(), t.cost.end(), ck.cost.begin());
-  compute_multipliers(t, ws.factor, ws.y);
+  compute_multipliers(t, ws.lu(), ws.y);
   for (int j = 0; j < t.n_total; ++j) {
     const auto js = static_cast<std::size_t>(j);
     t.cost[js] =
@@ -956,16 +955,17 @@ void price_dual_start(Tableau& t, WorkspaceImpl& ws) {
 }
 
 /// Sets up the bounded dual simplex from `warm`: the crash basis with the
-/// phase-2 costs and every artificial fixed at zero, ws.factor current for
-/// it, and a dual-feasible start. The crash, its LU and the first pricing
-/// come from the workspace's checkpoint when its key matches; otherwise
-/// they are computed (one refactorization) and saved there. From here on
-/// t.cost holds the reduced costs d = c − Aᵀy: the costs of an equivalent
-/// LP in which every basic column prices at zero; install_phase2_costs
-/// restores the true costs for phase 2. A column whose reduced cost has
-/// the wrong sign moves to its other bound when that bound is finite, else
-/// its cost is shifted to make the reduced cost zero (each one counted in
-/// `repairs`). Returns false when the crash basis is singular.
+/// phase-2 costs and every artificial fixed at zero, ws.lu() the
+/// checkpoint's LU of it, and a dual-feasible start. The crash, its LU and
+/// the first pricing come from the workspace's checkpoint when its key
+/// matches; otherwise they are computed there (one refactorization). From
+/// here on t.cost holds the reduced costs d = c − Aᵀy: the costs of an
+/// equivalent LP in which every basic column prices at zero;
+/// install_phase2_costs restores the true costs for phase 2. A column
+/// whose reduced cost has the wrong sign moves to its other bound when
+/// that bound is finite, else its cost is shifted to make the reduced cost
+/// zero (each one counted in `repairs`). Returns false when the crash
+/// basis is singular.
 bool start_warm(const Problem& problem, Tableau& t, WorkspaceImpl& ws,
                 const Basis& warm, long& repairs, IterationOutcome& out) {
   GRIDSEC_TRACE_SPAN("lp.simplex.warm_start");
@@ -981,7 +981,11 @@ bool start_warm(const Problem& problem, Tableau& t, WorkspaceImpl& ws,
     fix_artificials(t);
     install_phase2_costs(t, ws);
     ++out.refactorizations;
-    if (!ws.factor.refactorize(t.a.start, t.a.entries, t.basis)) return false;
+    if (!ws.warm.lu.refactorize(t.a.start, t.a.entries, t.basis,
+                                ws.lu_scratch)) {
+      return false;
+    }
+    ws.on_warm_lu = true;
     save_crash(problem, t, ws, warm, crash_repairs);
   }
   price_dual_start(t, ws);
@@ -1003,7 +1007,7 @@ bool start_warm(const Problem& problem, Tableau& t, WorkspaceImpl& ws,
       d[js] = 0.0;  // cost shift
     }
   }
-  recompute_basics(t, ws.factor, ws.xb, out.refine_steps);
+  recompute_basics(t, ws.lu(), ws.xb, out.refine_steps);
   return true;
 }
 
@@ -1063,7 +1067,6 @@ void solve_impl_inner(const Problem& problem, const SimplexOptions& options,
     }
   }
   const int art_base = t.n_total - m;
-  BasisFactorization& factor = ws.factor;
   const std::span<int> slack_of_row = ws.slack_of_row;
   const std::span<unsigned char> artificial_used = ws.artificial_used;
 
@@ -1163,7 +1166,7 @@ void solve_impl_inner(const Problem& problem, const SimplexOptions& options,
       }
       // The slack/artificial start basis is diagonal; factorize it once.
       ++metrics.refactorizations;
-      if (!factor.refactorize(t.a.start, t.a.entries, t.basis)) {
+      if (!ws.refactorize()) {
         sol.status = SolveStatus::kNumericalError;
         return;
       }
@@ -1260,18 +1263,18 @@ void solve_impl_inner(const Problem& problem, const SimplexOptions& options,
         y[static_cast<std::size_t>(i)] = t.cost[static_cast<std::size_t>(
             t.basis[static_cast<std::size_t>(i)])];
       }
-      metrics.refine_steps += factor.btran_refined(y);
+      metrics.refine_steps += ws.lu().btran_refined(y);
     };
     bool breakdown = false;
     for (int resume = 0;; ++resume) {
-      if (factor.eta_count() > 0) {
+      if (ws.lu().eta_count() > 0) {
         ++metrics.refactorizations;
-        if (!factor.refactorize(t.a.start, t.a.entries, t.basis)) {
+        if (!ws.refactorize()) {
           fail(SolveStatus::kNumericalError);
           return;
         }
       }
-      recompute_basics(t, factor, ws.xb, metrics.refine_steps);
+      recompute_basics(t, ws.lu(), ws.xb, metrics.refine_steps);
       refine_duals();
 
       bool attractive = false;

@@ -52,6 +52,11 @@ void WorkspaceImpl::size_warm() {
   warm.d.resize(ns);
 }
 
+bool WorkspaceImpl::refactorize() {
+  on_warm_lu = false;
+  return factor.refactorize(t.a.start, t.a.entries, t.basis, lu_scratch);
+}
+
 WorkspaceLease::WorkspaceLease(SolverWorkspace* requested) {
   SolverWorkspace& ws =
       requested != nullptr ? *requested : thread_solver_workspace();

@@ -69,6 +69,12 @@ struct Tableau {
 /// reduced costs, which also depend on the phase-2 costs they sit beside.
 /// Only warm solves use it, so WorkspaceImpl::size_warm sizes it rather
 /// than every bind; bind() clears `valid`, since a new A is a new key.
+///
+/// The crash is factorized straight into `lu`, and a solve that starts
+/// here pivots on it, appending etas, until its first refactorization,
+/// which goes into the workspace's working factor. The next solve with
+/// the same key rewinds `lu` (empty eta chain, the growth its
+/// refactorize measured) and starts from the same bits.
 struct WarmCheckpoint {
   bool valid = false;
   Basis warm;
@@ -78,7 +84,7 @@ struct WarmCheckpoint {
   std::vector<unsigned char> artificial_used;  // m
   std::vector<double> artificial_coef;         // m: installed or demoted
   long repairs = 0;                  // the crash's demotions and fills
-  BasisFactorization::Snapshot lu;   // of the crash basis
+  BasisFactorization lu;             // of the crash basis
   bool priced = false;               // d holds the prices of `cost`
   std::vector<double> cost;          // n_total: phase-2 costs
   std::vector<double> d;             // n_total: reduced costs, 0 on basics
@@ -94,7 +100,12 @@ struct WarmCheckpoint {
 /// coefficients, which every solve sets), t.b and slack_of_row are still
 /// that problem's.
 struct WorkspaceImpl {
-  BasisFactorization factor;
+  BasisFactorization factor;  // the working LU
+  /// The elimination scratch `factor` and warm.lu share.
+  BasisFactorization::Scratch lu_scratch;
+  /// Whether the running solve reads warm.lu rather than `factor`: from
+  /// a warm start until the solve's first refactorization.
+  bool on_warm_lu = false;
   std::vector<double> crash_work;  // warm-start crash elimination, m×k
 
   Tableau t;
@@ -129,6 +140,14 @@ struct WorkspaceImpl {
   /// workspace first solves warm at a larger shape; cold-only workloads
   /// never pay for them.
   void size_warm();
+
+  /// The LU of t's basis that the running solve reads.
+  [[nodiscard]] BasisFactorization& lu() {
+    return on_warm_lu ? warm.lu : factor;
+  }
+  /// Refactorizes t's basis into `factor`, which lu() then returns.
+  /// Returns false when the basis is singular.
+  bool refactorize();
 };
 
 /// Marks the workspace a solve uses busy for the solve's duration: the

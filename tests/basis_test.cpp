@@ -307,5 +307,83 @@ TEST(BasisLu, HorizonBasisMatchesDenseOracle) {
   EXPECT_TRUE(expect_matches_oracle(f, a, basis));
 }
 
+/// ftran and btran of every unit vector, their bits in one vector.
+std::vector<std::uint64_t> solve_bits(const BasisFactorization& f) {
+  const std::size_t m = f.size();
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < m; ++i) {
+    std::vector<double> x(m, 0.0);
+    x[i] = 1.0;
+    std::vector<double> y = x;
+    f.ftran(x);
+    f.btran(y);
+    for (const double v : x) out.push_back(std::bit_cast<std::uint64_t>(v));
+    for (const double v : y) out.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return out;
+}
+
+TEST(BasisLu, SharedScratchMatchesOwnScratch) {
+  // Two factorizations that share one elimination scratch, refactorized in
+  // turn at other sizes (singular bases included), must give the bits
+  // factorizations with scratch of their own give.
+  Rng rng(2016);
+  BasisFactorization::Scratch shared;
+  BasisFactorization first, second, own;
+  for (int instance = 0; instance < 200; ++instance) {
+    const int m = 1 + static_cast<int>(rng.uniform_index(14));
+    Columns a;
+    std::vector<int> basis;
+    for (int j = 0; j < m; ++j) {
+      std::map<int, double> col;
+      col[j] = rng.uniform(0.5, 2.0);
+      for (int q = 0; q < 2; ++q) {
+        const int row = static_cast<int>(
+            rng.uniform_index(static_cast<std::uint64_t>(m)));
+        col[row] = rng.bernoulli(0.2) ? 0.0 : rng.uniform(-1.0, 1.0);
+      }
+      basis.push_back(a.add(col));
+    }
+    BasisFactorization& on_shared = instance % 2 == 0 ? first : second;
+    const bool ok = on_shared.refactorize(a.start, a.entries, basis, shared);
+    ASSERT_EQ(own.refactorize(a.start, a.entries, basis), ok);
+    if (!ok) continue;
+    const std::span<const int> perm = on_shared.perm();
+    EXPECT_EQ(std::vector<int>(perm.begin(), perm.end()),
+              std::vector<int>(own.perm().begin(), own.perm().end()));
+    EXPECT_TRUE(same_bits(on_shared.pivot_growth(), own.pivot_growth()));
+    EXPECT_EQ(solve_bits(on_shared), solve_bits(own))
+        << "instance " << instance;
+  }
+}
+
+TEST(BasisLu, RewindRestoresTheFactorizationItsRefactorizeMade) {
+  // A warm checkpoint's LU takes a solve's etas and then is rewound for
+  // the next: an empty chain, the growth its refactorize measured, and
+  // the solve bits it gave right after that refactorize.
+  Columns a;
+  a.add({{0, 2.0}, {1, 1.0}});
+  a.add({{1, 3.0}, {2, 1.0}});
+  a.add({{0, 1.0}, {2, 4.0}});
+  const std::vector<int> basis = {0, 1, 2};
+  BasisFactorization f;
+  ASSERT_TRUE(f.refactorize(a.start, a.entries, basis));
+  const double growth = f.pivot_growth();
+  const std::vector<std::uint64_t> bits = solve_bits(f);
+
+  // Two accepted etas, the second with a pivot 2e6 times smaller than its
+  // direction's largest entry: the chain amplifies rounding by that much.
+  ASSERT_TRUE(f.update(1, std::vector<double>{0.5, 1.5, -0.25}));
+  ASSERT_TRUE(f.update(0, std::vector<double>{1e-6, 1.0, 2.0}));
+  EXPECT_EQ(f.eta_count(), 2u);
+  EXPECT_GT(f.pivot_growth(), BasisFactorization::kGrowthRefactorLimit);
+  EXPECT_NE(solve_bits(f), bits);
+
+  f.rewind();
+  EXPECT_EQ(f.eta_count(), 0u);
+  EXPECT_TRUE(same_bits(f.pivot_growth(), growth));
+  EXPECT_EQ(solve_bits(f), bits);
+}
+
 }  // namespace
 }  // namespace gridsec::lp

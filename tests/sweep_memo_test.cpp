@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "gridsec/core/game.hpp"
@@ -359,6 +360,51 @@ TEST(SweepMemo, ExperimentPointsMatchAcrossThreadCountsAndTheArmedRun) {
   }
   expect_same(serial, parallel);
   expect_same(serial, run(&pool));  // armed: every target solved
+}
+
+// The target loop attacks the thread's scratch network, copy-assigned from
+// each sweep's network. Sweeps that follow one another on one thread over
+// networks of another topology or other data must equal the same sweeps
+// computed on a fresh thread.
+TEST(SweepScratch, ConsecutiveSweepsOverOtherNetworksEqualFreshThreads) {
+  const flow::Network western = sim::build_western_us().network;
+  Rng rng(11);
+  NoiseSpec noise;
+  noise.sigma = 0.2;
+  // The same topology with other edge data, and a smaller topology.
+  const flow::Network view = perturb_knowledge(western, noise, rng);
+  const flow::Network small = duopoly();
+  const Ownership western_own = Ownership::random(western.num_edges(), 6, rng);
+  const Ownership small_own({0, 1, 0}, 2);
+  struct Sweep {
+    const flow::Network* net;
+    const Ownership* own;
+  };
+  const std::vector<Sweep> sweeps = {{&western, &western_own},
+                                     {&small, &small_own},
+                                     {&view, &western_own},
+                                     {&western, &western_own},
+                                     {&small, &small_own},
+                                     {&western, &western_own}};
+  std::vector<ImpactResult> consecutive;
+  for (const Sweep& sweep : sweeps) {
+    consecutive.push_back(impact(*sweep.net, *sweep.own));
+  }
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    SCOPED_TRACE(i);
+    std::optional<ImpactResult> fresh;
+    std::thread([&] { fresh = impact(*sweeps[i].net, *sweeps[i].own); })
+        .join();
+    ASSERT_TRUE(fresh.has_value());
+    expect_same_bits(consecutive[i], *fresh);
+  }
+  // The view's data differ from the truth's, so its matrix does too.
+  bool differs = false;
+  for (int t = 0; t < western.num_edges(); ++t) {
+    differs = differs || bits(consecutive[0].matrix.system_impact(t)) !=
+                             bits(consecutive[2].matrix.system_impact(t));
+  }
+  EXPECT_TRUE(differs);
 }
 
 }  // namespace

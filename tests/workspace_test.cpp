@@ -34,6 +34,7 @@
 #include "gridsec/obs/prof.hpp"
 #include "gridsec/robust/recovery.hpp"
 #include "gridsec/sim/western_us.hpp"
+#include "gridsec/util/rng.hpp"
 #include "gridsec/util/thread_pool.hpp"
 #include "lp/workspace_internal.hpp"
 
@@ -142,7 +143,8 @@ std::vector<std::int64_t> pivot_path_counters() {
   static const char* const kNames[] = {
       "lp.simplex.pivots",           "lp.simplex.degenerate_pivots",
       "lp.simplex.bound_flips",      "lp.simplex.eta_updates",
-      "lp.simplex.refactorizations", "lp.simplex.bland_pivots"};
+      "lp.simplex.refactorizations", "lp.simplex.bland_pivots",
+      "lp.basis.residual_refactorizations"};
   std::vector<std::int64_t> values;
   for (const char* name : kNames) {
     values.push_back(obs::default_registry().counter(name).value());
@@ -387,6 +389,220 @@ TEST(WarmCheckpointTest, WesternUsOutageSweepMatchesFreshWorkspaces) {
   // Every target after the first finds the crash of the base basis.
   EXPECT_EQ(saved, targets - 1);
   EXPECT_EQ(ws.stats().binds, 1u);
+}
+
+// The checkpoint owns the LU its crash is factorized into. A solve that
+// starts from it pivots on that LU, appending etas and raising its pivot
+// growth, until its first refactorization, which goes into the working
+// LU; the next hit rewinds it. A hit after each kind of solve that leaves
+// the checkpoint's LU so must answer as a fresh workspace does.
+
+/// A random LP that x = 0 satisfies: m <= rows, each over about 30% of n
+/// columns bounded in [0, u_j], maximizing costs of either sign.
+lp::Problem random_lp(std::uint64_t seed, int m, int n) {
+  Rng rng(seed);
+  lp::Problem p(lp::Objective::kMaximize);
+  for (int j = 0; j < n; ++j) {
+    p.add_variable(std::string("x").append(std::to_string(j)), 0.0,
+                   rng.uniform(1.0, 10.0), rng.uniform(-1.0, 2.0));
+  }
+  for (int i = 0; i < m; ++i) {
+    lp::LinearExpr row;
+    for (int j = 0; j < n; ++j) {
+      if (rng.bernoulli(0.3)) row.add(j, rng.uniform(-0.5, 1.0));
+    }
+    p.add_constraint(std::string("r").append(std::to_string(i)),
+                     std::move(row), lp::Sense::kLessEqual,
+                     rng.uniform(5.0, 20.0));
+  }
+  return p;
+}
+
+/// `p` with every basic column of `basis` fixed at its lower bound: the
+/// dual simplex's re-solve, as after an outage.
+lp::Problem pin_basics(const lp::Problem& p, const lp::Basis& basis) {
+  lp::Problem out = p;
+  for (int j = 0; j < p.num_variables(); ++j) {
+    if (basis.variables[static_cast<std::size_t>(j)] ==
+        lp::VarStatus::kBasic) {
+      out.set_bounds(j, p.variable(j).lower, p.variable(j).lower);
+    }
+  }
+  return out;
+}
+
+TEST(WarmCheckpointTest, HitAfterAMidPivotRefactorizationMatchesFresh) {
+  const lp::Problem p = random_lp(0, 40, 60);
+  const lp::Solution cold = lp::solve_lp(p);
+  ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal);
+  // Negated costs move the optimum far from the warm basis: phase 2 fills
+  // the eta chain.
+  lp::Problem negated = p;
+  for (int j = 0; j < p.num_variables(); ++j) {
+    negated.set_objective_coef(j, -p.variable(j).objective);
+  }
+  lp::SolverWorkspace ws;
+  const lp::detail::WorkspaceImpl& impl = ws.impl();
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 0);
+  EXPECT_EQ(checkpoint_saving(negated, cold.basis, ws), 1);
+  // It pivoted on the checkpoint's LU until the chain was full, and went
+  // on in the working LU.
+  EXPECT_EQ(impl.warm.lu.eta_count(),
+            lp::BasisFactorization::kRefactorInterval - 1);
+  EXPECT_FALSE(impl.on_warm_lu);
+  EXPECT_EQ(checkpoint_saving(pin_basics(p, cold.basis), cold.basis, ws), 1);
+  EXPECT_EQ(checkpoint_saving(negated, cold.basis, ws), 1);
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 1);
+}
+
+TEST(WarmCheckpointTest, HitAfterAnInfeasibleSolveMatchesFresh) {
+  const lp::Problem p = random_lp(1, 40, 60);
+  const lp::Solution cold = lp::solve_lp(p);
+  ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal);
+  // Every column at half its upper bound or more overfills the rows: the
+  // dual simplex pivots on the checkpoint's LU until a dual ray proves
+  // infeasibility.
+  lp::Problem full = p;
+  for (int j = 0; j < p.num_variables(); ++j) {
+    full.set_bounds(j, 0.5 * p.variable(j).upper, p.variable(j).upper);
+  }
+  lp::SolverWorkspace ws;
+  const lp::detail::WorkspaceImpl& impl = ws.impl();
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 0);
+  lp::SimplexOptions opt;
+  opt.warm_start = cold.basis;
+  opt.workspace = &ws;
+  const lp::Solution infeasible = lp::solve_lp(full, opt);
+  ASSERT_EQ(infeasible.status, lp::SolveStatus::kInfeasible);
+  EXPECT_TRUE(infeasible.warm_started);
+  EXPECT_GT(impl.warm.lu.eta_count(), 0u);
+  EXPECT_EQ(checkpoint_saving(pin_basics(p, cold.basis), cold.basis, ws), 1);
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 1);
+}
+
+TEST(WarmCheckpointTest, HitAfterATimeLimitedSolveMatchesFresh) {
+  const lp::Problem p = random_lp(2, 40, 60);
+  const lp::Solution cold = lp::solve_lp(p);
+  ASSERT_EQ(cold.status, lp::SolveStatus::kOptimal);
+  lp::SolverWorkspace ws;
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 0);
+  lp::SimplexOptions opt;
+  opt.warm_start = cold.basis;
+  opt.workspace = &ws;
+  opt.time_limit_ms = 1e-9;  // expired by the first pivot
+  ASSERT_EQ(lp::solve_lp(pin_basics(p, cold.basis), opt).status,
+            lp::SolveStatus::kTimeLimit);
+  EXPECT_EQ(checkpoint_saving(pin_basics(p, cold.basis), cold.basis, ws), 1);
+  EXPECT_EQ(checkpoint_saving(p, cold.basis, ws), 1);
+}
+
+/// A branch-and-bound node relaxation of plan_milp's Eq 8–11 program on a
+/// 1e8-scale impact matrix, from the differential fuzz's adversary leg.
+/// Solved warm from warm_resume_basis(), its post-solve check finds an
+/// attractive column after refactorizing and resumes for one pivot.
+lp::Problem warm_resume_lp() {
+  lp::Problem p(lp::Objective::kMaximize);
+  p.add_variable("x0", 0x0p+0, 0x0p+0, -0x1.30aa92269257bp+27);
+  p.add_variable("x1", 0x0p+0, 0x1p+0, -0x1.3f173ff132a24p+27);
+  p.add_variable("x2", 0x0p+0, 0x1p+0, -0x1.94ce5951486b1p+25);
+  p.add_variable("x3", 0x0p+0, 0x1p+0, 0x0p+0);
+  p.add_variable("x4", 0x0p+0, 0x0p+0, 0x1p+0);
+  p.add_variable("x5", 0x1p+0, 0x1p+0, 0x0p+0);
+  p.add_variable("x6", 0x0p+0, 0x1.c448cc708f78ep+26, 0x1p+0);
+  p.add_variable("x7", 0x0p+0, 0x1p+0, 0x0p+0);
+  p.add_variable("x8", 0x0p+0, 0x0p+0, 0x1p+0);
+  p.add_variable("x9", 0x0p+0, 0x1p+0, 0x0p+0);
+  p.add_variable("x10", 0x0p+0, 0x1.68ed134c0f6aap+30, 0x1p+0);
+  p.add_variable("x11", 0x0p+0, 0x1p+0, 0x0p+0);
+  p.add_variable("x12", 0x0p+0, 0x0p+0, 0x1p+0);
+  p.add_constraint("c0",
+                   lp::LinearExpr()
+                       .add(4, 0x1p+0),
+                   lp::Sense::kLessEqual, 0x0p+0);
+  p.add_constraint("c1",
+                   lp::LinearExpr()
+                       .add(4, 0x1p+0)
+                       .add(1, 0x1.b444c76dd4e85p+28)
+                       .add(3, 0x1.b444c76dd4e85p+28),
+                   lp::Sense::kLessEqual, 0x1.b444c76dd4e85p+28);
+  p.add_constraint("c2",
+                   lp::LinearExpr()
+                       .add(6, 0x1p+0)
+                       .add(5, -0x1.c448cc708f78ep+26),
+                   lp::Sense::kLessEqual, 0x0p+0);
+  p.add_constraint("c3",
+                   lp::LinearExpr()
+                       .add(6, 0x1p+0)
+                       .add(1, 0x1.98d5b9d1b33c5p+27)
+                       .add(2, -0x1.c448cc708f78ep+26)
+                       .add(5, 0x1.98d5b9d1b33c5p+27),
+                   lp::Sense::kLessEqual, 0x1.98d5b9d1b33c5p+27);
+  p.add_constraint("c4",
+                   lp::LinearExpr()
+                       .add(8, 0x1p+0),
+                   lp::Sense::kLessEqual, 0x0p+0);
+  p.add_constraint("c5",
+                   lp::LinearExpr()
+                       .add(8, 0x1p+0)
+                       .add(0, 0x1.de99993017077p+27)
+                       .add(2, 0x1.9367c7808779p+27)
+                       .add(7, 0x1.b900b0584f404p+28),
+                   lp::Sense::kLessEqual, 0x1.b900b0584f404p+28);
+  p.add_constraint("c6",
+                   lp::LinearExpr()
+                       .add(10, 0x1p+0)
+                       .add(9, -0x1.68ed134c0f6aap+30),
+                   lp::Sense::kLessEqual, 0x0p+0);
+  p.add_constraint("c7",
+                   lp::LinearExpr()
+                       .add(10, 0x1p+0)
+                       .add(0, -0x1.73822d59cca5ep+29)
+                       .add(1, -0x1.5e57f93e522f5p+29)
+                       .add(2, 0x1.18c79f6790a09p+26)
+                       .add(9, 0x1.18c79f6790a09p+26),
+                   lp::Sense::kLessEqual, 0x1.18c79f6790a09p+26);
+  p.add_constraint("c8",
+                   lp::LinearExpr()
+                       .add(12, 0x1p+0),
+                   lp::Sense::kLessEqual, 0x0p+0);
+  p.add_constraint("c9",
+                   lp::LinearExpr()
+                       .add(12, 0x1p+0)
+                       .add(0, 0x1.0a804a7f01828p+29)
+                       .add(2, 0x1.3fe73822841e8p+28)
+                       .add(11, 0x1.aa73e6904391cp+29),
+                   lp::Sense::kLessEqual, 0x1.aa73e6904391cp+29);
+  p.add_constraint("c10",
+                   lp::LinearExpr()
+                       .add(0, 0x1.30aa92269257bp+27)
+                       .add(1, 0x1.3f173ff132a24p+27)
+                       .add(2, 0x1.94ce5951486b1p+25),
+                   lp::Sense::kLessEqual, 0x1.20b775b1c54d6p+24);
+  p.add_constraint("c11",
+                   lp::LinearExpr()
+                       .add(0, 0x1p+0)
+                       .add(1, 0x1p+0)
+                       .add(2, 0x1p+0),
+                   lp::Sense::kLessEqual, 0x1.8p+1);
+  return p;
+}
+
+lp::Basis warm_resume_basis() {
+  return lp::parse_basis("v:BLLLLLBLLBBLL|r:BBBLBBLLBBLB").value();
+}
+
+TEST(WarmCheckpointTest, HitAfterASolveWhoseCheckResumedMatchesFresh) {
+  const lp::Problem p = warm_resume_lp();
+  const lp::Basis warm = warm_resume_basis();
+  lp::Problem shifted = p;
+  shifted.set_objective_coef(6, 0.5);
+  shifted.set_bounds(10, 0.0, 0.5 * p.variable(10).upper);
+  lp::SolverWorkspace ws;
+  EXPECT_EQ(checkpoint_saving(p, warm, ws), 0);  // resumes
+  EXPECT_FALSE(ws.impl().on_warm_lu);
+  EXPECT_EQ(checkpoint_saving(p, warm, ws), 1);
+  EXPECT_EQ(checkpoint_saving(shifted, warm, ws), 1);
+  EXPECT_EQ(checkpoint_saving(p, warm, ws), 1);
 }
 
 TEST(SolverWorkspaceTest, MilpReuseBitIdenticalAcrossReset) {
